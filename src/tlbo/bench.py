@@ -388,8 +388,9 @@ class ExperimentResult:
             for method in result.methods:
                 for seed in result.seeds:
                     path = root / "runs" / f"{t.name}__{method}__seed{seed}.jsonl"
-                    if path.exists():
-                        result.runs[(t.name, method, seed)] = RunResult.from_jsonl(path)
+                    if not path.exists():
+                        raise ParseError(f"{path}: run file missing from the result directory")
+                    result.runs[(t.name, method, seed)] = RunResult.from_jsonl(path)
         if not result.runs:
             raise ParseError(f"{root}: no run records found")
         return result
@@ -490,6 +491,19 @@ def _check_methods(methods) -> list[str]:
     return methods
 
 
+def _map_jobs(fn, args_list, workers: int) -> list:
+    """``fn(*args)`` for each entry of ``args_list``, results in input order.
+
+    With ``workers`` > 1 the calls run in a pool of that many processes;
+    otherwise they run one after another in this process.
+    """
+    if workers <= 1:
+        return [fn(*args) for args in args_list]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *args) for args in args_list]
+        return [future.result() for future in futures]
+
+
 def _static_job(task, sources, method, seed, run_seed, noise_seed, budget, n_cv, n_candidates):
     """One (target, method, seed) run; module-level so worker pools can call it."""
     objective, grid = _task_objective(task, noise_seed)
@@ -548,7 +562,7 @@ def run_static(
         seeds=seeds,
         tasks=[TaskMeta(tasks[i].name, tasks[i].y_min, tasks[i].y_max) for i in target_indices],
     )
-    jobs = []
+    keys, jobs = [], []
     for ti in target_indices:
         task = tasks[ti]
         sources = build_static_sources(
@@ -558,20 +572,11 @@ def run_static(
             run_seed = derived_seed(base_seed, _TAG_RUN, ti, seed)
             noise_seed = derived_seed(base_seed, _TAG_NOISE, ti, seed)
             for method in methods:
+                keys.append((task.name, method, seed))
                 jobs.append(
-                    (
-                        (task.name, method, seed),
-                        (task, sources, method, seed, run_seed, noise_seed, budget, n_cv, n_candidates),
-                    )
+                    (task, sources, method, seed, run_seed, noise_seed, budget, n_cv, n_candidates)
                 )
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(key, pool.submit(_static_job, *args)) for key, args in jobs]
-            for key, future in futures:
-                result.runs[key] = future.result()
-    else:
-        for key, args in jobs:
-            result.runs[key] = _static_job(*args)
+    result.runs.update(zip(keys, _map_jobs(_static_job, jobs, workers)))
     return result
 
 
@@ -645,21 +650,10 @@ def run_dynamic(
         tasks=[TaskMeta(t.name, t.y_min, t.y_max) for t in tasks],
     )
     chains = [(method, seed) for method in methods for seed in seeds]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (m, s, pool.submit(_dynamic_chain, tasks, m, s, budget, n_s, n_cv, n_candidates, base_seed))
-                for m, s in chains
-            ]
-            for method, seed, future in futures:
-                for task_name, run_result in future.result():
-                    result.runs[(task_name, method, seed)] = run_result
-    else:
-        for method, seed in chains:
-            for task_name, run_result in _dynamic_chain(
-                tasks, method, seed, budget, n_s, n_cv, n_candidates, base_seed
-            ):
-                result.runs[(task_name, method, seed)] = run_result
+    jobs = [(tasks, m, s, budget, n_s, n_cv, n_candidates, base_seed) for m, s in chains]
+    for (method, seed), chain in zip(chains, _map_jobs(_dynamic_chain, jobs, workers)):
+        for task_name, run_result in chain:
+            result.runs[(task_name, method, seed)] = run_result
     return result
 
 

@@ -4,6 +4,9 @@ Policies: ``transbo`` (two-phase transfer surrogate), ``igp`` (independent
 target GP, no source knowledge), and ``random``. Every run starts with three
 seeded uniform evaluations shared across policies, then alternates suggest /
 observe. Performance is minimized throughout (y is, e.g., validation error).
+``suggest`` returns the weights ``w`` and ``p`` it used along with the
+configuration, and ``run`` writes them into that trial's record; the records
+are the only per-trial copy of the weights.
 
 All randomness is drawn from streams keyed by (run seed, purpose,
 iteration), so candidate pools, initial designs, and GP restarts are
@@ -24,7 +27,7 @@ from . import gp, space as space_mod, transfer
 from .errors import FitError, ValidationError
 from .ranking import SimplexWeights
 from .space import ConfigSpace, Configuration
-from .transfer import SourceEnsemble, TlSurrogate, WeightTrajectory
+from .transfer import SourceEnsemble
 
 POLICIES = ("transbo", "igp", "random")
 N_INIT = 3
@@ -147,13 +150,10 @@ class OptimizerState:
     n_candidates: int = N_CANDIDATES
     prev_p_target: float = 0.0
     prev_w: SimplexWeights | None = None
-    trajectory: WeightTrajectory = field(default_factory=WeightTrajectory)
     target_gp: gp.GpSurrogate | None = None
     pool: _TabularPool | None = None
     force_p: tuple[float, float] | None = None
     fallback_iterations: list[int] = field(default_factory=list)
-    current_w: SimplexWeights | None = None
-    current_p: SimplexWeights | None = None
 
     def encoded_history(self) -> tuple[np.ndarray, np.ndarray]:
         x = space_mod.encode_batch(self.space, self.history.configs())
@@ -220,8 +220,14 @@ def _refresh_transfer_weights(state: OptimizerState, x: np.ndarray, y: np.ndarra
     return w, p
 
 
-def suggest(state: OptimizerState) -> Configuration:
+def suggest(
+    state: OptimizerState,
+) -> tuple[Configuration, SimplexWeights | None, SimplexWeights | None]:
     """Pick the next configuration under the state's policy.
+
+    Returns ``(config, w, p)``: the source weights and the source/target
+    balance behind the suggestion. Both are ``None`` for ``igp``, ``random``
+    and the fit-failure fallback; ``w`` is also ``None`` without sources.
 
     Requires the initial design to be complete. EI ties break toward the
     lowest candidate index. On a missing target surrogate (fit failure),
@@ -236,19 +242,18 @@ def suggest(state: OptimizerState) -> Configuration:
     if iteration < state.n_init:
         raise ValidationError("suggest called during the initialization phase")
     if state.policy == "random":
-        return _random_suggestion(state, iteration)
+        return _random_suggestion(state, iteration), None, None
     if state.target_gp is None:
         state.fallback_iterations.append(iteration)
-        return _random_suggestion(state, iteration)
+        return _random_suggestion(state, iteration), None, None
 
+    w = p = None
     if state.policy == "igp":
         model_predict = state.target_gp.predict
     elif state.policy == "transbo":
         x, y = state.encoded_history()
         w, p = _refresh_transfer_weights(state, x, y)
-        state.current_w, state.current_p = w, p
-        tl = TlSurrogate(sources=state.sources, target=state.target_gp, w=w, p=p)
-        model_predict = lambda q: transfer.tl_predict(tl, q)
+        model_predict = lambda q: transfer.tl_predict(state.sources, q, state.target_gp, w, p)
     else:
         raise ValidationError(f"unknown policy {state.policy!r}")
 
@@ -257,11 +262,15 @@ def suggest(state: OptimizerState) -> Configuration:
     y_best = float(std.z.min())
     mean, var = model_predict(enc)
     ei = expected_improvement(mean, var, y_best)
-    return config_at(int(np.argmax(ei)))
+    return config_at(int(np.argmax(ei))), w, p
 
 
 def observe(state: OptimizerState, config: Configuration, y: float) -> OptimizerState:
-    """Append an observation, refit the target surrogate, record weights."""
+    """Append an observation and refit the target surrogate; returns ``state``.
+
+    A failed fit leaves ``state.target_gp`` at ``None``, so the next
+    suggestion falls back to random.
+    """
     if not (isinstance(y, (int, float, np.integer, np.floating)) and math.isfinite(float(y))):
         raise ValidationError("observed performance must be finite")
     iteration = len(state.history)
@@ -274,18 +283,19 @@ def observe(state: OptimizerState, config: Configuration, y: float) -> Optimizer
         state.target_gp = gp.fit(x, std.z, seed=derived_seed(state.seed, _STREAM_GPFIT, iteration))
     except FitError:
         state.target_gp = None
-    if state.current_w is not None or state.current_p is not None:
-        state.trajectory.append(iteration, state.current_w, state.current_p)
-        state.current_w, state.current_p = None, None
     return state
 
 
 @dataclass
 class RunResult:
-    """Full output of one run: history, weight trajectory, per-trial records."""
+    """Full output of one run: the history and the per-trial records.
+
+    Each record carries the weights behind its suggestion (``w``,
+    ``p_source``, ``p_target``; ``None`` where none were learned).
+    ``history`` is ``None`` for a run loaded from JSONL.
+    """
 
     history: TaskHistory | None
-    trajectory: WeightTrajectory | None
     records: list[dict]
 
     def incumbents(self) -> np.ndarray:
@@ -304,7 +314,7 @@ class RunResult:
                 line = line.strip()
                 if line:
                     records.append(json.loads(line))
-        return cls(history=None, trajectory=None, records=records)
+        return cls(history=None, records=records)
 
 
 def _initial_design(state: OptimizerState) -> list[Configuration]:
@@ -378,9 +388,9 @@ def run(
     for i in range(budget):
         t0 = time.perf_counter()
         if i < n_init:
-            config = init_configs[i]
+            config, w, p = init_configs[i], None, None
         else:
-            config = suggest(state)
+            config, w, p = suggest(state)
         wallclock_ms = (time.perf_counter() - t0) * 1000.0
         failed = False
         try:
@@ -390,9 +400,6 @@ def run(
         except Exception:
             y = _impute_failure(state)
             failed = True
-        # Weight snapshot belongs to the suggestion that produced this trial.
-        w_rec = state.current_w.values.tolist() if state.current_w is not None else None
-        p_rec = state.current_p.values if state.current_p is not None else None
         observe(state, config, y)
         records.append(
             {
@@ -403,11 +410,11 @@ def run(
                 },
                 "y": y,
                 "incumbent_y": float(state.history.incumbents()[-1]),
-                "p_source": float(p_rec[0]) if p_rec is not None else None,
-                "p_target": float(p_rec[1]) if p_rec is not None else None,
-                "w": w_rec,
+                "p_source": float(p.values[0]) if p is not None else None,
+                "p_target": float(p.values[1]) if p is not None else None,
+                "w": w.values.tolist() if w is not None else None,
                 "failed": failed,
                 "suggest_wallclock_ms": wallclock_ms,
             }
         )
-    return RunResult(history=state.history, trajectory=state.trajectory, records=records)
+    return RunResult(history=state.history, records=records)

@@ -6,12 +6,13 @@ the pairwise ranking loss of their combined mean on the target history.
 Phase 2 balances the combined source surrogate against the target surrogate
 with a two-dimensional weight p = [p_source, p_target], learned on held-out
 ranking loss via deterministic round-robin cross-validation, and clamped so
-the target weight never decreases across iterations.
+the target weight never decreases across iterations. The transfer surrogate
+is then one linear combination of the K source surrogates and the target
+surrogate, with weights [p_source * w, p_target].
 """
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,69 +48,6 @@ class SourceEnsemble:
     @property
     def input_dim(self) -> int | None:
         return self.models[0].input_dim if self.models else None
-
-
-@dataclass(frozen=True)
-class TlSurrogate:
-    """The composed transfer surrogate: sources under w, then p over
-    [combined source, target]."""
-
-    sources: SourceEnsemble
-    target: gp.GpSurrogate | None
-    w: SimplexWeights | None
-    p: SimplexWeights
-
-    def __post_init__(self):
-        if self.sources.k == 0:
-            if self.w is not None:
-                raise ValidationError("w must be absent when there are no sources")
-        elif self.w is None or self.w.dim != self.sources.k:
-            raise ValidationError("w must have one weight per source surrogate")
-        if self.p.dim != 2:
-            raise ValidationError("p must live on the 2-simplex")
-        if self.target is None and self.p.values[1] != 0.0:
-            raise ValidationError("p must be [1, 0] when the target surrogate is absent")
-        if self.sources.k == 0 and self.p.values[0] != 0.0:
-            raise ValidationError("p must be [0, 1] when there are no sources")
-
-
-@dataclass(frozen=True)
-class WeightRecord:
-    iteration: int
-    w: np.ndarray
-    p: np.ndarray
-
-
-@dataclass
-class WeightTrajectory:
-    """Per-iteration weight history; the target weight never decreases."""
-
-    records: list[WeightRecord] = field(default_factory=list)
-
-    def append(self, iteration: int, w: SimplexWeights | None, p: SimplexWeights) -> None:
-        p_target = float(p.values[1])
-        if self.records and p_target < float(self.records[-1].p[1]) - 1e-12:
-            raise ValidationError("target weight must be non-decreasing across iterations")
-        w_arr = w.values.copy() if w is not None else np.zeros(0)
-        self.records.append(WeightRecord(iteration, w_arr, p.values.copy()))
-
-    def __len__(self):
-        return len(self.records)
-
-    def p_target_series(self) -> np.ndarray:
-        return np.array([r.p[1] for r in self.records])
-
-    def to_csv(self, path) -> None:
-        """Columns: iteration, p_source, p_target, w_1..w_K."""
-        k = max((r.w.size for r in self.records), default=0)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "p_source", "p_target"] + [f"w_{i + 1}" for i in range(k)])
-            for r in self.records:
-                writer.writerow(
-                    [r.iteration, repr(float(r.p[0])), repr(float(r.p[1]))]
-                    + [repr(float(v)) for v in r.w]
-                )
 
 
 @dataclass(frozen=True)
@@ -304,23 +242,25 @@ def combined_predict(models, weights: SimplexWeights, x):
     return mean, var
 
 
-def tl_predict(tl: TlSurrogate, x):
-    """Two-level combined prediction: sources under w, then p over
-    [combined source, target].
+def tl_predict(
+    sources: SourceEnsemble,
+    x,
+    target: gp.GpSurrogate | None,
+    w: SimplexWeights | None,
+    p: SimplexWeights,
+):
+    """Transfer-surrogate prediction: one linear combination of the K source
+    surrogates and the target surrogate with weights
+    [p_source * w_1, ..., p_source * w_K, p_target] ([p_target] when K = 0).
 
-    Vertex values of p pass the corresponding component through bitwise.
+    Vertex values of p pass the corresponding component through bitwise (see
+    ``combined_predict``). Inconsistent inputs, such as ``p_source > 0``
+    without sources or ``p_target > 0`` without a target, give weights off
+    the simplex and are rejected.
     """
-    p_source, p_target = float(tl.p.values[0]), float(tl.p.values[1])
-    if p_target == 1.0:
-        if tl.target is None:
-            raise ValidationError("target surrogate absent but p selects it")
-        return tl.target.predict(x)
-    if p_source == 1.0:
-        return combined_predict(tl.sources.models, tl.w, x)
-    m_s, v_s = combined_predict(tl.sources.models, tl.w, x)
-    m_t, v_t = tl.target.predict(x)
-    mean = p_source * np.asarray(m_s, dtype=float) + p_target * np.asarray(m_t, dtype=float)
-    var = p_source**2 * np.asarray(v_s, dtype=float) + p_target**2 * np.asarray(v_t, dtype=float)
-    if np.asarray(x).ndim == 1:
-        return float(mean), float(var)
-    return mean, var
+    source_w = np.zeros(0) if w is None else float(p.values[0]) * w.values
+    if target is None:
+        # Without a target only the sources carry weight; p_target > 0 is off the simplex.
+        return combined_predict(sources.models, SimplexWeights(source_w), x)
+    weights = SimplexWeights(np.append(source_w, float(p.values[1])))
+    return combined_predict((*sources.models, target), weights, x)

@@ -367,7 +367,7 @@ class TestTopCounts:
                 records = [
                     {"iteration": 0, "incumbent_y": value, "suggest_wallclock_ms": 0.0, "y": value}
                 ]
-                result.runs[(f"t{ti}", method, 0)] = bo.RunResult(None, None, records)
+                result.runs[(f"t{ti}", method, 0)] = bo.RunResult(None, records)
         return result
 
     def test_ties_credit_every_method(self):
@@ -395,6 +395,20 @@ class TestReport:
         weight_files = list((tmp_path / "weights").glob("*.csv"))
         assert len(weight_files) == 2  # one per transfer run
         assert all(str(tmp_path) in f for f in files)
+        for (task, method, seed), run_result in result.runs.items():
+            if method != "transbo":
+                continue
+            path = tmp_path / "weights" / f"{task}__{method}__seed{seed}.csv"
+            lines = path.read_text().strip().splitlines()
+            assert lines[0] == "iteration,p_source,p_target,w_1"  # one source per target
+            assert lines[1].startswith("3,1.0,0.0,")  # below the CV threshold
+            assert lines[1:] == [
+                ",".join(
+                    [str(r["iteration"]), repr(r["p_source"]), repr(r["p_target"])]
+                    + [repr(v) for v in r["w"]]
+                )
+                for r in run_result.records[3:]
+            ]
 
     def test_dynamic_report_includes_top_counts(self, tmp_path):
         tasks = [tiny_tabular("a", seed=0), tiny_tabular("b", seed=1)]
@@ -410,6 +424,13 @@ class TestReport:
         )
         with pytest.raises(ValidationError):
             report(empty, tmp_path)
+
+    def test_load_rejects_missing_run_file(self, tmp_path):
+        tasks = [tiny_tabular("a", seed=0), tiny_tabular("b", seed=1)]
+        run_static(tasks, ["igp", "random"], budget=4, seeds=[0], n_s=5).save(tmp_path / "out")
+        (tmp_path / "out" / "runs" / "a__random__seed0.jsonl").unlink()
+        with pytest.raises(ParseError, match="a__random__seed0.jsonl"):
+            ExperimentResult.load(tmp_path / "out")
 
     def test_save_load_round_trip(self, tmp_path):
         result = self._static_result()

@@ -100,9 +100,8 @@ class TestObserve:
 
     def test_first_observation_records_no_weights(self):
         state = self._state()
-        observe(state, Configuration({"x": 0.5}), 1.0)
+        assert observe(state, Configuration({"x": 0.5}), 1.0) is state
         assert len(state.history) == 1
-        assert len(state.trajectory) == 0
 
     def test_repeated_config_kept(self):
         state = self._state()
@@ -165,7 +164,7 @@ class TestSuggest:
             )
             for i, config in enumerate(sample_uniform(space, 10, seed=seed)):
                 observe(state, config, quadratic(config))
-            x = suggest(state).values["x"]
+            x = suggest(state)[0].values["x"]
             hits += abs(x - 0.3) <= 0.15
         assert hits >= 16
 
@@ -292,7 +291,8 @@ class TestTransferRun:
         result = run(
             one_d_space(), quadratic, sources=self._sources(), policy="transbo", budget=16, seed=1
         )
-        series = result.trajectory.p_target_series()
+        assert all(r["p_target"] is None and r["w"] is None for r in result.records[:3])
+        series = np.array([r["p_target"] for r in result.records[3:]])
         assert len(series) == 13  # budget minus the three seeded trials
         assert np.all(np.diff(series) >= 0)
 
@@ -372,12 +372,12 @@ class TestTransferRun:
         solves = self._count_calls(monkeypatch, "minimize_on_simplex")
         for _ in range(2):
             solves.clear()
-            config = suggest(state)
-            assert state.current_p.values.tolist() == [0.0, 1.0]
-            assert state.current_w is not None  # phase 1 still runs for the records
+            config, w, p = suggest(state)
+            assert p.values.tolist() == [0.0, 1.0]
+            assert w is not None  # phase 1 still runs for the records
             assert len(solves) == 1  # the full-history phase-1 solve only
             observe(state, config, quadratic(config))
-        assert state.trajectory.p_target_series().tolist() == [1.0, 1.0]
+        assert state.prev_p_target == 1.0
 
     @pytest.mark.parametrize("prev_p_target", [0.0, 0.999])
     def test_phase2_learned_below_pin(self, monkeypatch, prev_p_target):
@@ -385,11 +385,11 @@ class TestTransferRun:
         state.prev_p_target = prev_p_target
         phase2_calls = self._count_calls(monkeypatch, "learn_phase2_weights")
         solves = self._count_calls(monkeypatch, "minimize_on_simplex")
-        suggest(state)
+        _, _, p = suggest(state)
         assert len(phase2_calls) == 1
         # full-history phase 1, one cold phase-1 solve per fold, then phase 2
         assert len(solves) == 1 + state.n_cv + 1
-        assert state.current_p.values[1] >= prev_p_target
+        assert p.values[1] >= prev_p_target
 
     @pytest.mark.parametrize("n, seed", [(4, 4), (8, 5), (12, 6)])
     def test_pinned_shortcut_matches_full_phase2_bitwise(self, n, seed):
@@ -400,8 +400,8 @@ class TestTransferRun:
         )
         full = apply_nondecreasing_prior(p_raw, 1.0)
         state.prev_p_target = 1.0
-        suggest(state)
-        assert state.current_p.values.tobytes() == full.values.tobytes()
+        _, _, p = suggest(state)
+        assert p.values.tobytes() == full.values.tobytes()
 
 
 class TestRunRecords:

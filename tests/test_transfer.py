@@ -1,7 +1,11 @@
 """Tests for two-phase weight learning and combined prediction."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from tlbo import gp, transfer
 from tlbo.errors import ValidationError
@@ -9,8 +13,6 @@ from tlbo.ranking import PredictionMatrix, SimplexWeights, ranking_loss
 from tlbo.transfer import (
     CvPartition,
     SourceEnsemble,
-    TlSurrogate,
-    WeightTrajectory,
     apply_nondecreasing_prior,
     assemble_phase2_matrix,
     build_cv_partition,
@@ -246,81 +248,86 @@ class TestCombinedPredict:
             combined_predict([StubModel(1.0)], SimplexWeights([0.5, 0.5]), np.zeros(1))
 
 
+@functools.lru_cache(maxsize=None)
+def _tl_models():
+    """Five source GPs, a target GP and query points on 2-D inputs.
+
+    Drawn as the first three sources, the target, the queries, then two more
+    sources, so K = 3 reproduces a fixed hand-picked case.
+    """
+    rng = np.random.default_rng(11)
+    x = rng.uniform(size=(12, 2))
+    models = [gp.fit(x, gp.standardize(rng.normal(size=12)).z, seed=i) for i in range(3)]
+    target = gp.fit(x, gp.standardize(rng.normal(size=12)).z, seed=5)
+    q = rng.uniform(size=(20, 2))
+    models += [gp.fit(x, gp.standardize(rng.normal(size=12)).z, seed=i) for i in (3, 4)]
+    return tuple(models), target, q
+
+
+@st.composite
+def _tl_weights(draw):
+    """(w on the K-simplex for K in [1, 5], p on the 2-simplex)."""
+    k = draw(st.integers(1, 5))
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=k, max_size=k)))
+    assume(raw.sum() > 0.0)
+    p_target = draw(st.floats(0.0, 1.0))
+    return SimplexWeights(raw / raw.sum()), SimplexWeights([1.0 - p_target, p_target])
+
+
 class TestTlPredict:
-    def _tl(self, p, seed=8):
+    def _pair(self, seed=8):
         rng = np.random.default_rng(seed)
         x = rng.uniform(size=(10, 1))
         src = gp.fit(x, gp.standardize(rng.normal(size=10)).z, seed=0)
         tgt = gp.fit(x, gp.standardize(rng.normal(size=10)).z, seed=1)
-        return TlSurrogate(
-            sources=SourceEnsemble(models=(src,)),
-            target=tgt,
-            w=SimplexWeights([1.0]),
-            p=SimplexWeights(p),
-        )
+        return SourceEnsemble(models=(src,)), tgt
 
     def test_target_vertex_is_bitwise_target(self):
-        tl = self._tl([0.0, 1.0])
+        sources, target = self._pair()
         q = np.random.default_rng(9).uniform(size=(5, 1))
-        mean, var = tl_predict(tl, q)
-        ref_mean, ref_var = tl.target.predict(q)
+        mean, var = tl_predict(sources, q, target, SimplexWeights([1.0]), SimplexWeights([0.0, 1.0]))
+        ref_mean, ref_var = target.predict(q)
         np.testing.assert_array_equal(mean, ref_mean)
         np.testing.assert_array_equal(var, ref_var)
 
     def test_source_vertex_single_source_passthrough(self):
-        tl = self._tl([1.0, 0.0])
+        sources, target = self._pair()
         q = np.random.default_rng(10).uniform(size=(5, 1))
-        mean, var = tl_predict(tl, q)
-        ref_mean, ref_var = tl.sources.models[0].predict(q)
+        mean, var = tl_predict(sources, q, target, SimplexWeights([1.0]), SimplexWeights([1.0, 0.0]))
+        ref_mean, ref_var = sources.models[0].predict(q)
         np.testing.assert_array_equal(mean, ref_mean)
         np.testing.assert_array_equal(var, ref_var)
 
-    def test_two_level_equals_flat_formula(self):
-        rng = np.random.default_rng(11)
-        x = rng.uniform(size=(12, 2))
-        models = tuple(gp.fit(x, gp.standardize(rng.normal(size=12)).z, seed=i) for i in range(3))
-        target = gp.fit(x, gp.standardize(rng.normal(size=12)).z, seed=5)
-        w = SimplexWeights([0.2, 0.5, 0.3])
-        p = SimplexWeights([0.4, 0.6])
-        tl = TlSurrogate(sources=SourceEnsemble(models=models), target=target, w=w, p=p)
-        q = rng.uniform(size=(20, 2))
-        mean, var = tl_predict(tl, q)
-        flat_mean = np.zeros(20)
-        flat_var = np.zeros(20)
-        for wi, m in zip(w.values, models):
-            mu, v = m.predict(q)
-            flat_mean += p.values[0] * wi * mu
-            flat_var += (p.values[0] * wi) ** 2 * v
-        mu_t, v_t = target.predict(q)
-        flat_mean += p.values[1] * mu_t
-        flat_var += p.values[1] ** 2 * v_t
-        np.testing.assert_allclose(mean, flat_mean, atol=1e-12)
-        np.testing.assert_allclose(var, flat_var, atol=1e-12)
+    @given(weights=_tl_weights())
+    @example(weights=(SimplexWeights([0.2, 0.5, 0.3]), SimplexWeights([0.4, 0.6])))
+    @settings(max_examples=60, deadline=None)
+    def test_flat_combination_matches_two_level_formula(self, weights):
+        w, p = weights
+        models, target, q = _tl_models()
+        sources = SourceEnsemble(models=models[: w.dim])
+        # Two-level reference: sources under w, then p over [combined source, target].
+        m_s = sum(wi * m.predict(q)[0] for wi, m in zip(w.values, sources.models))
+        v_s = sum(wi**2 * m.predict(q)[1] for wi, m in zip(w.values, sources.models))
+        m_t, v_t = target.predict(q)
+        p_s, p_t = p.values
+        mean, var = tl_predict(sources, q, target, w, p)
+        np.testing.assert_allclose(mean, p_s * m_s + p_t * m_t, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(var, p_s**2 * v_s + p_t**2 * v_t, rtol=0.0, atol=1e-12)
+        # The vertices of p pass their component through bitwise.
+        mean, var = tl_predict(sources, q, target, w, SimplexWeights([0.0, 1.0]))
+        np.testing.assert_array_equal(mean, m_t)
+        np.testing.assert_array_equal(var, v_t)
+        mean, var = tl_predict(sources, q, target, w, SimplexWeights([1.0, 0.0]))
+        ref_mean, ref_var = combined_predict(sources.models, w, q)
+        np.testing.assert_array_equal(mean, ref_mean)
+        np.testing.assert_array_equal(var, ref_var)
 
     def test_invariant_validation(self):
+        sources, target = self._pair()
+        q = np.zeros((3, 1))
+        # no sources, yet p puts weight on them: the weights [0.0] are off the simplex
         with pytest.raises(ValidationError):
-            TlSurrogate(
-                sources=SourceEnsemble(models=()),
-                target=None,
-                w=None,
-                p=SimplexWeights([1.0, 0.0]),
-            )
-
-
-class TestWeightTrajectory:
-    def test_csv_export(self, tmp_path):
-        traj = WeightTrajectory()
-        traj.append(3, SimplexWeights([0.6, 0.4]), SimplexWeights([1.0, 0.0]))
-        traj.append(4, SimplexWeights([0.5, 0.5]), SimplexWeights([0.7, 0.3]))
-        path = tmp_path / "weights.csv"
-        traj.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,p_source,p_target,w_1,w_2"
-        assert lines[1].startswith("3,1.0,0.0,")
-        assert len(lines) == 3
-
-    def test_rejects_decreasing_target_weight(self):
-        traj = WeightTrajectory()
-        traj.append(0, None, SimplexWeights([0.4, 0.6]))
+            tl_predict(SourceEnsemble(models=()), q, target, None, SimplexWeights([1.0, 0.0]))
+        # no target, yet p puts weight on it
         with pytest.raises(ValidationError):
-            traj.append(1, None, SimplexWeights([0.5, 0.5]))
+            tl_predict(sources, q, None, SimplexWeights([1.0]), SimplexWeights([0.5, 0.5]))
