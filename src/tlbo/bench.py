@@ -313,12 +313,13 @@ def adtm(incumbent_y_per_task, y_min_per_task, y_max_per_task) -> np.ndarray:
 
 def average_rank(best_values) -> np.ndarray:
     """Competition ranking of per-method values (lower is better); tied
-    values share the mean of the positions they occupy."""
+    values share the mean of the positions they occupy. ``+inf`` stands for
+    a method with no successful trial yet and ranks last."""
     arr = np.asarray(best_values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError("average_rank expects a non-empty 1-D array")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("average_rank expects finite values")
+    if not np.all(np.isfinite(arr) | (arr == np.inf)):
+        raise ValidationError("average_rank expects finite values or +inf")
     return rankdata(arr, method="average")
 
 
@@ -345,10 +346,10 @@ class ExperimentResult:
     def incumbent_curve(self, task: str, method: str, seed: int, true_values: bool = False) -> np.ndarray:
         """Per-trial incumbent values; with ``true_values`` the noiseless ones
         where recorded (synthetic tasks), falling back to observed."""
-        records = self.runs[(task, method, seed)].records
-        if true_values and records and "incumbent_y_true" in records[0]:
-            return np.array([r["incumbent_y_true"] for r in records])
-        return self.runs[(task, method, seed)].incumbents()
+        run = self.runs[(task, method, seed)]
+        if true_values and run.records and "incumbent_y_true" in run.records[0]:
+            return run.incumbents("incumbent_y_true")
+        return run.incumbents()
 
     def save(self, out_dir) -> None:
         out = Path(out_dir)
@@ -456,15 +457,18 @@ def _augment_true_values(run_result: RunResult, task) -> RunResult:
     """Attach noiseless per-trial values for synthetic tasks.
 
     Observation noise stays in what the optimizer saw; the extra fields let
-    metrics measure true progress against the known optimum.
+    metrics measure true progress against the known optimum. Like
+    ``incumbent_y``, ``incumbent_y_true`` skips failed trials and is ``None``
+    until one succeeds.
     """
     if not isinstance(task, SyntheticTask):
         return run_result
-    best = math.inf
+    best = None
     for record in run_result.records:
         x = np.array([record["config"][p.name] for p in task.space.params], dtype=float)
         y_true = float(task.noiseless(x[None, :])[0])
-        best = min(best, y_true)
+        if not record["failed"]:
+            best = y_true if best is None else min(best, y_true)
         record["y_true"] = y_true
         record["incumbent_y_true"] = best
     return run_result
@@ -663,7 +667,7 @@ def top_counts(result: ExperimentResult) -> dict[str, tuple[int, int]]:
     counts = {m: [0, 0] for m in result.methods}
     for t in result.tasks:
         finals = {
-            m: float(np.mean([result.runs[(t.name, m, s)].records[-1]["incumbent_y"] for s in result.seeds]))
+            m: float(np.mean([result.runs[(t.name, m, s)].incumbents()[-1] for s in result.seeds]))
             for m in result.methods
         }
         distinct = sorted(set(finals.values()))

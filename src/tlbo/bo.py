@@ -149,11 +149,9 @@ class OptimizerState:
     n_cv: int = transfer.N_CV_DEFAULT
     n_candidates: int = N_CANDIDATES
     prev_p_target: float = 0.0
-    prev_w: SimplexWeights | None = None
     target_gp: gp.GpSurrogate | None = None
     pool: _TabularPool | None = None
     force_p: tuple[float, float] | None = None
-    fallback_iterations: list[int] = field(default_factory=list)
 
     def encoded_history(self) -> tuple[np.ndarray, np.ndarray]:
         x = space_mod.encode_batch(self.space, self.history.configs())
@@ -193,15 +191,16 @@ def _random_suggestion(state: OptimizerState, iteration: int) -> Configuration:
 def _refresh_transfer_weights(state: OptimizerState, x: np.ndarray, y: np.ndarray):
     """Phase-1 and phase-2 weight refresh for one suggestion.
 
-    Phase 1 always re-learns ``w``, which the records carry. Phase 2 is not
-    re-learned once the non-decreasing prior has pinned ``p_target`` at
-    exactly 1: the prior would map any learned ``p`` to ``[0, 1]``, so the
-    cross-validated solve could not change the result.
+    Phase 1 always re-learns ``w``, which the records carry, by one solve
+    from the uniform point; nothing is carried over between suggestions.
+    Phase 2 is not re-learned once the non-decreasing prior has pinned
+    ``p_target`` at exactly 1: the prior would map any learned ``p`` to
+    ``[0, 1]``, so the cross-validated solve could not change the result.
     """
     k = state.sources.k
     w = None
     if k >= 1:
-        w = transfer.learn_source_weights(state.sources, x, y, init=state.prev_w)
+        w = transfer.learn_source_weights(state.sources, x, y)
     if state.force_p is not None:
         p = SimplexWeights(list(state.force_p))
     elif state.prev_p_target == 1.0:
@@ -216,7 +215,6 @@ def _refresh_transfer_weights(state: OptimizerState, x: np.ndarray, y: np.ndarra
         )
         p = transfer.apply_nondecreasing_prior(p_raw, state.prev_p_target)
         state.prev_p_target = float(p.values[1])
-    state.prev_w = w
     return w, p
 
 
@@ -231,7 +229,7 @@ def suggest(
 
     Requires the initial design to be complete. EI ties break toward the
     lowest candidate index. On a missing target surrogate (fit failure),
-    falls back to a random suggestion and records the iteration.
+    falls back to a random suggestion; ``run`` flags that trial's record.
 
     Under ``transbo``, each call re-learns the phase-1 source weights ``w``
     (kept for the records). Once ``p_target`` has reached 1, phase 2 is no
@@ -244,7 +242,6 @@ def suggest(
     if state.policy == "random":
         return _random_suggestion(state, iteration), None, None
     if state.target_gp is None:
-        state.fallback_iterations.append(iteration)
         return _random_suggestion(state, iteration), None, None
 
     w = p = None
@@ -298,8 +295,10 @@ class RunResult:
     history: TaskHistory | None
     records: list[dict]
 
-    def incumbents(self) -> np.ndarray:
-        return np.array([r["incumbent_y"] for r in self.records])
+    def incumbents(self, key: str = "incumbent_y") -> np.ndarray:
+        """Per-trial incumbents under ``key``; ``+inf`` before the first
+        successful trial."""
+        return np.array([math.inf if r[key] is None else r[key] for r in self.records])
 
     def to_jsonl(self, path) -> None:
         with open(path, "w") as fh:
@@ -356,7 +355,10 @@ def run(
     The first ``n_init`` evaluations are seeded uniform draws (shared across
     policies for a fixed seed); the rest follow suggest/observe. A failing
     objective call is imputed as the worst value seen plus one standardized
-    unit and the run continues.
+    unit and the run continues; its record carries ``failed`` and ``error``,
+    and ``incumbent_y`` is the best value of the trials that did not fail
+    (``None`` until one succeeds). ``fallback`` marks a random suggestion
+    forced by a failed surrogate fit.
     """
     if policy not in POLICIES:
         raise ValidationError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -385,21 +387,26 @@ def run(
     )
     init_configs = _initial_design(state)
     records: list[dict] = []
+    incumbent = None
     for i in range(budget):
         t0 = time.perf_counter()
+        fallback = False
         if i < n_init:
             config, w, p = init_configs[i], None, None
         else:
+            fallback = policy != "random" and state.target_gp is None
             config, w, p = suggest(state)
         wallclock_ms = (time.perf_counter() - t0) * 1000.0
-        failed = False
+        error = None
         try:
             y = float(objective(config))
             if not math.isfinite(y):
                 raise ValueError("objective returned a non-finite value")
-        except Exception:
+        except Exception as exc:
             y = _impute_failure(state)
-            failed = True
+            error = f"{type(exc).__name__}: {exc}"
+        else:
+            incumbent = y if incumbent is None else min(incumbent, y)
         observe(state, config, y)
         records.append(
             {
@@ -409,11 +416,13 @@ def run(
                     for k, v in config.values.items()
                 },
                 "y": y,
-                "incumbent_y": float(state.history.incumbents()[-1]),
+                "incumbent_y": incumbent,
                 "p_source": float(p.values[0]) if p is not None else None,
                 "p_target": float(p.values[1]) if p is not None else None,
                 "w": w.values.tolist() if w is not None else None,
-                "failed": failed,
+                "failed": error is not None,
+                "error": error,
+                "fallback": fallback,
                 "suggest_wallclock_ms": wallclock_ms,
             }
         )

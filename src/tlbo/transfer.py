@@ -91,28 +91,17 @@ def source_prediction_matrix(sources: SourceEnsemble, x: np.ndarray, y: np.ndarr
     return PredictionMatrix(np.column_stack(cols), y)
 
 
-def learn_source_weights(
-    sources: SourceEnsemble,
-    x: np.ndarray,
-    y: np.ndarray,
-    init: SimplexWeights | None = None,
-) -> SimplexWeights:
+def learn_source_weights(sources: SourceEnsemble, x: np.ndarray, y: np.ndarray) -> SimplexWeights:
     """Learn the simplex weights over source surrogates on the target history.
 
-    With fewer than two observations, or no strict performance pairs, the
-    objective is uninformative and the uniform vector is returned.
+    One solve from the uniform point (see ``minimize_on_simplex``): a single
+    source gets weight one, and a history without strict performance pairs
+    (fewer than two observations, or all tied) gives the uniform vector.
     """
     if sources.k == 0:
         raise ValidationError("cannot learn source weights for an empty ensemble")
-    if sources.k == 1:
-        return SimplexWeights([1.0])
-    y = np.asarray(y, dtype=float)
-    if y.size < 2 or not _has_pairs(y):
-        return SimplexWeights.uniform(sources.k)
     pm = source_prediction_matrix(sources, np.atleast_2d(np.asarray(x, dtype=float)), y)
-    if init is None or init.dim != sources.k:
-        init = SimplexWeights.uniform(sources.k)
-    return minimize_on_simplex(pm, init)
+    return minimize_on_simplex(pm, SimplexWeights.uniform(sources.k))
 
 
 @dataclass(frozen=True)
@@ -124,8 +113,6 @@ class Phase2Assembly:
     """
 
     matrix: np.ndarray
-    partition: CvPartition
-    fold_source_weights: dict[int, SimplexWeights]
 
 
 def assemble_phase2_matrix(
@@ -147,20 +134,14 @@ def assemble_phase2_matrix(
     n = y.size
     src_col = np.empty(n)
     tgt_col = np.empty(n)
-    fold_weights: dict[int, SimplexWeights] = {}
     for fold in range(1, partition.n_cv + 1):
         train = _train_indices_for_fold(partition, fold)
         held = partition.holdout_indices(fold)
         w_fold = learn_source_weights(sources, x[train], y[train])
-        fold_weights[fold] = w_fold
         partial_target = gp.condition(x[train], gp.standardize(y[train]).z, target_params)
         src_col[held] = combined_predict(sources.models, w_fold, x[held])[0]
         tgt_col[held] = partial_target.predict(x[held])[0]
-    return Phase2Assembly(
-        matrix=np.column_stack([src_col, tgt_col]),
-        partition=partition,
-        fold_source_weights=fold_weights,
-    )
+    return Phase2Assembly(matrix=np.column_stack([src_col, tgt_col]))
 
 
 def learn_phase2_weights(

@@ -114,6 +114,15 @@ class TestSyntheticFamily:
             np.testing.assert_allclose(task.noiseless(probe), branin(probe), atol=1e-12)
             assert task.y_min == pytest.approx(bench.BRANIN_MIN_VALUE)
 
+    def test_true_incumbent_skips_failed_trials(self):
+        task = make_synthetic_family(SyntheticFamilySpec(base="branin", n_tasks=1))[0]
+        configs = [{"x1": 0.0, "x2": 5.0}, {"x1": 3.0, "x2": 9.0}, {"x1": math.pi, "x2": 2.275}]
+        records = [{"config": c, "failed": f} for c, f in zip(configs, (True, False, True))]
+        out = bench._augment_true_values(bo.RunResult(None, records), task)
+        y_true = [r["y_true"] for r in out.records]
+        assert [r["incumbent_y_true"] for r in out.records] == [None, y_true[1], y_true[1]]
+        assert out.incumbents("incumbent_y_true")[0] == math.inf
+
     def test_deterministic_per_seed(self):
         spec = SyntheticFamilySpec(base="branin", n_tasks=4, seed=13)
         a = make_synthetic_family(spec)
@@ -181,6 +190,9 @@ class TestAdtm:
         with pytest.raises(ValidationError):
             adtm([], [], [])
 
+    def test_no_success_yet_is_distance_one(self):
+        np.testing.assert_allclose(adtm([[math.inf, 0.3]], [0.1], [0.5]), [1.0, 0.5], rtol=0.0, atol=1e-12)
+
 
 class TestAverageRank:
     def test_worked_tie_example(self):
@@ -202,6 +214,12 @@ class TestAverageRank:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
             average_rank([0.1, float("nan")])
+
+    def test_no_success_yet_ranks_last(self):
+        # +inf is the incumbent of a run whose trials have all failed so far
+        np.testing.assert_array_equal(average_rank([0.2, math.inf, 0.1, math.inf]), [2.0, 3.5, 1.0, 3.5])
+        with pytest.raises(ValidationError):
+            average_rank([0.1, -math.inf])
 
 
 class TestRunStatic:
@@ -376,6 +394,10 @@ class TestTopCounts:
         assert counts["m1"] == (2, 0)  # best on t0 (tied) and t1
         assert counts["m2"] == (1, 0)  # tied best on t0
         assert counts["m3"] == (0, 2)  # second on both
+
+    def test_run_without_success_finishes_last(self):
+        result = self._result_with_finals({"m1": [0.1, None], "m2": [0.2, 0.3]})
+        assert top_counts(result) == {"m1": (1, 1), "m2": (1, 1)}
 
 
 class TestReport:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlbo import bench, bo, gp, transfer
 from tlbo.bo import (
@@ -248,6 +250,49 @@ class TestRun:
         prior_ys = [r["y"] for r in result.records[:4]]
         expected = max(prior_ys) + np.std(prior_ys)
         assert failed[0]["y"] == pytest.approx(expected)
+        assert failed[0]["error"] == "RuntimeError: evaluation crashed"
+
+    def test_failed_first_trial_never_becomes_the_incumbent(self):
+        calls = {"n": 0}
+
+        def crash_first(config):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise RuntimeError("evaluation crashed")
+            return quadratic(config) + 5.0
+
+        result = run(one_d_space(), crash_first, policy="igp", budget=6, seed=6)
+        ys = [r["y"] for r in result.records]
+        assert ys[0] == 0.0  # the imputation anchor the surrogate trains on
+        assert min(ys[1:]) >= 5.0
+        assert result.records[0]["incumbent_y"] is None
+        assert [r["incumbent_y"] for r in result.records[1:]] == list(np.minimum.accumulate(ys[1:]))
+        assert result.incumbents()[0] == math.inf
+        loaded = json.loads(json.dumps(result.records))  # null survives JSON
+        assert loaded[0]["incumbent_y"] is None
+
+    @given(mask=st.lists(st.booleans(), min_size=6, max_size=6))
+    @settings(max_examples=25, deadline=None)
+    def test_imputed_value_is_never_the_incumbent(self, mask):
+        calls = {"n": 0}
+
+        def flaky(config):
+            calls["n"] += 1
+            if mask[calls["n"] - 1]:
+                raise ValueError(f"trial {calls['n'] - 1} crashed")
+            return quadratic(config)
+
+        result = run(one_d_space(), flaky, policy="igp", budget=6, seed=3)
+        real = [r["y"] for r in result.records if not r["failed"]]
+        best = None
+        for r, failed in zip(result.records, mask):
+            assert r["failed"] is failed
+            assert r["error"] == (f"ValueError: trial {r['iteration']} crashed" if failed else None)
+            if failed and r["y"] not in real:
+                assert all(other["incumbent_y"] != r["y"] for other in result.records)
+            if not failed:
+                best = r["y"] if best is None else min(best, r["y"])
+            assert r["incumbent_y"] == best
 
     def test_budget_below_n_init_rejected(self):
         with pytest.raises(ValidationError):
@@ -272,9 +317,11 @@ class TestRun:
         result = run(one_d_space(), quadratic, policy="igp", budget=6, seed=1)
         assert len(result.history) == 6
         # with no surrogate available, every suggestion matches the random policy
+        assert [r["fallback"] for r in result.records] == [False] * 3 + [True] * 3
         monkeypatch.undo()
         reference = run(one_d_space(), quadratic, policy="random", budget=6, seed=1)
         np.testing.assert_array_equal(result.history.ys(), reference.history.ys())
+        assert not any(r["fallback"] for r in reference.records)
 
 
 class TestTransferRun:
@@ -425,5 +472,8 @@ class TestRunRecords:
                 "p_target",
                 "w",
                 "failed",
+                "error",
+                "fallback",
                 "suggest_wallclock_ms",
             }
+            assert record["error"] is None and record["fallback"] is False

@@ -190,11 +190,25 @@ class TestCvAssembly:
         z = gp.standardize(y).z
         assert np.abs(leaked.matrix[:, 1] - z).max() < 1e-2
 
-    def test_fold_weights_differ_without_leaks(self):
+    def test_fold_weights_differ_without_leaks(self, monkeypatch):
         ens, x, y, params = self._setup(seed=6, n=20)
         part = build_cv_partition(len(y), 5)
-        assembly = assemble_phase2_matrix(ens, x, y, part, params)
-        stacked = np.stack([w.values for w in assembly.fold_source_weights.values()])
+        calls = []
+        real = transfer.learn_source_weights
+
+        def spy(sources, x_train, y_train):
+            w = real(sources, x_train, y_train)
+            calls.append((x_train, y_train, w))
+            return w
+
+        monkeypatch.setattr(transfer, "learn_source_weights", spy)
+        assemble_phase2_matrix(ens, x, y, part, params)
+        assert len(calls) == part.n_cv
+        for fold, (x_train, y_train, _) in enumerate(calls, start=1):
+            train = np.nonzero(np.arange(len(y)) % part.n_cv != fold - 1)[0]
+            np.testing.assert_array_equal(x_train, x[train])
+            np.testing.assert_array_equal(y_train, y[train])
+        stacked = np.stack([w.values for _, _, w in calls])
         assert np.ptp(stacked, axis=0).max() > 0  # folds see different data
 
 
