@@ -508,8 +508,9 @@ def _map_jobs(fn, args_list, workers: int) -> list:
         return [future.result() for future in futures]
 
 
-def _static_job(task, sources, method, seed, run_seed, noise_seed, budget, n_cv, n_candidates):
-    """One (target, method, seed) run; module-level so worker pools can call it."""
+def _run_job(task, sources, method, run_seed, noise_seed, budget, n_cv, n_candidates):
+    """One run of ``method`` on ``task``, with the noiseless incumbents added;
+    module-level so worker pools can call it."""
     objective, grid = _task_objective(task, noise_seed)
     return _augment_true_values(
         bo.run(
@@ -522,7 +523,6 @@ def _static_job(task, sources, method, seed, run_seed, noise_seed, budget, n_cv,
             n_cv=n_cv,
             n_candidates=n_candidates,
             candidate_grid=grid,
-            task_id=task.name,
         ),
         task,
     )
@@ -577,10 +577,8 @@ def run_static(
             noise_seed = derived_seed(base_seed, _TAG_NOISE, ti, seed)
             for method in methods:
                 keys.append((task.name, method, seed))
-                jobs.append(
-                    (task, sources, method, seed, run_seed, noise_seed, budget, n_cv, n_candidates)
-                )
-    result.runs.update(zip(keys, _map_jobs(_static_job, jobs, workers)))
+                jobs.append((task, sources, method, run_seed, noise_seed, budget, n_cv, n_candidates))
+    result.runs.update(zip(keys, _map_jobs(_run_job, jobs, workers)))
     return result
 
 
@@ -591,21 +589,15 @@ def _dynamic_chain(tasks, method, seed, budget, n_s, n_cv, n_candidates, base_se
     ids: list[str] = []
     for ti, task in enumerate(tasks):
         sources = SourceEnsemble(models=tuple(models), task_ids=tuple(ids))
-        objective, grid = _task_objective(task, derived_seed(base_seed, _TAG_NOISE, ti, seed))
-        run_result = _augment_true_values(
-            bo.run(
-                task.space,
-                objective,
-                sources=sources,
-                policy=method,
-                budget=budget,
-                seed=derived_seed(base_seed, _TAG_RUN, ti, seed),
-                n_cv=n_cv,
-                n_candidates=n_candidates,
-                candidate_grid=grid,
-                task_id=task.name,
-            ),
+        run_result = _run_job(
             task,
+            sources,
+            method,
+            derived_seed(base_seed, _TAG_RUN, ti, seed),
+            derived_seed(base_seed, _TAG_NOISE, ti, seed),
+            budget,
+            n_cv,
+            n_candidates,
         )
         out.append((task.name, run_result))
         head = run_result.history.observations[:n_s]

@@ -90,7 +90,6 @@ class TaskHistory:
     """Ordered observations of one task."""
 
     observations: list[Observation] = field(default_factory=list)
-    task_id: str = "target"
 
     def __len__(self):
         return len(self.observations)
@@ -105,10 +104,6 @@ class TaskHistory:
 
     def configs(self) -> list[Configuration]:
         return [o.config for o in self.observations]
-
-    def incumbents(self) -> np.ndarray:
-        """Running minimum of observed performance."""
-        return np.minimum.accumulate(self.ys()) if self.observations else np.zeros(0)
 
 
 class _TabularPool:
@@ -207,11 +202,7 @@ def _refresh_transfer_weights(state: OptimizerState, x: np.ndarray, y: np.ndarra
         p = SimplexWeights([0.0, 1.0])
     else:
         p_raw = transfer.learn_phase2_weights(
-            state.sources,
-            x,
-            y,
-            n_cv=state.n_cv,
-            target_params=state.target_gp.params if state.target_gp is not None else None,
+            state.sources, x, y, state.target_gp.params, n_cv=state.n_cv
         )
         p = transfer.apply_nondecreasing_prior(p_raw, state.prev_p_target)
         state.prev_p_target = float(p.values[1])
@@ -347,7 +338,6 @@ def run(
     n_cv: int = transfer.N_CV_DEFAULT,
     n_candidates: int = N_CANDIDATES,
     candidate_grid: list[Configuration] | None = None,
-    task_id: str = "target",
     force_p: tuple[float, float] | None = None,
 ) -> RunResult:
     """Run one sequential optimization with the given policy.
@@ -374,7 +364,7 @@ def run(
 
     state = OptimizerState(
         space=space,
-        history=TaskHistory(task_id=task_id),
+        history=TaskHistory(),
         sources=sources,
         policy=policy,
         budget=budget,

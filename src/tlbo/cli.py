@@ -2,7 +2,9 @@
 
 Verbs: run-static, run-dynamic, bench-synthetic, report, selftest. Commands
 exit 0 on success; on failure they print a machine-readable JSON error
-record to stderr and exit nonzero.
+record to stderr and exit nonzero. ``selftest`` prints one PASS/FAIL line per
+check of ``tlbo.oracles`` (the acceptance suite's oracle checks) and exits 1
+if any fails.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench, bo, gp, ranking, space as space_mod, transfer
+from . import bench, bo, oracles, space as space_mod
 from .errors import ParseError, ValidationError
 
 
@@ -129,100 +131,8 @@ def _check(name: str, fn) -> bool:
 
 
 def _selftest() -> int:
-    """Small oracle suite: closed forms against independent numerics."""
-    rng = np.random.default_rng(1234)
-
-    def check_encoding():
-        s = space_mod.ConfigSpace(
-            [
-                space_mod.ParamSpec(name="a", kind="continuous", low=0, high=10),
-                space_mod.ParamSpec(name="b", kind="categorical", categories=("x", "y", "z")),
-                space_mod.ParamSpec(name="c", kind="continuous-log", low=0.01, high=2.0),
-            ]
-        )
-        vec = space_mod.encode(s, space_mod.Configuration({"a": 5.0, "b": "y", "c": np.sqrt(0.02)}))
-        assert np.allclose(vec, [0.5, 0.0, 1.0, 0.0, 0.5], atol=1e-12)
-
-    def check_standardize():
-        st = gp.standardize([1.0, 2.0, 3.0])
-        assert abs(st.mean - 2.0) < 1e-12 and abs(st.std - np.sqrt(2.0 / 3.0)) < 1e-12
-
-    def check_ranking_values():
-        pm = ranking.PredictionMatrix(np.array([[0.0], [0.0]]), np.array([0.0, 1.0]))
-        w = ranking.SimplexWeights([1.0])
-        assert abs(ranking.ranking_loss(pm, w) - np.log(2.0) / 4.0) < 1e-12
-
-    def check_ranking_grad():
-        for _ in range(10):
-            a = rng.normal(size=(8, 3))
-            y = rng.normal(size=8)
-            pm = ranking.PredictionMatrix(a, y)
-            w = ranking.SimplexWeights(ranking.project_to_simplex(rng.uniform(size=3)))
-            grad = ranking.ranking_loss_grad(pm, w)
-            for d in range(3):
-                e = np.zeros(3)
-                e[d] = 1e-6
-                fd = (_loss_raw(a, y, w.values + e) - _loss_raw(a, y, w.values - e)) / 2e-6
-                assert abs(grad[d] - fd) <= 1e-5 * max(1.0, abs(fd))
-
-    def _loss_raw(a, y, w):
-        j, k = np.nonzero(y[:, None] < y[None, :])
-        s = a @ w
-        z = s[k] - s[j]
-        return float((np.maximum(-z, 0) + np.log1p(np.exp(-np.abs(z)))).sum()) / y.size**2
-
-    def check_solver_vs_grid():
-        for _ in range(4):
-            a = rng.normal(size=(12, 2))
-            y = rng.normal(size=12)
-            pm = ranking.PredictionMatrix(a, y)
-            sol = ranking.minimize_on_simplex(pm, ranking.SimplexWeights.uniform(2))
-            loss_sol = ranking.ranking_loss(pm, sol)
-            grid = np.arange(0.0, 1.0 + 1e-12, 0.01)
-            loss_grid = min(
-                ranking.ranking_loss(pm, ranking.SimplexWeights([g, 1.0 - g])) for g in grid
-            )
-            assert loss_sol <= loss_grid + 1e-3
-
-    def check_ei():
-        for _ in range(20):
-            mean = float(rng.uniform(-2, 2))
-            sigma = float(rng.uniform(0.05, 3.0))
-            y_best = float(rng.uniform(-2, 2))
-            closed = bo.expected_improvement(mean, sigma**2, y_best)
-            ys = np.linspace(mean - 10 * sigma, mean + 10 * sigma, 100001)
-            pdf = np.exp(-0.5 * ((ys - mean) / sigma) ** 2) / (sigma * np.sqrt(2 * np.pi))
-            quad = np.trapezoid(np.maximum(y_best - ys, 0.0) * pdf, ys)
-            assert abs(closed - quad) < 1e-6
-        assert bo.expected_improvement(0.3, 0.0, 0.5) == 0.2
-
-    def check_rank():
-        assert np.array_equal(bench.average_rank([0.2, 0.3, 0.3, 0.45]), [1.0, 2.5, 2.5, 4.0])
-
-    def check_combined():
-        class _Stub:
-            def __init__(self, m, v):
-                self.m, self.v = m, v
-
-            def predict(self, x):
-                return self.m, self.v
-
-        mean, var = transfer.combined_predict(
-            [_Stub(1.0, 4.0), _Stub(3.0, 4.0)], ranking.SimplexWeights([0.5, 0.5]), np.zeros(1)
-        )
-        assert mean == 2.0 and var == 2.0
-
-    checks = [
-        ("encoding", check_encoding),
-        ("standardize", check_standardize),
-        ("ranking-loss-values", check_ranking_values),
-        ("ranking-gradient-fd", check_ranking_grad),
-        ("simplex-solver-vs-grid", check_solver_vs_grid),
-        ("expected-improvement-quadrature", check_ei),
-        ("average-rank-ties", check_rank),
-        ("combined-prediction", check_combined),
-    ]
-    ok = all([_check(name, fn) for name, fn in checks])
+    """Run the oracle checks of ``tlbo.oracles``, the acceptance suite's own."""
+    ok = all([_check(name, fn) for name, fn in oracles.CHECKS])
     return 0 if ok else 1
 
 
@@ -247,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("result_dir")
     p.add_argument("out_dir")
 
-    sub.add_parser("selftest", help="run the built-in oracle checks")
+    sub.add_parser("selftest", help="run the acceptance suite's oracle checks")
     return parser
 
 

@@ -1,0 +1,183 @@
+"""Oracle checks: closed forms of the library against independent numerics.
+
+Every check is a no-argument function that raises ``AssertionError`` on a
+mismatch. ``CHECKS`` lists them under the names ``tlbo selftest`` prints; the
+acceptance suite calls the same functions, so both check the same fixed
+instances. The reference helpers are reused by the unit tests.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from . import bench, bo, gp, space as space_mod, transfer
+from .ranking import (
+    PredictionMatrix,
+    SimplexWeights,
+    minimize_on_simplex,
+    project_to_simplex,
+    ranking_loss,
+    ranking_loss_grad,
+)
+
+
+def _expect(condition, message: str) -> None:
+    # An explicit raise, so that the checks still run under ``python -O``.
+    if not condition:
+        raise AssertionError(message)
+
+
+def loss_off_simplex(a: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
+    """Reference ranking loss for arbitrary (non-simplex) weights, for
+    finite differences around a point of the simplex."""
+    j, k = np.nonzero(y[:, None] < y[None, :])
+    s = a @ w
+    z = s[k] - s[j]
+    return float((np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))).sum()) / y.size**2
+
+
+def ei_by_quadrature(mean: float, sigma: float, y_best: float) -> float:
+    """Expected improvement below ``y_best`` of N(mean, sigma^2), by the
+    trapezoid rule over mean +- 10 sigma."""
+    ys = np.linspace(mean - 10 * sigma, mean + 10 * sigma, 100001)
+    pdf = np.exp(-0.5 * ((ys - mean) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+    return float(np.trapezoid(np.maximum(y_best - ys, 0.0) * pdf, ys))
+
+
+def simplex_grid_min(pm: PredictionMatrix, step: float) -> float:
+    """Brute-force minimum of the ranking loss over a simplex grid with the
+    given spacing, for K in {1, 2, 3}."""
+    if pm.k == 1:
+        return ranking_loss(pm, SimplexWeights([1.0]))
+    ticks = np.arange(0.0, 1.0 + step / 2, step)
+    if pm.k == 2:
+        return min(ranking_loss(pm, SimplexWeights([g, 1.0 - g])) for g in ticks)
+    return min(
+        ranking_loss(pm, SimplexWeights([g, h, 1.0 - g - h]))
+        for g in ticks
+        for h in np.arange(0.0, 1.0 - g + step / 2, step)
+    )
+
+
+class ConstantModel:
+    """A surrogate that predicts the same mean and variance everywhere."""
+
+    def __init__(self, mean: float, variance: float):
+        self.mean, self.variance = mean, variance
+
+    def predict(self, x):
+        return self.mean, self.variance
+
+
+def check_encoding():
+    s = space_mod.ConfigSpace(
+        [
+            space_mod.ParamSpec(name="a", kind="continuous", low=0, high=10),
+            space_mod.ParamSpec(name="b", kind="categorical", categories=("x", "y", "z")),
+            space_mod.ParamSpec(name="c", kind="continuous-log", low=0.01, high=2.0),
+        ]
+    )
+    vec = space_mod.encode(s, space_mod.Configuration({"a": 5.0, "b": "y", "c": np.sqrt(0.02)}))
+    _expect(np.allclose(vec, [0.5, 0.0, 1.0, 0.0, 0.5], atol=1e-12), f"encoded {vec}")
+
+
+def check_standardize():
+    st = gp.standardize([1.0, 2.0, 3.0])
+    _expect(abs(st.mean - 2.0) < 1e-12, f"mean {st.mean}, expected 2")
+    _expect(abs(st.std - np.sqrt(2.0 / 3.0)) < 1e-12, f"std {st.std}, expected sqrt(2/3)")
+
+
+def check_ranking_loss_values():
+    pm = PredictionMatrix(np.array([[0.0], [0.0]]), np.array([0.0, 1.0]))
+    loss = ranking_loss(pm, SimplexWeights([1.0]))
+    _expect(abs(loss - np.log(2.0) / 4.0) < 1e-12, f"loss {loss}, expected log(2)/4")
+
+
+def check_ranking_gradient_fd():
+    """50 random instances: gradient within relative error 1e-5 of central
+    finite differences."""
+    rng = np.random.default_rng(42)
+    for _ in range(50):
+        n = int(rng.integers(2, 31))
+        k = int(rng.integers(1, 6))
+        a = rng.normal(size=(n, k))
+        y = rng.normal(size=n)
+        pm = PredictionMatrix(a, y)
+        w = project_to_simplex(rng.uniform(size=k))
+        grad = ranking_loss_grad(pm, SimplexWeights(w))
+        for d in range(k):
+            e = np.zeros(k)
+            e[d] = 1e-6
+            fd = (loss_off_simplex(a, y, w + e) - loss_off_simplex(a, y, w - e)) / 2e-6
+            _expect(
+                abs(grad[d] - fd) <= 1e-5 * max(1.0, abs(fd)),
+                f"n={n}, k={k}: gradient {grad[d]} vs finite difference {fd}",
+            )
+
+
+def check_simplex_solver_vs_grid():
+    """30 instances with K in {2, 3}: the solver's loss within 1e-3 of the
+    0.01-grid optimum, and its output on the simplex."""
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        k = int(rng.integers(2, 4))
+        n = int(rng.integers(5, 25))
+        pm = PredictionMatrix(rng.normal(size=(n, k)), rng.normal(size=n))
+        w = minimize_on_simplex(pm, SimplexWeights.uniform(k))
+        _expect(w.values.min() >= -1e-9, f"negative weight in {w.values}")
+        _expect(abs(w.values.sum() - 1.0) <= 1e-8, f"weights {w.values} do not sum to 1")
+        solved, grid_best = ranking_loss(pm, w), simplex_grid_min(pm, 0.01)
+        _expect(solved <= grid_best + 1e-3, f"n={n}, k={k}: loss {solved} vs grid {grid_best}")
+
+
+def check_expected_improvement_quadrature():
+    """100 random triples: closed-form EI within 1e-6 of quadrature; exact
+    plain improvement at zero variance."""
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        mean = float(rng.uniform(-2, 2))
+        sigma = float(rng.uniform(0.05, 3.0))
+        y_best = float(rng.uniform(-2, 2))
+        quad = ei_by_quadrature(mean, sigma, y_best)
+        closed = bo.expected_improvement(mean, sigma**2, y_best)
+        _expect(abs(closed - quad) <= 1e-6, f"EI({mean}, {sigma}, {y_best}): {closed} vs {quad}")
+    _expect(bo.expected_improvement(0.3, 0.0, 0.5) == 0.2, "EI(0.3, 0, 0.5) != 0.2")
+    _expect(bo.expected_improvement(0.7, 0.0, 0.5) == 0.0, "EI(0.7, 0, 0.5) != 0")
+
+
+def check_average_rank_ties():
+    np.testing.assert_array_equal(bench.average_rank([0.2, 0.3, 0.3, 0.45]), [1.0, 2.5, 2.5, 4.0])
+
+
+def check_combined_prediction():
+    """Exact hand values, and vertex weights that pass a fitted GP through
+    bitwise."""
+    mean, var = transfer.combined_predict(
+        [ConstantModel(1.0, 4.0), ConstantModel(3.0, 4.0)], SimplexWeights([0.5, 0.5]), np.zeros(1)
+    )
+    _expect(mean == 2.0 and var == 2.0, f"combined ({mean}, {var}), expected (2, 2)")
+
+    rng = np.random.default_rng(0)
+    x = rng.uniform(size=(8, 1))
+    m1 = gp.fit(x, gp.standardize(rng.normal(size=8)).z, seed=0)
+    m2 = gp.fit(x, gp.standardize(rng.normal(size=8)).z, seed=1)
+    q = rng.uniform(size=(5, 1))
+    for idx, member in enumerate((m1, m2)):
+        w = SimplexWeights.vertex(2, idx)
+        mean, var = transfer.combined_predict([m1, m2], w, q)
+        ref_mean, ref_var = member.predict(q)
+        np.testing.assert_array_equal(mean, ref_mean)
+        np.testing.assert_array_equal(var, ref_var)
+
+
+CHECKS = (
+    ("encoding", check_encoding),
+    ("standardize", check_standardize),
+    ("ranking-loss-values", check_ranking_loss_values),
+    ("ranking-gradient-fd", check_ranking_gradient_fd),
+    ("simplex-solver-vs-grid", check_simplex_solver_vs_grid),
+    ("expected-improvement-quadrature", check_expected_improvement_quadrature),
+    ("average-rank-ties", check_average_rank_ties),
+    ("combined-prediction", check_combined_prediction),
+)

@@ -104,30 +104,20 @@ def learn_source_weights(sources: SourceEnsemble, x: np.ndarray, y: np.ndarray) 
     return minimize_on_simplex(pm, SimplexWeights.uniform(sources.k))
 
 
-@dataclass(frozen=True)
-class Phase2Assembly:
-    """Held-out predictions feeding the source/target balance problem.
-
-    Row j of ``matrix`` holds the combined-source and target predictive means
-    at observation j, both from the partial models of j's own fold.
-    """
-
-    matrix: np.ndarray
-
-
 def assemble_phase2_matrix(
     sources: SourceEnsemble,
     x: np.ndarray,
     y: np.ndarray,
     partition: CvPartition,
     target_params: gp.KernelParams,
-) -> Phase2Assembly:
-    """Build the cross-validated two-column prediction matrix.
+) -> np.ndarray:
+    """Build the cross-validated (n, 2) prediction matrix of phase 2.
 
-    For each fold: source weights are re-learned from scratch on the
-    remaining observations, and a partial target GP is conditioned on them
-    reusing the full-history kernel hyperparameters. Every observation is
-    then predicted by the partial models that never saw its fold.
+    Row j holds the combined-source and the target predictive means at
+    observation j, both from the partial models of j's own fold. For each
+    fold: source weights are re-learned from scratch on the remaining
+    observations, and a partial target GP is conditioned on them reusing the
+    full-history kernel hyperparameters ``target_params``.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -141,18 +131,21 @@ def assemble_phase2_matrix(
         partial_target = gp.condition(x[train], gp.standardize(y[train]).z, target_params)
         src_col[held] = combined_predict(sources.models, w_fold, x[held])[0]
         tgt_col[held] = partial_target.predict(x[held])[0]
-    return Phase2Assembly(matrix=np.column_stack([src_col, tgt_col]))
+    return np.column_stack([src_col, tgt_col])
 
 
 def learn_phase2_weights(
     sources: SourceEnsemble,
     x: np.ndarray,
     y: np.ndarray,
+    target_params: gp.KernelParams,
     n_cv: int = N_CV_DEFAULT,
-    seed: int = 0,
-    target_params: gp.KernelParams | None = None,
 ) -> SimplexWeights:
     """Learn p = [p_source, p_target] by cross-validated ranking loss.
+
+    ``target_params`` are the kernel hyperparameters of the target GP fitted
+    on the full history; each fold's partial target GP reuses them (see
+    ``assemble_phase2_matrix``).
 
     Fallbacks: [0, 1] with no sources (only the target can carry weight),
     [1, 0] when the history is too small for cross-validation (fewer
@@ -166,13 +159,11 @@ def learn_phase2_weights(
     if y.size < n_cv or not _has_pairs(y):
         return SimplexWeights([1.0, 0.0])
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if target_params is None:
-        target_params = gp.fit(x, gp.standardize(y).z, seed=seed).params
     partition = build_cv_partition(y.size, n_cv)
-    assembly = assemble_phase2_matrix(sources, x, y, partition, target_params)
-    if np.allclose(assembly.matrix[:, 0], assembly.matrix[:, 1], rtol=0.0, atol=1e-12):
+    matrix = assemble_phase2_matrix(sources, x, y, partition, target_params)
+    if np.allclose(matrix[:, 0], matrix[:, 1], rtol=0.0, atol=1e-12):
         return SimplexWeights([0.0, 1.0])
-    pm = PredictionMatrix(assembly.matrix, y)
+    pm = PredictionMatrix(matrix, y)
     p = minimize_on_simplex(pm, SimplexWeights.uniform(2))
     # Ties between the solver result and the pure-target vertex resolve
     # toward the target.

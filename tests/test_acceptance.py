@@ -6,24 +6,15 @@ take a few minutes combined.
 """
 
 import json
-import math
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from tlbo import bench, bo, gp, transfer
-from tlbo.bench import ExperimentResult, SyntheticFamilySpec, TaskMeta, adtm, average_rank
+from tlbo import bench, bo, gp, oracles, transfer
+from tlbo.bench import ExperimentResult, SyntheticFamilySpec, TaskMeta, adtm
 from tlbo.cli import main as cli_main
-from tlbo.ranking import (
-    PredictionMatrix,
-    SimplexWeights,
-    minimize_on_simplex,
-    project_to_simplex,
-    ranking_loss,
-    ranking_loss_grad,
-)
 from tlbo.space import ConfigSpace, Configuration, ParamSpec
 from tlbo.transfer import SourceEnsemble, assemble_phase2_matrix, build_cv_partition
 
@@ -44,109 +35,34 @@ def criterion(name):
     print(f"\nACCEPTANCE PASS: {name}")
 
 
-def loss_off_simplex(a, y, w):
-    j, k = np.nonzero(y[:, None] < y[None, :])
-    s = a @ w
-    z = s[k] - s[j]
-    return float((np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))).sum()) / y.size**2
-
-
 class TestGradientFidelity:
     def test_gradient_matches_finite_differences(self):
         with criterion("gradient fidelity: 50 random instances, rel err <= 1e-5"):
-            rng = np.random.default_rng(42)
-            for _ in range(50):
-                n = int(rng.integers(2, 31))
-                k = int(rng.integers(1, 6))
-                a = rng.normal(size=(n, k))
-                y = rng.normal(size=n)
-                pm = PredictionMatrix(a, y)
-                w = project_to_simplex(rng.uniform(size=k))
-                grad = ranking_loss_grad(pm, SimplexWeights(w))
-                for d in range(k):
-                    e = np.zeros(k)
-                    e[d] = 1e-6
-                    fd = (loss_off_simplex(a, y, w + e) - loss_off_simplex(a, y, w - e)) / 2e-6
-                    assert abs(grad[d] - fd) <= 1e-5 * max(1.0, abs(fd))
+            oracles.check_ranking_gradient_fd()
 
 
 class TestSimplexSolverOracle:
     def test_solver_matches_brute_force_grid(self):
         with criterion("simplex solver: 30 instances within 1e-3 of the 0.01-grid optimum"):
-            rng = np.random.default_rng(7)
-            for _ in range(30):
-                k = int(rng.integers(2, 4))
-                n = int(rng.integers(5, 25))
-                pm = PredictionMatrix(rng.normal(size=(n, k)), rng.normal(size=n))
-                w = minimize_on_simplex(pm, SimplexWeights.uniform(k))
-                assert w.values.min() >= -1e-9
-                assert abs(w.values.sum() - 1.0) <= 1e-8
-                ticks = np.arange(0.0, 1.0 + 5e-3, 0.01)
-                if k == 2:
-                    grid_best = min(
-                        ranking_loss(pm, SimplexWeights([g, 1.0 - g])) for g in ticks
-                    )
-                else:
-                    grid_best = min(
-                        ranking_loss(pm, SimplexWeights([g, h, 1.0 - g - h]))
-                        for g in ticks
-                        for h in np.arange(0.0, 1.0 - g + 5e-3, 0.01)
-                    )
-                assert ranking_loss(pm, w) <= grid_best + 1e-3
+            oracles.check_simplex_solver_vs_grid()
 
 
 class TestExpectedImprovementCorrectness:
     def test_closed_form_against_quadrature(self):
         with criterion("EI: closed form within 1e-6 of quadrature on 100 triples"):
-            rng = np.random.default_rng(11)
-            for _ in range(100):
-                mean = float(rng.uniform(-2, 2))
-                sigma = float(rng.uniform(0.05, 3.0))
-                y_best = float(rng.uniform(-2, 2))
-                ys = np.linspace(mean - 10 * sigma, mean + 10 * sigma, 100001)
-                pdf = np.exp(-0.5 * ((ys - mean) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
-                quad = float(np.trapezoid(np.maximum(y_best - ys, 0.0) * pdf, ys))
-                closed = bo.expected_improvement(mean, sigma**2, y_best)
-                assert abs(closed - quad) <= 1e-6
-            assert bo.expected_improvement(0.3, 0.0, 0.5) == 0.2
-            assert bo.expected_improvement(0.7, 0.0, 0.5) == 0.0
+            oracles.check_expected_improvement_quadrature()
 
 
 class TestAverageRankTieRule:
     def test_worked_example(self):
         with criterion("average rank: [0.2, 0.3, 0.3, 0.45] -> [1, 2.5, 2.5, 4]"):
-            np.testing.assert_array_equal(
-                average_rank([0.2, 0.3, 0.3, 0.45]), [1.0, 2.5, 2.5, 4.0]
-            )
+            oracles.check_average_rank_ties()
 
 
 class TestCombinedPredictionRule:
     def test_hand_values_and_vertex_passthrough(self):
         with criterion("combined prediction: exact hand values, bitwise vertices"):
-
-            class Stub:
-                def __init__(self, m, v):
-                    self.m, self.v = m, v
-
-                def predict(self, x):
-                    return self.m, self.v
-
-            mean, var = transfer.combined_predict(
-                [Stub(1.0, 4.0), Stub(3.0, 4.0)], SimplexWeights([0.5, 0.5]), np.zeros(1)
-            )
-            assert mean == 2.0 and var == 2.0
-
-            rng = np.random.default_rng(0)
-            x = rng.uniform(size=(8, 1))
-            m1 = gp.fit(x, gp.standardize(rng.normal(size=8)).z, seed=0)
-            m2 = gp.fit(x, gp.standardize(rng.normal(size=8)).z, seed=1)
-            q = rng.uniform(size=(5, 1))
-            for idx, member in enumerate((m1, m2)):
-                w = SimplexWeights.vertex(2, idx)
-                mean, var = transfer.combined_predict([m1, m2], w, q)
-                ref_mean, ref_var = member.predict(q)
-                np.testing.assert_array_equal(mean, ref_mean)
-                np.testing.assert_array_equal(var, ref_var)
+            oracles.check_combined_prediction()
 
 
 @pytest.fixture(scope="module")
@@ -327,14 +243,14 @@ class TestCvAssembly:
 
             honest = assemble_phase2_matrix(sources, x, y, partition, params)
             z = gp.standardize(y).z
-            honest_resid = np.abs(honest.matrix[:, 1] - z).max()
+            honest_resid = np.abs(honest[:, 1] - z).max()
             assert honest_resid > 1e-2  # held-out: cannot interpolate rough data
 
             monkeypatch.setattr(
                 transfer, "_train_indices_for_fold", lambda part, fold: np.arange(n)
             )
             leaked = assemble_phase2_matrix(sources, x, y, partition, params)
-            leaked_resid = np.abs(leaked.matrix[:, 1] - z).max()
+            leaked_resid = np.abs(leaked[:, 1] - z).max()
             assert leaked_resid < 1e-2  # leak detected: near-interpolation
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tlbo import oracles
 from tlbo.cli import main
 
 
@@ -43,11 +44,37 @@ def normalized_records(path):
     return out
 
 
+SELFTEST_NAMES = (
+    "encoding",
+    "standardize",
+    "ranking-loss-values",
+    "ranking-gradient-fd",
+    "simplex-solver-vs-grid",
+    "expected-improvement-quadrature",
+    "average-rank-ties",
+    "combined-prediction",
+)
+
+
 class TestSelftest:
     def test_exit_zero(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert "FAIL" not in out and "PASS" in out
+        assert out.splitlines() == [f"PASS {name}" for name in SELFTEST_NAMES]
+
+    def test_failing_check_exits_one_and_runs_the_rest(self, monkeypatch, capsys):
+        def broken():
+            raise AssertionError("deliberate mismatch")
+
+        checks = list(oracles.CHECKS)
+        failing = checks[3][0]
+        checks[3] = (failing, broken)
+        monkeypatch.setattr(oracles, "CHECKS", tuple(checks))
+        assert main(["selftest"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3] == f"FAIL {failing}: deliberate mismatch"
+        others = [line for i, line in enumerate(lines) if i != 3]
+        assert others == [f"PASS {name}" for name, _ in checks if name != failing]
 
 
 class TestRunStaticCli:

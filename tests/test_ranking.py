@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from tlbo import ranking
 from tlbo.errors import ValidationError
+from tlbo.oracles import loss_off_simplex, simplex_grid_min
 from tlbo.ranking import (
     PredictionMatrix,
     SimplexWeights,
@@ -18,14 +19,6 @@ from tlbo.ranking import (
     ranking_loss,
     ranking_loss_grad,
 )
-
-
-def loss_off_simplex(a: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
-    """Reference loss accepting arbitrary (non-simplex) weights, for FD checks."""
-    j, k = np.nonzero(y[:, None] < y[None, :])
-    s = a @ w
-    z = s[k] - s[j]
-    return float((np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))).sum()) / y.size**2
 
 
 # KKT tolerance on the gradient. The solver stops once its projected-gradient
@@ -45,23 +38,6 @@ def ranking_problems(draw):
     y = draw(arrays(np.float64, n, elements=st.floats(-3, 3, allow_subnormal=False)))
     assume(np.unique(y).size > 1)
     return PredictionMatrix(a, y)
-
-
-def grid_min_loss(pm: PredictionMatrix, step: float) -> float:
-    """Brute-force minimum over a simplex grid, K in {1, 2, 3}."""
-    k = pm.k
-    best = np.inf
-    ticks = np.arange(0.0, 1.0 + step / 2, step)
-    if k == 1:
-        return ranking_loss(pm, SimplexWeights([1.0]))
-    if k == 2:
-        for a in ticks:
-            best = min(best, ranking_loss(pm, SimplexWeights([a, 1.0 - a])))
-        return best
-    for a in ticks:
-        for b in np.arange(0.0, 1.0 - a + step / 2, step):
-            best = min(best, ranking_loss(pm, SimplexWeights([a, b, 1.0 - a - b])))
-    return best
 
 
 class TestSimplexWeights:
@@ -207,7 +183,7 @@ class TestMinimizeOnSimplex:
             k = int(rng.integers(2, 4))
             pm = PredictionMatrix(rng.normal(size=(15, k)), rng.normal(size=15))
             w = minimize_on_simplex(pm, SimplexWeights.uniform(k))
-            assert ranking_loss(pm, w) <= grid_min_loss(pm, 0.01) + 1e-3
+            assert ranking_loss(pm, w) <= simplex_grid_min(pm, 0.01) + 1e-3
 
     @given(pm=ranking_problems())
     @settings(max_examples=80, deadline=None)

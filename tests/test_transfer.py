@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tlbo import gp, transfer
 from tlbo.errors import ValidationError
+from tlbo.oracles import simplex_grid_min
 from tlbo.ranking import PredictionMatrix, SimplexWeights, ranking_loss
 from tlbo.transfer import (
     CvPartition,
@@ -123,19 +124,26 @@ class TestCvPartition:
         np.testing.assert_array_equal(np.sort(all_indices), np.arange(13))
 
 
+# Kernel hyperparameters for phase-2 calls that return a fallback before
+# any target GP is conditioned.
+DEFAULT_PARAMS = gp.KernelParams.defaults(1)
+
+
 class TestLearnPhase2Weights:
     def test_small_history_falls_back_to_source_only(self):
         ens = SourceEnsemble(models=(StubModel(1.0),))
-        p = learn_phase2_weights(ens, np.zeros((4, 1)), np.arange(4.0), n_cv=5)
+        p = learn_phase2_weights(ens, np.zeros((4, 1)), np.arange(4.0), DEFAULT_PARAMS, n_cv=5)
         np.testing.assert_array_equal(p.values, [1.0, 0.0])
 
     def test_no_sources_falls_back_to_target_only(self):
-        p = learn_phase2_weights(SourceEnsemble(models=()), np.zeros((20, 1)), np.arange(20.0))
+        p = learn_phase2_weights(
+            SourceEnsemble(models=()), np.zeros((20, 1)), np.arange(20.0), DEFAULT_PARAMS
+        )
         np.testing.assert_array_equal(p.values, [0.0, 1.0])
 
     def test_tied_history_counts_as_insufficient(self):
         ens = SourceEnsemble(models=(StubModel(1.0),))
-        p = learn_phase2_weights(ens, np.zeros((12, 1)), np.ones(12), n_cv=5)
+        p = learn_phase2_weights(ens, np.zeros((12, 1)), np.ones(12), DEFAULT_PARAMS, n_cv=5)
         np.testing.assert_array_equal(p.values, [1.0, 0.0])
 
     def test_noise_sources_lose_to_smooth_target(self):
@@ -148,15 +156,13 @@ class TestLearnPhase2Weights:
         )
         x = np.linspace(0.0, 1.0, 25)[:, None]
         y = np.sin(4.0 * x[:, 0])
-        p = learn_phase2_weights(noise_sources, x, y, n_cv=5, seed=0)
+        params = gp.fit(x, gp.standardize(y).z, seed=0).params
+        p = learn_phase2_weights(noise_sources, x, y, params, n_cv=5)
         assert p.values[1] >= 0.5
         # 2-simplex grid oracle on the assembled matrix agrees with the solver
-        params = gp.fit(x, gp.standardize(y).z, seed=0).params
-        assembly = assemble_phase2_matrix(noise_sources, x, y, build_cv_partition(25, 5), params)
-        pm = PredictionMatrix(assembly.matrix, y)
-        grid = np.arange(0.0, 1.0 + 1e-12, 0.001)
-        grid_best = min(ranking_loss(pm, SimplexWeights([g, 1.0 - g])) for g in grid)
-        assert ranking_loss(pm, p) <= grid_best + 1e-3
+        matrix = assemble_phase2_matrix(noise_sources, x, y, build_cv_partition(25, 5), params)
+        pm = PredictionMatrix(matrix, y)
+        assert ranking_loss(pm, p) <= simplex_grid_min(pm, 0.001) + 1e-3
 
 
 class TestCvAssembly:
@@ -173,10 +179,10 @@ class TestCvAssembly:
     def test_holdout_predictions_are_not_interpolations(self):
         ens, x, y, params = self._setup()
         part = build_cv_partition(len(y), 5)
-        assembly = assemble_phase2_matrix(ens, x, y, part, params)
+        matrix = assemble_phase2_matrix(ens, x, y, part, params)
         z = gp.standardize(y).z
         # a leaky target column would reproduce z almost exactly
-        assert np.abs(assembly.matrix[:, 1] - z).max() > 1e-2
+        assert np.abs(matrix[:, 1] - z).max() > 1e-2
 
     def test_leaking_folds_flips_the_check(self, monkeypatch):
         ens, x, y, params = self._setup()
@@ -188,7 +194,7 @@ class TestCvAssembly:
         # with every fold trained on all data, the target column interpolates
         # (up to per-fold restandardization, which full folds make exact)
         z = gp.standardize(y).z
-        assert np.abs(leaked.matrix[:, 1] - z).max() < 1e-2
+        assert np.abs(leaked[:, 1] - z).max() < 1e-2
 
     def test_fold_weights_differ_without_leaks(self, monkeypatch):
         ens, x, y, params = self._setup(seed=6, n=20)
