@@ -186,24 +186,24 @@ def _random_suggestion(state: OptimizerState, iteration: int) -> Configuration:
 def _refresh_transfer_weights(state: OptimizerState, x: np.ndarray, y: np.ndarray):
     """Phase-1 and phase-2 weight refresh for one suggestion.
 
-    Phase 1 always re-learns ``w``, which the records carry, by one solve
-    from the uniform point; nothing is carried over between suggestions.
-    Phase 2 is not re-learned once the non-decreasing prior has pinned
-    ``p_target`` at exactly 1: the prior would map any learned ``p`` to
-    ``[0, 1]``, so the cross-validated solve could not change the result.
+    The source means at the history inputs are predicted once, as one
+    (n, K) matrix that phase 1 and every cross-validation fold of phase 2
+    slice. Phase 1 always re-learns ``w``, which the records carry, by one
+    solve from the uniform point; nothing is carried over between
+    suggestions. Phase 2 is not re-learned once the non-decreasing prior has
+    pinned ``p_target`` at exactly 1: the prior would map any learned ``p``
+    to ``[0, 1]``, so the cross-validated solve could not change the result.
     """
-    k = state.sources.k
+    a = transfer.source_means(state.sources, x)
     w = None
-    if k >= 1:
-        w = transfer.learn_source_weights(state.sources, x, y)
+    if state.sources.k >= 1:
+        w = transfer.learn_source_weights(a, y)
     if state.force_p is not None:
         p = SimplexWeights(list(state.force_p))
     elif state.prev_p_target == 1.0:
         p = SimplexWeights([0.0, 1.0])
     else:
-        p_raw = transfer.learn_phase2_weights(
-            state.sources, x, y, state.target_gp.params, n_cv=state.n_cv
-        )
+        p_raw = transfer.learn_phase2_weights(a, x, y, state.target_gp.params, n_cv=state.n_cv)
         p = transfer.apply_nondecreasing_prior(p_raw, state.prev_p_target)
         state.prev_p_target = float(p.values[1])
     return w, p
@@ -356,6 +356,8 @@ def run(
         raise ValidationError(f"budget must be at least n_init={n_init}")
     if seed < 0:
         raise ValidationError("seed must be non-negative")
+    if n_cv < 2:
+        raise ValidationError("cross-validation needs at least 2 folds")
     if sources is None:
         sources = SourceEnsemble(models=())
     pool = _TabularPool(space, candidate_grid) if candidate_grid is not None else None

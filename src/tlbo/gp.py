@@ -156,17 +156,6 @@ def _neg_lml_and_grad(theta: np.ndarray, sq_diffs: np.ndarray, z: np.ndarray):
     return -lml, -grad
 
 
-def log_marginal_likelihood(x: np.ndarray, z: np.ndarray, params: KernelParams) -> float:
-    """Log marginal likelihood of standardized targets under given parameters."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    z = np.asarray(z, dtype=float)
-    sq_diffs = (x[:, None, :] - x[None, :, :]) ** 2
-    value, _ = _neg_lml_and_grad(params.to_log_vector(), sq_diffs, z)
-    if value >= _BAD_OBJECTIVE:
-        raise FitError("kernel matrix is not positive definite at these parameters")
-    return -value
-
-
 class GpSurrogate:
     """A fitted GP with cached Cholesky factorization for fast prediction."""
 
@@ -208,28 +197,6 @@ class GpSurrogate:
         if single:
             return float(mean[0]), float(var[0])
         return mean, var
-
-    def to_dict(self) -> dict:
-        """Snapshot for offline caching of source surrogates."""
-        return {
-            "kernel_params": {
-                "lengthscales": self.params.lengthscales.tolist(),
-                "signal_variance": self.params.signal_variance,
-                "noise_variance": self.params.noise_variance,
-            },
-            "train_inputs": self.train_inputs.tolist(),
-            "train_targets": self.train_targets.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GpSurrogate":
-        kp = data["kernel_params"]
-        params = KernelParams(
-            lengthscales=np.asarray(kp["lengthscales"], dtype=float),
-            signal_variance=float(kp["signal_variance"]),
-            noise_variance=float(kp["noise_variance"]),
-        )
-        return cls(data["train_inputs"], data["train_targets"], params)
 
 
 def _factorize(x: np.ndarray, z: np.ndarray, params: KernelParams):

@@ -2,13 +2,12 @@
 
 A space is an ordered list of parameter specifications. Configurations map
 into [0, 1]^D vectors for surrogate input: plain numeric parameters affinely,
-log-scaled ones after a log transform, integers as continuous (rounded back
-on decode), and categoricals as one-hot blocks. Spaces are flat: no
-conditional parameters, no forbidden clauses.
+log-scaled ones after a log transform, integers as continuous values, and
+categoricals as one-hot blocks. Spaces are flat: no conditional parameters,
+no forbidden clauses.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -207,37 +206,6 @@ def encode_batch(space: ConfigSpace, configs: list[Configuration]) -> np.ndarray
     return _encode_arrays(space, cols, n)
 
 
-def decode(space: ConfigSpace, vector: np.ndarray) -> Configuration:
-    """Map an encoded vector back to a configuration.
-
-    Numeric kinds invert the affine (or log-affine) map; integers round to
-    the nearest in-range value; categoricals take the argmax of their block.
-    """
-    vec = np.asarray(vector, dtype=float)
-    if vec.shape != (space.encoded_dim,):
-        raise ValidationError(
-            f"encoded vector has shape {vec.shape}, expected ({space.encoded_dim},)"
-        )
-    values: dict[str, Any] = {}
-    j = 0
-    for p in space.params:
-        if p.kind == "categorical":
-            block = vec[j : j + p.width]
-            values[p.name] = p.categories[int(np.argmax(block))]
-        else:
-            t = float(np.clip(vec[j], 0.0, 1.0))
-            if p.kind == "continuous":
-                values[p.name] = p.low + t * (p.high - p.low)
-            elif p.kind == "continuous-log":
-                v = math.exp(math.log(p.low) + t * (math.log(p.high) - math.log(p.low)))
-                values[p.name] = min(max(v, p.low), p.high)
-            else:
-                v = int(round(p.low + t * (p.high - p.low)))
-                values[p.name] = min(max(v, int(p.low)), int(p.high))
-        j += p.width
-    return Configuration(values)
-
-
 def space_to_dict(space: ConfigSpace) -> dict:
     params = []
     for p in space.params:
@@ -270,8 +238,3 @@ def space_from_dict(data: dict) -> ConfigSpace:
         )
     return ConfigSpace(specs)
 
-
-def load_space(path) -> ConfigSpace:
-    """Load a space definition from a JSON file."""
-    with open(path) as fh:
-        return space_from_dict(json.load(fh))

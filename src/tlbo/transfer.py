@@ -6,9 +6,12 @@ the pairwise ranking loss of their combined mean on the target history.
 Phase 2 balances the combined source surrogate against the target surrogate
 with a two-dimensional weight p = [p_source, p_target], learned on held-out
 ranking loss via deterministic round-robin cross-validation, and clamped so
-the target weight never decreases across iterations. The transfer surrogate
-is then one linear combination of the K source surrogates and the target
-surrogate, with weights [p_source * w, p_target].
+the target weight never decreases across iterations. Both phases see the
+sources only through their (n, K) matrix of predictive means at the target
+inputs (``source_means``): the sources are fixed, so the matrix is built once
+per history, and each cross-validation fold takes row masks of it. The
+transfer surrogate is then one linear combination of the K source surrogates
+and the target surrogate, with weights [p_source * w, p_target].
 """
 from __future__ import annotations
 
@@ -45,97 +48,78 @@ class SourceEnsemble:
     def k(self) -> int:
         return len(self.models)
 
-    @property
-    def input_dim(self) -> int | None:
-        return self.models[0].input_dim if self.models else None
-
-
-@dataclass(frozen=True)
-class CvPartition:
-    """Fold assignment for cross-validation; fold ids run from 1 to n_cv."""
-
-    fold_ids: np.ndarray
-    n_cv: int
-
-    def __post_init__(self):
-        ids = np.asarray(self.fold_ids, dtype=int)
-        present = set(np.unique(ids).tolist())
-        if present != set(range(1, self.n_cv + 1)):
-            raise ValidationError("every fold must be non-empty")
-        object.__setattr__(self, "fold_ids", ids)
-
-    def holdout_indices(self, fold: int) -> np.ndarray:
-        return np.nonzero(self.fold_ids == fold)[0]
-
-
-def build_cv_partition(n: int, n_cv: int) -> CvPartition:
-    """Deterministic round-robin assignment: index j goes to fold (j mod n_cv) + 1."""
-    if n_cv < 2:
-        raise ValidationError("cross-validation needs at least 2 folds")
-    if n < n_cv:
-        raise ValidationError(f"cannot split {n} observations into {n_cv} non-empty folds")
-    return CvPartition(fold_ids=(np.arange(n) % n_cv) + 1, n_cv=n_cv)
-
-
-def _train_indices_for_fold(partition: CvPartition, fold: int) -> np.ndarray:
-    return np.nonzero(partition.fold_ids != fold)[0]
-
 
 def _has_pairs(y: np.ndarray) -> bool:
     return np.unique(y).size > 1
 
 
-def source_prediction_matrix(sources: SourceEnsemble, x: np.ndarray, y: np.ndarray) -> PredictionMatrix:
-    """Predictive means of each source surrogate at the target observations."""
-    cols = [m.predict(x)[0] for m in sources.models]
-    return PredictionMatrix(np.column_stack(cols), y)
+def source_means(sources: SourceEnsemble, x: np.ndarray) -> np.ndarray:
+    """The (n, K) matrix of source predictive means at the target inputs.
+
+    Column k holds source k's mean at every row of ``x``; with no sources the
+    matrix is (n, 0). The sources are fixed for a run, so one matrix per
+    history serves phase 1 and every cross-validation fold of phase 2.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    means = [m.predict(x)[0] for m in sources.models]
+    return np.column_stack(means) if means else np.empty((x.shape[0], 0))
 
 
-def learn_source_weights(sources: SourceEnsemble, x: np.ndarray, y: np.ndarray) -> SimplexWeights:
-    """Learn the simplex weights over source surrogates on the target history.
+def learn_source_weights(a: np.ndarray, y: np.ndarray) -> SimplexWeights:
+    """Learn simplex weights over the K columns of the source-mean matrix
+    ``a`` (see ``source_means``) on the target performances ``y``.
 
     One solve from the uniform point (see ``minimize_on_simplex``): a single
     source gets weight one, and a history without strict performance pairs
     (fewer than two observations, or all tied) gives the uniform vector.
     """
-    if sources.k == 0:
+    k = a.shape[1]
+    if k == 0:
         raise ValidationError("cannot learn source weights for an empty ensemble")
-    pm = source_prediction_matrix(sources, np.atleast_2d(np.asarray(x, dtype=float)), y)
-    return minimize_on_simplex(pm, SimplexWeights.uniform(sources.k))
+    return minimize_on_simplex(PredictionMatrix(a, y), SimplexWeights.uniform(k))
+
+
+def _cv_folds(n: int, n_cv: int):
+    """Deterministic round-robin folds as boolean masks ``(train, held)``:
+    observation j is held out in fold j mod n_cv."""
+    fold = np.arange(n) % n_cv
+    for f in range(n_cv):
+        held = fold == f
+        yield ~held, held
 
 
 def assemble_phase2_matrix(
-    sources: SourceEnsemble,
+    a: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
-    partition: CvPartition,
     target_params: gp.KernelParams,
+    n_cv: int,
 ) -> np.ndarray:
     """Build the cross-validated (n, 2) prediction matrix of phase 2.
 
     Row j holds the combined-source and the target predictive means at
-    observation j, both from the partial models of j's own fold. For each
-    fold: source weights are re-learned from scratch on the remaining
-    observations, and a partial target GP is conditioned on them reusing the
-    full-history kernel hyperparameters ``target_params``.
+    observation j, both from the partial models of j's own fold (see
+    ``_cv_folds``). For each fold, source weights are re-learned from scratch
+    on the training rows of the source-mean matrix ``a`` and applied to its
+    held-out rows, and a partial target GP is conditioned on the training
+    observations reusing the full-history kernel hyperparameters
+    ``target_params``.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     n = y.size
     src_col = np.empty(n)
     tgt_col = np.empty(n)
-    for fold in range(1, partition.n_cv + 1):
-        train = _train_indices_for_fold(partition, fold)
-        held = partition.holdout_indices(fold)
-        w_fold = learn_source_weights(sources, x[train], y[train])
+    for train, held in _cv_folds(n, n_cv):
+        w_fold = learn_source_weights(a[train], y[train])
         partial_target = gp.condition(x[train], gp.standardize(y[train]).z, target_params)
-        src_col[held] = combined_predict(sources.models, w_fold, x[held])[0]
+        src_col[held] = a[held] @ w_fold.values
         tgt_col[held] = partial_target.predict(x[held])[0]
     return np.column_stack([src_col, tgt_col])
 
 
 def learn_phase2_weights(
-    sources: SourceEnsemble,
+    a: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
     target_params: gp.KernelParams,
@@ -143,24 +127,25 @@ def learn_phase2_weights(
 ) -> SimplexWeights:
     """Learn p = [p_source, p_target] by cross-validated ranking loss.
 
-    ``target_params`` are the kernel hyperparameters of the target GP fitted
-    on the full history; each fold's partial target GP reuses them (see
-    ``assemble_phase2_matrix``).
+    ``a`` is the (n, K) source-mean matrix at the target inputs ``x`` (see
+    ``source_means``). ``target_params`` are the kernel hyperparameters of
+    the target GP fitted on the full history; each fold's partial target GP
+    reuses them (see ``assemble_phase2_matrix``).
 
     Fallbacks: [0, 1] with no sources (only the target can carry weight),
     [1, 0] when the history is too small for cross-validation (fewer
     observations than folds, so some fold would be empty) or carries no
     strict performance pairs. A constant objective with pairs present
-    resolves toward the target.
+    resolves toward the target. Fewer than two folds is rejected.
     """
-    if sources.k == 0:
+    if n_cv < 2:
+        raise ValidationError("cross-validation needs at least 2 folds")
+    if a.shape[1] == 0:
         return SimplexWeights([0.0, 1.0])
     y = np.asarray(y, dtype=float)
     if y.size < n_cv or not _has_pairs(y):
         return SimplexWeights([1.0, 0.0])
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    partition = build_cv_partition(y.size, n_cv)
-    matrix = assemble_phase2_matrix(sources, x, y, partition, target_params)
+    matrix = assemble_phase2_matrix(a, x, y, target_params, n_cv)
     if np.allclose(matrix[:, 0], matrix[:, 1], rtol=0.0, atol=1e-12):
         return SimplexWeights([0.0, 1.0])
     pm = PredictionMatrix(matrix, y)

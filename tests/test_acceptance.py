@@ -16,7 +16,7 @@ from tlbo import bench, bo, gp, oracles, transfer
 from tlbo.bench import ExperimentResult, SyntheticFamilySpec, TaskMeta, adtm
 from tlbo.cli import main as cli_main
 from tlbo.space import ConfigSpace, Configuration, ParamSpec
-from tlbo.transfer import SourceEnsemble, assemble_phase2_matrix, build_cv_partition
+from tlbo.transfer import SourceEnsemble, assemble_phase2_matrix, source_means
 
 # Frozen study configuration: validated once by calibration runs, then fixed.
 FAMILY_SEED = 3
@@ -232,24 +232,25 @@ class TestCvAssembly:
             params = gp.KernelParams(
                 lengthscales=np.array([0.2]), signal_variance=1.0, noise_variance=1e-8
             )
-            partition = build_cv_partition(n, 5)
+            a = source_means(sources, x)
 
-            # structural: per fold, the training index set excludes the fold
-            for fold in range(1, 6):
-                train = transfer._train_indices_for_fold(partition, fold)
-                held = partition.holdout_indices(fold)
-                assert np.intersect1d(train, held).size == 0
-                assert np.union1d(train, held).size == n
+            # structural: per fold, the training rows exclude the fold
+            for train, held in transfer._cv_folds(n, 5):
+                assert not np.any(train & held)
+                assert np.all(train | held)
 
-            honest = assemble_phase2_matrix(sources, x, y, partition, params)
+            honest = assemble_phase2_matrix(a, x, y, params, 5)
             z = gp.standardize(y).z
             honest_resid = np.abs(honest[:, 1] - z).max()
             assert honest_resid > 1e-2  # held-out: cannot interpolate rough data
 
+            honest_folds = transfer._cv_folds
             monkeypatch.setattr(
-                transfer, "_train_indices_for_fold", lambda part, fold: np.arange(n)
+                transfer,
+                "_cv_folds",
+                lambda n, n_cv: ((np.ones(n, dtype=bool), held) for _, held in honest_folds(n, n_cv)),
             )
-            leaked = assemble_phase2_matrix(sources, x, y, partition, params)
+            leaked = assemble_phase2_matrix(a, x, y, params, 5)
             leaked_resid = np.abs(leaked[:, 1] - z).max()
             assert leaked_resid < 1e-2  # leak detected: near-interpolation
 

@@ -291,6 +291,19 @@ class TestRun:
         with pytest.raises(ValidationError):
             run(one_d_space(), quadratic, budget=2, seed=0)
 
+    @pytest.mark.parametrize("n_cv", [1, 0, -1])
+    @pytest.mark.parametrize("policy", bo.POLICIES)
+    def test_fewer_than_two_folds_rejected_before_any_evaluation(self, policy, n_cv):
+        calls = []
+
+        def objective(config):
+            calls.append(config)
+            return quadratic(config)
+
+        with pytest.raises(ValidationError):
+            run(one_d_space(), objective, policy=policy, budget=6, seed=0, n_cv=n_cv)
+        assert calls == []
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValidationError):
             run(one_d_space(), quadratic, policy="annealing", budget=5, seed=0)
@@ -431,13 +444,32 @@ class TestTransferRun:
         assert len(solves) == 1 + state.n_cv + 1
         assert p.values[1] >= prev_p_target
 
+    def test_source_means_predicted_once_per_suggestion(self, monkeypatch):
+        state = self._observed_state(n=12)
+        x, _ = state.encoded_history()
+        history_rows = {row.tobytes() for row in x}
+        queries = {i: [] for i in range(state.sources.k)}
+        for i, model in enumerate(state.sources.models):
+
+            def recording(q, i=i, real=model.predict):
+                queries[i].append(np.array(q))
+                return real(q)
+
+            monkeypatch.setattr(model, "predict", recording)
+        phase2_calls = self._count_calls(monkeypatch, "assemble_phase2_matrix")
+        suggest(state)
+        assert len(phase2_calls) == 1  # below the pin, with every fold non-empty
+        for calls in queries.values():
+            at_history = [q for q in calls if all(row.tobytes() in history_rows for row in q)]
+            assert len(at_history) == 1
+            np.testing.assert_array_equal(at_history[0], x)
+
     @pytest.mark.parametrize("n, seed", [(4, 4), (8, 5), (12, 6)])
     def test_pinned_shortcut_matches_full_phase2_bitwise(self, n, seed):
         state = self._observed_state(n=n, seed=seed)
         x, y = state.encoded_history()
-        p_raw = transfer.learn_phase2_weights(
-            state.sources, x, y, state.target_gp.params, n_cv=state.n_cv
-        )
+        a = transfer.source_means(state.sources, x)
+        p_raw = transfer.learn_phase2_weights(a, x, y, state.target_gp.params, n_cv=state.n_cv)
         full = apply_nondecreasing_prior(p_raw, 1.0)
         state.prev_p_target = 1.0
         _, _, p = suggest(state)

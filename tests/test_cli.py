@@ -107,6 +107,16 @@ class TestRunStaticCli:
         record = json.loads(err.strip())
         assert record["error"] == "ValidationError"
 
+    def test_single_fold_fails_with_error_record(self, tmp_path, capsys):
+        cfg = family_cfg(out_dir=tmp_path / "res", methods=("transbo",), budget=4, seeds=1)
+        cfg["n_cv"] = 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run-static", str(cfg_path)]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert not (tmp_path / "res").exists()
+
     def test_bad_config_fails_with_error_record(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")

@@ -4,18 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tlbo.errors import ValidationError
 from tlbo.space import (
     ConfigSpace,
     Configuration,
     ParamSpec,
-    decode,
     encode,
     encode_batch,
-    load_space,
     sample_uniform,
     space_from_dict,
     space_to_dict,
@@ -163,40 +159,11 @@ class TestEncode:
             np.testing.assert_array_equal(batch[i], encode(space, config))
 
 
-class TestDecode:
-    @given(
-        lr=st.floats(min_value=0.01, max_value=2.0, allow_nan=False),
-        depth=st.integers(min_value=2, max_value=8),
-        ratio=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-        algo=st.sampled_from(["a", "b", "c"]),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_round_trip(self, lr, depth, ratio, algo):
-        space = mixed_space()
-        config = Configuration({"lr": lr, "depth": depth, "ratio": ratio, "algo": algo})
-        recovered = decode(space, encode(space, config))
-        assert recovered.values["algo"] == algo
-        assert recovered.values["depth"] == depth
-        assert math.isclose(recovered.values["lr"], lr, rel_tol=1e-9)
-        assert math.isclose(recovered.values["ratio"], ratio, rel_tol=1e-9, abs_tol=1e-9)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValidationError):
-            decode(mixed_space(), np.zeros(3))
-
-
 class TestSerialization:
     def test_dict_round_trip(self):
         space = mixed_space()
         rebuilt = space_from_dict(space_to_dict(space))
         assert rebuilt == space
-
-    def test_load_space_file(self, tmp_path):
-        import json
-
-        path = tmp_path / "space.json"
-        path.write_text(json.dumps(space_to_dict(mixed_space())))
-        assert load_space(path) == mixed_space()
 
     def test_bad_payload_rejected(self):
         with pytest.raises(ValidationError):

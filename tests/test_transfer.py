@@ -12,14 +12,13 @@ from tlbo.errors import ValidationError
 from tlbo.oracles import simplex_grid_min
 from tlbo.ranking import PredictionMatrix, SimplexWeights, ranking_loss
 from tlbo.transfer import (
-    CvPartition,
     SourceEnsemble,
     apply_nondecreasing_prior,
     assemble_phase2_matrix,
-    build_cv_partition,
     combined_predict,
     learn_phase2_weights,
     learn_source_weights,
+    source_means,
     tl_predict,
 )
 
@@ -51,35 +50,45 @@ def fitted_pair_ensemble(seed=0, n_source=40):
     return SourceEnsemble(models=(good, bad), task_ids=("good", "bad"))
 
 
+def learn_w(sources, x, y):
+    """Phase-1 weights of ``sources`` on the history (x, y)."""
+    return learn_source_weights(source_means(sources, x), y)
+
+
+def learn_p(sources, x, y, target_params, n_cv=transfer.N_CV_DEFAULT):
+    """Phase-2 weights of ``sources`` against the target on the history (x, y)."""
+    return learn_phase2_weights(source_means(sources, x), x, y, target_params, n_cv=n_cv)
+
+
 class TestLearnSourceWeights:
     def test_single_source_gets_full_weight(self):
         ens = SourceEnsemble(models=(StubModel(1.0),))
-        w = learn_source_weights(ens, np.zeros((5, 1)), np.arange(5.0))
+        w = learn_w(ens, np.zeros((5, 1)), np.arange(5.0))
         np.testing.assert_array_equal(w.values, [1.0])
 
     def test_empty_history_gives_uniform(self):
         ens = SourceEnsemble(models=(StubModel(1.0), StubModel(2.0), StubModel(3.0)))
-        w = learn_source_weights(ens, np.zeros((0, 1)), np.zeros(0))
+        w = learn_w(ens, np.zeros((0, 1)), np.zeros(0))
         np.testing.assert_allclose(w.values, [1 / 3] * 3)
 
     def test_tied_history_gives_uniform(self):
         ens = SourceEnsemble(models=(StubModel(1.0), StubModel(-1.0)))
-        w = learn_source_weights(ens, np.linspace(0, 1, 6)[:, None], np.ones(6))
+        w = learn_w(ens, np.linspace(0, 1, 6)[:, None], np.ones(6))
         np.testing.assert_allclose(w.values, [0.5, 0.5])
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValidationError):
-            learn_source_weights(SourceEnsemble(models=()), np.zeros((2, 1)), np.arange(2.0))
+            learn_w(SourceEnsemble(models=()), np.zeros((2, 1)), np.arange(2.0))
 
     def test_good_source_dominates_inverted_one(self):
         ens = fitted_pair_ensemble()
         rng = np.random.default_rng(3)
         x = rng.uniform(size=(20, 1))
         y = np.sin(5.0 * x[:, 0])
-        w = learn_source_weights(ens, x, y)
+        w = learn_w(ens, x, y)
         assert w.values[0] >= 0.9
         # grid oracle on the same prediction matrix confirms the solver
-        pm = transfer.source_prediction_matrix(ens, x, y)
+        pm = PredictionMatrix(source_means(ens, x), y)
         grid = np.arange(0.0, 1.0 + 1e-12, 0.01)
         grid_best = min(
             ranking_loss(pm, SimplexWeights([g, 1.0 - g])) for g in grid
@@ -91,59 +100,62 @@ class TestLearnSourceWeights:
         y = np.sin(3.0 * x[:, 0])
         low_var = SourceEnsemble(models=(StubModel(1.0, variance=0.1), StubModel(-1.0, variance=0.1)))
         high_var = SourceEnsemble(models=(StubModel(1.0, variance=9.0), StubModel(-1.0, variance=9.0)))
-        w1 = learn_source_weights(low_var, x, y)
-        w2 = learn_source_weights(high_var, x, y)
+        w1 = learn_w(low_var, x, y)
+        w2 = learn_w(high_var, x, y)
         np.testing.assert_array_equal(w1.values, w2.values)
 
 
+# Kernel hyperparameters for phase-2 calls that return a fallback or raise
+# before any target GP is conditioned.
+DEFAULT_PARAMS = gp.KernelParams.defaults(1)
+
+
 class TestCvPartition:
+    """Round-robin folds: ``transfer._cv_folds`` yields ``(train, held)`` masks."""
+
+    @staticmethod
+    def _held_sizes(n, n_cv=5):
+        folds = list(transfer._cv_folds(n, n_cv))
+        for f, (train, held) in enumerate(folds):
+            np.testing.assert_array_equal(np.nonzero(held)[0], np.arange(f, n, n_cv))
+            np.testing.assert_array_equal(train, ~held)
+        return [int(held.sum()) for _, held in folds]
+
     def test_one_observation_per_fold(self):
-        part = build_cv_partition(5, 5)
-        np.testing.assert_array_equal(part.fold_ids, [1, 2, 3, 4, 5])
+        assert self._held_sizes(5) == [1] * 5
 
     def test_round_robin_on_uneven_split(self):
-        part = build_cv_partition(7, 5)
-        sizes = [len(part.holdout_indices(f)) for f in range(1, 6)]
-        assert sizes == [2, 2, 1, 1, 1]
+        assert self._held_sizes(7) == [2, 2, 1, 1, 1]
 
     def test_exact_division(self):
-        part = build_cv_partition(10, 5)
-        assert all(len(part.holdout_indices(f)) == 2 for f in range(1, 6))
-
-    def test_too_few_observations_rejected(self):
-        with pytest.raises(ValidationError):
-            build_cv_partition(4, 5)
-
-    def test_single_fold_rejected(self):
-        with pytest.raises(ValidationError):
-            build_cv_partition(10, 1)
+        assert self._held_sizes(10) == [2] * 5
 
     def test_folds_partition_index_set(self):
-        part = build_cv_partition(13, 5)
-        all_indices = np.concatenate([part.holdout_indices(f) for f in range(1, 6)])
-        np.testing.assert_array_equal(np.sort(all_indices), np.arange(13))
+        held_out = np.concatenate([np.nonzero(held)[0] for _, held in transfer._cv_folds(13, 5)])
+        np.testing.assert_array_equal(np.sort(held_out), np.arange(13))
 
-
-# Kernel hyperparameters for phase-2 calls that return a fallback before
-# any target GP is conditioned.
-DEFAULT_PARAMS = gp.KernelParams.defaults(1)
+    def test_single_fold_rejected(self):
+        x = np.linspace(0, 1, 12)[:, None]
+        for k in (0, 1):
+            ens = SourceEnsemble(models=(StubModel(1.0),) * k)
+            for n_cv in (1, 0, -1):
+                with pytest.raises(ValidationError):
+                    learn_p(ens, x, np.arange(12.0), DEFAULT_PARAMS, n_cv=n_cv)
 
 
 class TestLearnPhase2Weights:
     def test_small_history_falls_back_to_source_only(self):
         ens = SourceEnsemble(models=(StubModel(1.0),))
-        p = learn_phase2_weights(ens, np.zeros((4, 1)), np.arange(4.0), DEFAULT_PARAMS, n_cv=5)
+        p = learn_p(ens, np.zeros((4, 1)), np.arange(4.0), DEFAULT_PARAMS, n_cv=5)
         np.testing.assert_array_equal(p.values, [1.0, 0.0])
 
     def test_no_sources_falls_back_to_target_only(self):
-        p = learn_phase2_weights(
-            SourceEnsemble(models=()), np.zeros((20, 1)), np.arange(20.0), DEFAULT_PARAMS
-        )
+        p = learn_p(SourceEnsemble(models=()), np.zeros((20, 1)), np.arange(20.0), DEFAULT_PARAMS)
         np.testing.assert_array_equal(p.values, [0.0, 1.0])
 
     def test_tied_history_counts_as_insufficient(self):
         ens = SourceEnsemble(models=(StubModel(1.0),))
-        p = learn_phase2_weights(ens, np.zeros((12, 1)), np.ones(12), DEFAULT_PARAMS, n_cv=5)
+        p = learn_p(ens, np.zeros((12, 1)), np.ones(12), DEFAULT_PARAMS, n_cv=5)
         np.testing.assert_array_equal(p.values, [1.0, 0.0])
 
     def test_noise_sources_lose_to_smooth_target(self):
@@ -157,10 +169,10 @@ class TestLearnPhase2Weights:
         x = np.linspace(0.0, 1.0, 25)[:, None]
         y = np.sin(4.0 * x[:, 0])
         params = gp.fit(x, gp.standardize(y).z, seed=0).params
-        p = learn_phase2_weights(noise_sources, x, y, params, n_cv=5)
+        p = learn_p(noise_sources, x, y, params, n_cv=5)
         assert p.values[1] >= 0.5
         # 2-simplex grid oracle on the assembled matrix agrees with the solver
-        matrix = assemble_phase2_matrix(noise_sources, x, y, build_cv_partition(25, 5), params)
+        matrix = assemble_phase2_matrix(source_means(noise_sources, x), x, y, params, 5)
         pm = PredictionMatrix(matrix, y)
         assert ranking_loss(pm, p) <= simplex_grid_min(pm, 0.001) + 1e-3
 
@@ -178,19 +190,20 @@ class TestCvAssembly:
 
     def test_holdout_predictions_are_not_interpolations(self):
         ens, x, y, params = self._setup()
-        part = build_cv_partition(len(y), 5)
-        matrix = assemble_phase2_matrix(ens, x, y, part, params)
+        matrix = assemble_phase2_matrix(source_means(ens, x), x, y, params, 5)
         z = gp.standardize(y).z
         # a leaky target column would reproduce z almost exactly
         assert np.abs(matrix[:, 1] - z).max() > 1e-2
 
     def test_leaking_folds_flips_the_check(self, monkeypatch):
         ens, x, y, params = self._setup()
-        part = build_cv_partition(len(y), 5)
+        honest_folds = transfer._cv_folds
         monkeypatch.setattr(
-            transfer, "_train_indices_for_fold", lambda partition, fold: np.arange(len(y))
+            transfer,
+            "_cv_folds",
+            lambda n, n_cv: ((np.ones(n, dtype=bool), held) for _, held in honest_folds(n, n_cv)),
         )
-        leaked = assemble_phase2_matrix(ens, x, y, part, params)
+        leaked = assemble_phase2_matrix(source_means(ens, x), x, y, params, 5)
         # with every fold trained on all data, the target column interpolates
         # (up to per-fold restandardization, which full folds make exact)
         z = gp.standardize(y).z
@@ -198,24 +211,49 @@ class TestCvAssembly:
 
     def test_fold_weights_differ_without_leaks(self, monkeypatch):
         ens, x, y, params = self._setup(seed=6, n=20)
-        part = build_cv_partition(len(y), 5)
+        a = source_means(ens, x)
         calls = []
         real = transfer.learn_source_weights
 
-        def spy(sources, x_train, y_train):
-            w = real(sources, x_train, y_train)
-            calls.append((x_train, y_train, w))
+        def spy(a_train, y_train):
+            w = real(a_train, y_train)
+            calls.append((a_train, y_train, w))
             return w
 
         monkeypatch.setattr(transfer, "learn_source_weights", spy)
-        assemble_phase2_matrix(ens, x, y, part, params)
-        assert len(calls) == part.n_cv
-        for fold, (x_train, y_train, _) in enumerate(calls, start=1):
-            train = np.nonzero(np.arange(len(y)) % part.n_cv != fold - 1)[0]
-            np.testing.assert_array_equal(x_train, x[train])
+        assemble_phase2_matrix(a, x, y, params, 5)
+        assert len(calls) == 5
+        for fold, (a_train, y_train, _) in enumerate(calls):
+            train = np.nonzero(np.arange(len(y)) % 5 != fold)[0]
+            np.testing.assert_array_equal(a_train, a[train])
             np.testing.assert_array_equal(y_train, y[train])
         stacked = np.stack([w.values for _, _, w in calls])
         assert np.ptp(stacked, axis=0).max() > 0  # folds see different data
+
+    def test_source_column_is_fold_combination(self, monkeypatch):
+        # the target sums the two source functions, so every fold's weights are interior
+        rng = np.random.default_rng(7)
+        xs = rng.uniform(size=(30, 1))
+        fs = (lambda t: np.sin(5.0 * t), lambda t: np.cos(7.0 * t))
+        params = gp.KernelParams(lengthscales=np.array([0.2]), signal_variance=1.0, noise_variance=1e-4)
+        ens = SourceEnsemble(
+            models=tuple(gp.condition(xs, gp.standardize(f(xs[:, 0])).z, params) for f in fs)
+        )
+        x = np.random.default_rng(0).uniform(size=(17, 1))
+        y = fs[0](x[:, 0]) + fs[1](x[:, 0])
+        fold_weights = []
+        real = transfer.learn_source_weights
+
+        def spy(a_train, y_train):
+            fold_weights.append(real(a_train, y_train))
+            return fold_weights[-1]
+
+        monkeypatch.setattr(transfer, "learn_source_weights", spy)
+        matrix = assemble_phase2_matrix(source_means(ens, x), x, y, params, 5)
+        assert not any(np.isin(w.values, (0.0, 1.0)).all() for w in fold_weights)  # interior
+        for w_fold, (_, held) in zip(fold_weights, transfer._cv_folds(len(y), 5), strict=True):
+            reference = combined_predict(ens.models, w_fold, x[held])[0]
+            np.testing.assert_allclose(matrix[held, 0], reference, rtol=0.0, atol=1e-12)
 
 
 class TestNondecreasingPrior:
