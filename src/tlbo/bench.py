@@ -583,7 +583,8 @@ def run_static(
 
 
 def _dynamic_chain(tasks, method, seed, budget, n_s, n_cv, n_candidates, base_seed):
-    """One method's sequential pass over the arriving tasks."""
+    """One method's sequential pass over the arriving tasks; the first n_s
+    records of each finished task fit its source surrogate."""
     out = []
     models: list[gp.GpSurrogate] = []
     ids: list[str] = []
@@ -600,9 +601,9 @@ def _dynamic_chain(tasks, method, seed, budget, n_s, n_cv, n_candidates, base_se
             n_candidates,
         )
         out.append((task.name, run_result))
-        head = run_result.history.observations[:n_s]
-        x = space_mod.encode_batch(task.space, [o.config for o in head])
-        ys = np.array([o.y for o in head])
+        head = run_result.records[:n_s]
+        x = space_mod.encode_batch(task.space, [Configuration(r["config"]) for r in head])
+        ys = np.array([r["y"] for r in head])
         models.append(
             gp.fit(x, gp.standardize(ys).z, seed=derived_seed(base_seed, _TAG_SOURCE_FIT, ti, seed))
         )

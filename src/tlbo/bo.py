@@ -4,9 +4,10 @@ Policies: ``transbo`` (two-phase transfer surrogate), ``igp`` (independent
 target GP, no source knowledge), and ``random``. Every run starts with three
 seeded uniform evaluations shared across policies, then alternates suggest /
 observe. Performance is minimized throughout (y is, e.g., validation error).
-``suggest`` returns the weights ``w`` and ``p`` it used along with the
-configuration, and ``run`` writes them into that trial's record; the records
-are the only per-trial copy of the weights.
+The optimizer state holds the observations once, as the arrays ``x`` and
+``y`` the target GP trains on. ``suggest`` returns the weights ``w`` and
+``p`` it used along with the configuration, and ``run`` writes them into
+that trial's record, the one per-trial copy of the weights.
 
 All randomness is drawn from streams keyed by (run seed, purpose,
 iteration), so candidate pools, initial designs, and GP restarts are
@@ -78,34 +79,6 @@ def expected_improvement(mean, variance, y_best):
     return float(ei[0]) if scalar else ei
 
 
-@dataclass(frozen=True)
-class Observation:
-    config: Configuration
-    y: float
-    iteration: int
-
-
-@dataclass
-class TaskHistory:
-    """Ordered observations of one task."""
-
-    observations: list[Observation] = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.observations)
-
-    def add(self, obs: Observation) -> None:
-        if self.observations and obs.iteration <= self.observations[-1].iteration:
-            raise ValidationError("iteration indices must be strictly increasing")
-        self.observations.append(obs)
-
-    def ys(self) -> np.ndarray:
-        return np.array([o.y for o in self.observations])
-
-    def configs(self) -> list[Configuration]:
-        return [o.config for o in self.observations]
-
-
 class _TabularPool:
     """Finite candidate grid; suggestions draw from unevaluated rows only."""
 
@@ -132,25 +105,28 @@ def _config_key(config: Configuration):
 
 @dataclass
 class OptimizerState:
-    """Mutable state of one sequential run."""
+    """Mutable state of one sequential run.
+
+    ``x`` (n, D) and ``y`` (n,) hold the encoded inputs and performances of
+    the trials so far, row i for iteration i; only ``observe`` grows them.
+    """
 
     space: ConfigSpace
-    history: TaskHistory
     sources: SourceEnsemble
     policy: str
-    budget: int
     seed: int
-    n_init: int = N_INIT
     n_cv: int = transfer.N_CV_DEFAULT
     n_candidates: int = N_CANDIDATES
     prev_p_target: float = 0.0
     target_gp: gp.GpSurrogate | None = None
     pool: _TabularPool | None = None
     force_p: tuple[float, float] | None = None
+    x: np.ndarray = field(init=False)
+    y: np.ndarray = field(init=False)
 
-    def encoded_history(self) -> tuple[np.ndarray, np.ndarray]:
-        x = space_mod.encode_batch(self.space, self.history.configs())
-        return x, self.history.ys()
+    def __post_init__(self):
+        self.x = np.empty((0, self.space.encoded_dim))
+        self.y = np.empty(0)
 
 
 def _candidate_pool(state: OptimizerState, iteration: int):
@@ -183,7 +159,7 @@ def _random_suggestion(state: OptimizerState, iteration: int) -> Configuration:
     return space_mod._config_from_arrays(state.space, cols, 0)
 
 
-def _refresh_transfer_weights(state: OptimizerState, x: np.ndarray, y: np.ndarray):
+def _refresh_transfer_weights(state: OptimizerState):
     """Phase-1 and phase-2 weight refresh for one suggestion.
 
     The source means at the history inputs are predicted once, as one
@@ -194,6 +170,7 @@ def _refresh_transfer_weights(state: OptimizerState, x: np.ndarray, y: np.ndarra
     pinned ``p_target`` at exactly 1: the prior would map any learned ``p``
     to ``[0, 1]``, so the cross-validated solve could not change the result.
     """
+    x, y = state.x, state.y
     a = transfer.source_means(state.sources, x)
     w = None
     if state.sources.k >= 1:
@@ -218,8 +195,9 @@ def suggest(
     balance behind the suggestion. Both are ``None`` for ``igp``, ``random``
     and the fit-failure fallback; ``w`` is also ``None`` without sources.
 
-    Requires the initial design to be complete. EI ties break toward the
-    lowest candidate index. On a missing target surrogate (fit failure),
+    Requires the initial design to be complete. EI's incumbent is the least
+    standardized target of the target GP; ties break toward the lowest
+    candidate index. On a missing target surrogate (fit failure),
     falls back to a random suggestion; ``run`` flags that trial's record.
 
     Under ``transbo``, each call re-learns the phase-1 source weights ``w``
@@ -227,27 +205,23 @@ def suggest(
     longer re-learned, since the non-decreasing prior makes its result
     irrelevant; the suggestion then comes from the target GP alone.
     """
-    iteration = len(state.history)
-    if iteration < state.n_init:
+    iteration = state.y.size
+    if iteration < N_INIT:
         raise ValidationError("suggest called during the initialization phase")
-    if state.policy == "random":
-        return _random_suggestion(state, iteration), None, None
-    if state.target_gp is None:
+    if state.policy == "random" or state.target_gp is None:
         return _random_suggestion(state, iteration), None, None
 
     w = p = None
     if state.policy == "igp":
         model_predict = state.target_gp.predict
     elif state.policy == "transbo":
-        x, y = state.encoded_history()
-        w, p = _refresh_transfer_weights(state, x, y)
+        w, p = _refresh_transfer_weights(state)
         model_predict = lambda q: transfer.tl_predict(state.sources, q, state.target_gp, w, p)
     else:
         raise ValidationError(f"unknown policy {state.policy!r}")
 
     enc, config_at = _candidate_pool(state, iteration)
-    std = gp.standardize(state.history.ys())
-    y_best = float(std.z.min())
+    y_best = float(state.target_gp.train_targets.min())
     mean, var = model_predict(enc)
     ei = expected_improvement(mean, var, y_best)
     return config_at(int(np.argmax(ei))), w, p
@@ -256,19 +230,19 @@ def suggest(
 def observe(state: OptimizerState, config: Configuration, y: float) -> OptimizerState:
     """Append an observation and refit the target surrogate; returns ``state``.
 
-    A failed fit leaves ``state.target_gp`` at ``None``, so the next
-    suggestion falls back to random.
+    Only ``config`` is encoded, as the new row of ``state.x``. A failed fit
+    leaves ``state.target_gp`` at ``None``, so the next suggestion falls
+    back to random.
     """
     if not (isinstance(y, (int, float, np.integer, np.floating)) and math.isfinite(float(y))):
         raise ValidationError("observed performance must be finite")
-    iteration = len(state.history)
-    state.history.add(Observation(config=config, y=float(y), iteration=iteration))
+    fit_seed = derived_seed(state.seed, _STREAM_GPFIT, state.y.size)
+    state.x = np.vstack([state.x, space_mod.encode_batch(state.space, [config])])
+    state.y = np.append(state.y, float(y))
     if state.pool is not None:
         state.pool.mark(config)
-    x, ys = state.encoded_history()
-    std = gp.standardize(ys)
     try:
-        state.target_gp = gp.fit(x, std.z, seed=derived_seed(state.seed, _STREAM_GPFIT, iteration))
+        state.target_gp = gp.fit(state.x, gp.standardize(state.y).z, seed=fit_seed)
     except FitError:
         state.target_gp = None
     return state
@@ -276,14 +250,13 @@ def observe(state: OptimizerState, config: Configuration, y: float) -> Optimizer
 
 @dataclass
 class RunResult:
-    """Full output of one run: the history and the per-trial records.
+    """Full output of one run: the per-trial records, in trial order.
 
-    Each record carries the weights behind its suggestion (``w``,
-    ``p_source``, ``p_target``; ``None`` where none were learned).
-    ``history`` is ``None`` for a run loaded from JSONL.
+    Each record carries its ``iteration``, the ``config`` and its observed
+    ``y``, and the weights behind its suggestion (``w``, ``p_source``,
+    ``p_target``; ``None`` where none were learned).
     """
 
-    history: TaskHistory | None
     records: list[dict]
 
     def incumbents(self, key: str = "incumbent_y") -> np.ndarray:
@@ -304,27 +277,26 @@ class RunResult:
                 line = line.strip()
                 if line:
                     records.append(json.loads(line))
-        return cls(history=None, records=records)
+        return cls(records=records)
 
 
 def _initial_design(state: OptimizerState) -> list[Configuration]:
     rng = _stream_rng(state.seed, _STREAM_INIT)
     if state.pool is not None:
-        if len(state.pool.configs) < state.n_init:
+        if len(state.pool.configs) < N_INIT:
             raise ValidationError("candidate grid smaller than the initial design")
-        picks = rng.choice(len(state.pool.configs), size=state.n_init, replace=False)
+        picks = rng.choice(len(state.pool.configs), size=N_INIT, replace=False)
         return [state.pool.configs[int(i)] for i in picks]
-    cols = space_mod._sample_arrays(state.space, state.n_init, rng)
-    return [space_mod._config_from_arrays(state.space, cols, i) for i in range(state.n_init)]
+    cols = space_mod._sample_arrays(state.space, N_INIT, rng)
+    return [space_mod._config_from_arrays(state.space, cols, i) for i in range(N_INIT)]
 
 
 def _impute_failure(state: OptimizerState) -> float:
     """Worst observed value plus one standardized unit; anchor 0.0 if none."""
-    ys = state.history.ys()
-    if ys.size == 0:
+    if state.y.size == 0:
         return 0.0
-    spread = float(ys.std())
-    return float(ys.max()) + (spread if spread > 0 else 1.0)
+    spread = float(state.y.std())
+    return float(state.y.max()) + (spread if spread > 0 else 1.0)
 
 
 def run(
@@ -334,7 +306,6 @@ def run(
     policy: str = "transbo",
     budget: int = 30,
     seed: int = 0,
-    n_init: int = N_INIT,
     n_cv: int = transfer.N_CV_DEFAULT,
     n_candidates: int = N_CANDIDATES,
     candidate_grid: list[Configuration] | None = None,
@@ -342,7 +313,7 @@ def run(
 ) -> RunResult:
     """Run one sequential optimization with the given policy.
 
-    The first ``n_init`` evaluations are seeded uniform draws (shared across
+    The first ``N_INIT`` evaluations are seeded uniform draws (shared across
     policies for a fixed seed); the rest follow suggest/observe. A failing
     objective call is imputed as the worst value seen plus one standardized
     unit and the run continues; its record carries ``failed`` and ``error``,
@@ -352,8 +323,8 @@ def run(
     """
     if policy not in POLICIES:
         raise ValidationError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    if budget < n_init:
-        raise ValidationError(f"budget must be at least n_init={n_init}")
+    if budget < N_INIT:
+        raise ValidationError(f"budget must be at least N_INIT={N_INIT}")
     if seed < 0:
         raise ValidationError("seed must be non-negative")
     if n_cv < 2:
@@ -366,12 +337,9 @@ def run(
 
     state = OptimizerState(
         space=space,
-        history=TaskHistory(),
         sources=sources,
         policy=policy,
-        budget=budget,
         seed=seed,
-        n_init=n_init,
         n_cv=n_cv,
         n_candidates=n_candidates,
         pool=pool,
@@ -383,7 +351,7 @@ def run(
     for i in range(budget):
         t0 = time.perf_counter()
         fallback = False
-        if i < n_init:
+        if i < N_INIT:
             config, w, p = init_configs[i], None, None
         else:
             fallback = policy != "random" and state.target_gp is None
@@ -418,4 +386,4 @@ def run(
                 "suggest_wallclock_ms": wallclock_ms,
             }
         )
-    return RunResult(history=state.history, records=records)
+    return RunResult(records=records)

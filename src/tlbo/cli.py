@@ -53,6 +53,7 @@ def _require_out_dir(args, cfg) -> str:
 
 def _cmd_run(args, protocol: str) -> int:
     cfg = _load_json(args.config)
+    out = _require_out_dir(args, cfg)
     tasks = _build_tasks(cfg.get("tasks"))
     common = dict(
         methods=cfg.get("methods", ["transbo"]),
@@ -73,7 +74,6 @@ def _cmd_run(args, protocol: str) -> int:
         )
     else:
         result = bench.run_dynamic(tasks, **common)
-    out = _require_out_dir(args, cfg)
     result.save(out)
     print(f"wrote {len(result.runs)} run(s) to {out}")
     return 0

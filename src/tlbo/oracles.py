@@ -124,7 +124,7 @@ def check_simplex_solver_vs_grid():
         k = int(rng.integers(2, 4))
         n = int(rng.integers(5, 25))
         pm = PredictionMatrix(rng.normal(size=(n, k)), rng.normal(size=n))
-        w = minimize_on_simplex(pm, SimplexWeights.uniform(k))
+        w = minimize_on_simplex(pm)
         _expect(w.values.min() >= -1e-9, f"negative weight in {w.values}")
         _expect(abs(w.values.sum() - 1.0) <= 1e-8, f"weights {w.values} do not sum to 1")
         solved, grid_best = ranking_loss(pm, w), simplex_grid_min(pm, 0.01)

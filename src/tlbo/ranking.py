@@ -190,17 +190,14 @@ def _pgd(pm: PredictionMatrix, x0: np.ndarray):
     return x
 
 
-def minimize_on_simplex(pm: PredictionMatrix, init: SimplexWeights) -> SimplexWeights:
+def minimize_on_simplex(pm: PredictionMatrix) -> SimplexWeights:
     """Minimize the ranking loss over the probability simplex.
 
     The loss is convex, so one projected-gradient descent from the uniform
-    point suffices; a constant objective leaves it there. ``init`` only fixes
-    the dimension and the answer when the objective has no strict pairs:
-    then it is returned unchanged. A single column always gets weight one.
+    point suffices; a constant objective leaves it there, and an objective
+    without strict pairs returns it. A single column gets weight one.
     """
-    _check_dims(pm, init)
-    if pm.k == 1:
-        return SimplexWeights([1.0])
-    if pm.pairs[0].size == 0:
-        return init
-    return SimplexWeights(project_to_simplex(_pgd(pm, SimplexWeights.uniform(pm.k).values)))
+    uniform = SimplexWeights.uniform(pm.k)
+    if pm.k == 1 or pm.pairs[0].size == 0:
+        return uniform
+    return SimplexWeights(project_to_simplex(_pgd(pm, uniform.values)))

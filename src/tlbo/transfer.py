@@ -73,10 +73,9 @@ def learn_source_weights(a: np.ndarray, y: np.ndarray) -> SimplexWeights:
     source gets weight one, and a history without strict performance pairs
     (fewer than two observations, or all tied) gives the uniform vector.
     """
-    k = a.shape[1]
-    if k == 0:
+    if a.shape[1] == 0:
         raise ValidationError("cannot learn source weights for an empty ensemble")
-    return minimize_on_simplex(PredictionMatrix(a, y), SimplexWeights.uniform(k))
+    return minimize_on_simplex(PredictionMatrix(a, y))
 
 
 def _cv_folds(n: int, n_cv: int):
@@ -149,7 +148,7 @@ def learn_phase2_weights(
     if np.allclose(matrix[:, 0], matrix[:, 1], rtol=0.0, atol=1e-12):
         return SimplexWeights([0.0, 1.0])
     pm = PredictionMatrix(matrix, y)
-    p = minimize_on_simplex(pm, SimplexWeights.uniform(2))
+    p = minimize_on_simplex(pm)
     # Ties between the solver result and the pure-target vertex resolve
     # toward the target.
     target_vertex = SimplexWeights([0.0, 1.0])

@@ -188,6 +188,7 @@ class TestNegativeTransferLimit:
                     gp.fit(xs, gp.standardize(rng.normal(size=25)).z, seed=i) for i in range(2)
                 )
             )
+            trials = lambda result: [(r["config"], r["y"]) for r in result.records]
             for seed in (0, 3):
                 forced = bo.run(
                     space,
@@ -199,18 +200,12 @@ class TestNegativeTransferLimit:
                     force_p=(0.0, 1.0),
                 )
                 reference = bo.run(space, objective, policy="igp", budget=12, seed=seed)
-                assert [o.config for o in forced.history.observations] == [
-                    o.config for o in reference.history.observations
-                ]
-                np.testing.assert_array_equal(forced.history.ys(), reference.history.ys())
+                assert trials(forced) == trials(reference)
 
                 no_sources = bo.run(
                     space, objective, sources=None, policy="transbo", budget=12, seed=seed
                 )
-                assert [o.config for o in no_sources.history.observations] == [
-                    o.config for o in reference.history.observations
-                ]
-                np.testing.assert_array_equal(no_sources.history.ys(), reference.history.ys())
+                assert trials(no_sources) == trials(reference)
 
 
 class TestCvAssembly:
@@ -309,12 +304,7 @@ class TestScalabilityInstrumentation:
             # qualitative: doubling K must not cube the per-suggestion cost
             def suggest_time(sources):
                 state = bo.OptimizerState(
-                    space=space,
-                    history=bo.TaskHistory(),
-                    sources=sources,
-                    policy="transbo",
-                    budget=40,
-                    seed=1,
+                    space=space, sources=sources, policy="transbo", seed=1
                 )
                 for config in bench.space_mod.sample_uniform(space, 30, seed=3):
                     bo.observe(state, config, objective(config))

@@ -118,7 +118,7 @@ class TestSyntheticFamily:
         task = make_synthetic_family(SyntheticFamilySpec(base="branin", n_tasks=1))[0]
         configs = [{"x1": 0.0, "x2": 5.0}, {"x1": 3.0, "x2": 9.0}, {"x1": math.pi, "x2": 2.275}]
         records = [{"config": c, "failed": f} for c, f in zip(configs, (True, False, True))]
-        out = bench._augment_true_values(bo.RunResult(None, records), task)
+        out = bench._augment_true_values(bo.RunResult(records), task)
         y_true = [r["y_true"] for r in out.records]
         assert [r["incumbent_y_true"] for r in out.records] == [None, y_true[1], y_true[1]]
         assert out.incumbents("incumbent_y_true")[0] == math.inf
@@ -328,6 +328,28 @@ class TestRunDynamic:
         assert [r["config"] for r in a] == [r["config"] for r in b]
         assert [r["y"] for r in a] == [r["y"] for r in b]
 
+    def test_later_source_fitted_on_earlier_records(self, monkeypatch):
+        tasks = [tiny_tabular("a", seed=0), tiny_tabular("b", seed=1)]
+        seen = []
+        real_run_job = bench._run_job
+
+        def recording(task, sources, *args):
+            seen.append(sources)
+            return real_run_job(task, sources, *args)
+
+        monkeypatch.setattr(bench, "_run_job", recording)
+        result = run_dynamic(tasks, ["igp"], budget=8, seeds=1, n_s=5)
+        assert [s.k for s in seen] == [0, 1]
+        head = result.runs[("a", "igp", 0)].records[:5]
+        encoded = bench.space_mod.encode_batch(
+            tasks[0].space, [Configuration(r["config"]) for r in head]
+        )
+        source = seen[1].models[0]
+        assert source.train_inputs.tobytes() == encoded.tobytes()
+        np.testing.assert_array_equal(
+            source.train_targets, bench.gp.standardize([r["y"] for r in head]).z
+        )
+
     def test_single_task_top_counts(self):
         result = run_dynamic([tiny_tabular("a", seed=0)], ["random"], budget=4, seeds=1, n_s=5)
         counts = top_counts(result)
@@ -385,7 +407,7 @@ class TestTopCounts:
                 records = [
                     {"iteration": 0, "incumbent_y": value, "suggest_wallclock_ms": 0.0, "y": value}
                 ]
-                result.runs[(f"t{ti}", method, 0)] = bo.RunResult(None, records)
+                result.runs[(f"t{ti}", method, 0)] = bo.RunResult(records)
         return result
 
     def test_ties_credit_every_method(self):

@@ -8,12 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlbo import bench, bo, gp, transfer
+from tlbo import bench, bo, gp, space as space_mod, transfer
 from tlbo.bo import (
-    Observation,
     OptimizerState,
     RunResult,
-    TaskHistory,
     expected_improvement,
     observe,
     run,
@@ -31,6 +29,11 @@ def one_d_space(low=0.0, high=1.0) -> ConfigSpace:
 
 def quadratic(config: Configuration) -> float:
     return (config.values["x"] - 0.3) ** 2
+
+
+def trials(result: RunResult) -> list[tuple[dict, float]]:
+    """(config, y) of every trial, read from the records."""
+    return [(r["config"], r["y"]) for r in result.records]
 
 
 class TestExpectedImprovement:
@@ -74,35 +77,44 @@ class TestExpectedImprovement:
         assert int(np.argmax(base)) == int(np.argmax(shifted))
 
 
-class TestHistory:
-    def test_iteration_indices_strictly_increase(self):
-        h = TaskHistory()
-        h.add(Observation(config=Configuration({"x": 0.1}), y=1.0, iteration=0))
-        with pytest.raises(ValidationError):
-            h.add(Observation(config=Configuration({"x": 0.1}), y=1.0, iteration=0))
-
-
 class TestObserve:
     def _state(self, policy="igp"):
         return OptimizerState(
             space=one_d_space(),
-            history=TaskHistory(),
             sources=SourceEnsemble(models=()),
             policy=policy,
-            budget=10,
             seed=0,
         )
 
     def test_first_observation_records_no_weights(self):
         state = self._state()
+        assert state.x.shape == (0, 1) and state.y.shape == (0,)
         assert observe(state, Configuration({"x": 0.5}), 1.0) is state
-        assert len(state.history) == 1
+        assert state.y.size == 1
 
     def test_repeated_config_kept(self):
         state = self._state()
         observe(state, Configuration({"x": 0.5}), 1.0)
         observe(state, Configuration({"x": 0.5}), 2.0)
-        assert len(state.history) == 2  # noisy objectives are not deduplicated
+        assert state.y.tolist() == [1.0, 2.0]  # noisy objectives are not deduplicated
+
+    def test_arrays_hold_the_encoded_observations(self):
+        space = ConfigSpace(
+            [
+                ParamSpec(name="x", kind="continuous", low=-2.0, high=3.0),
+                ParamSpec(name="lr", kind="continuous-log", low=1e-4, high=1.0),
+                ParamSpec(name="n", kind="integer", low=1, high=9),
+                ParamSpec(name="c", kind="categorical", categories=("a", "b", "c")),
+            ]
+        )
+        state = OptimizerState(space=space, sources=SourceEnsemble(models=()), policy="igp", seed=0)
+        configs = sample_uniform(space, 7, seed=2)
+        ys = np.random.default_rng(0).normal(size=7)
+        for n, (config, y) in enumerate(zip(configs, ys), start=1):
+            observe(state, config, float(y))
+            assert state.x.tobytes() == space_mod.encode_batch(space, configs[:n]).tobytes()
+            assert state.y.tobytes() == ys[:n].tobytes()
+            assert state.target_gp.train_inputs.tobytes() == state.x.tobytes()
 
     def test_target_gp_trained_on_standardized_history(self):
         state = self._state()
@@ -129,16 +141,14 @@ class TestSuggest:
                 seed=3,
                 candidate_grid=grid,
             )
-            seen = {c.values["x"] for c in result.history.configs()}
+            seen = {config["x"] for config, _ in trials(result)}
             assert seen == {0.1, 0.4, 0.6, 0.9}  # the last suggestion is forced
 
     def test_requires_initial_design(self):
         state = OptimizerState(
             space=one_d_space(),
-            history=TaskHistory(),
             sources=SourceEnsemble(models=()),
             policy="igp",
-            budget=5,
             seed=0,
         )
         with pytest.raises(ValidationError):
@@ -151,10 +161,8 @@ class TestSuggest:
         for seed in range(20):
             state = OptimizerState(
                 space=space,
-                history=TaskHistory(),
                 sources=SourceEnsemble(models=()),
                 policy="igp",
-                budget=11,
                 seed=seed,
             )
             for i, config in enumerate(sample_uniform(space, 10, seed=seed)):
@@ -169,10 +177,8 @@ class TestSuggest:
         for policy in ("igp", "transbo"):
             state = OptimizerState(
                 space=space,
-                history=TaskHistory(),
                 sources=SourceEnsemble(models=()),
                 policy=policy,
-                budget=9,
                 seed=7,
             )
             for config in sample_uniform(space, 4, seed=1):
@@ -186,26 +192,20 @@ class TestSuggest:
         space = one_d_space()
         a = run(space, quadratic, policy="transbo", budget=8, seed=5)
         b = run(space, quadratic, policy="igp", budget=8, seed=5)
-        assert [o.config for o in a.history.observations] == [
-            o.config for o in b.history.observations
-        ]
-        np.testing.assert_array_equal(a.history.ys(), b.history.ys())
+        assert trials(a) == trials(b)
 
 
 class TestRun:
     def test_budget_three_is_pure_initialization(self):
         result = run(one_d_space(), quadratic, policy="transbo", budget=3, seed=2)
-        assert len(result.history) == 3
+        assert len(result.records) == 3
         assert all(r["p_target"] is None for r in result.records)
 
     def test_bitwise_deterministic(self):
         kwargs = dict(policy="igp", budget=7, seed=11)
         a = run(one_d_space(), quadratic, **kwargs)
         b = run(one_d_space(), quadratic, **kwargs)
-        assert [o.config for o in a.history.observations] == [
-            o.config for o in b.history.observations
-        ]
-        np.testing.assert_array_equal(a.history.ys(), b.history.ys())
+        assert trials(a) == trials(b)
 
     def test_random_tabular_evaluates_distinct_rows(self):
         space = one_d_space()
@@ -219,7 +219,7 @@ class TestRun:
             seed=9,
             candidate_grid=grid,
         )
-        keys = {bo._config_key(c) for c in result.history.configs()}
+        keys = {bo._config_key(Configuration(config)) for config, _ in trials(result)}
         assert len(keys) == 50
 
     def test_incumbent_nonincreasing_all_policies(self):
@@ -237,7 +237,7 @@ class TestRun:
             return quadratic(config)
 
         result = run(one_d_space(), flaky, policy="igp", budget=8, seed=6)
-        assert len(result.history) == 8
+        assert len(result.records) == 8
         failed = [r for r in result.records if r["failed"]]
         assert len(failed) == 1
         prior_ys = [r["y"] for r in result.records[:4]]
@@ -321,12 +321,12 @@ class TestRun:
 
         monkeypatch.setattr(bo.gp, "fit", broken_fit)
         result = run(one_d_space(), quadratic, policy="igp", budget=6, seed=1)
-        assert len(result.history) == 6
+        assert len(result.records) == 6
         # with no surrogate available, every suggestion matches the random policy
         assert [r["fallback"] for r in result.records] == [False] * 3 + [True] * 3
         monkeypatch.undo()
         reference = run(one_d_space(), quadratic, policy="random", budget=6, seed=1)
-        np.testing.assert_array_equal(result.history.ys(), reference.history.ys())
+        assert [y for _, y in trials(result)] == [y for _, y in trials(reference)]
         assert not any(r["fallback"] for r in reference.records)
 
 
@@ -382,20 +382,42 @@ class TestTransferRun:
             force_p=(0.0, 1.0),
         )
         b = run(one_d_space(), quadratic, policy="igp", budget=10, seed=8)
-        assert [o.config for o in a.history.observations] == [
-            o.config for o in b.history.observations
-        ]
-        np.testing.assert_array_equal(a.history.ys(), b.history.ys())
+        assert trials(a) == trials(b)
+
+    @pytest.mark.parametrize("policy", ["igp", "transbo"])
+    def test_each_trial_encoded_once(self, monkeypatch, policy):
+        """``observe`` encodes only the new configuration; ``suggest`` reads
+        the state's arrays and encodes nothing."""
+        rows, in_suggest = [], []
+        suggesting = False
+        real_encode, real_suggest = space_mod.encode_batch, bo.suggest
+
+        def counting_encode(space, configs):
+            rows.append(len(configs))
+            in_suggest.append(suggesting)
+            return real_encode(space, configs)
+
+        def flagged_suggest(state):
+            nonlocal suggesting
+            suggesting = True
+            try:
+                return real_suggest(state)
+            finally:
+                suggesting = False
+
+        monkeypatch.setattr(space_mod, "encode_batch", counting_encode)
+        monkeypatch.setattr(bo, "suggest", flagged_suggest)
+        run(one_d_space(), quadratic, sources=self._sources(), policy=policy, budget=10, seed=2)
+        assert rows == [1] * 10
+        assert not any(in_suggest)
 
     def _observed_state(self, n=8, seed=4):
         """A transbo state after n uniform observations of the quadratic."""
         space = one_d_space()
         state = OptimizerState(
             space=space,
-            history=TaskHistory(),
             sources=self._sources(),
             policy="transbo",
-            budget=n + 1,
             seed=seed,
         )
         for config in sample_uniform(space, n, seed=seed):
@@ -446,7 +468,7 @@ class TestTransferRun:
 
     def test_source_means_predicted_once_per_suggestion(self, monkeypatch):
         state = self._observed_state(n=12)
-        x, _ = state.encoded_history()
+        x = state.x
         history_rows = {row.tobytes() for row in x}
         queries = {i: [] for i in range(state.sources.k)}
         for i, model in enumerate(state.sources.models):
@@ -467,7 +489,7 @@ class TestTransferRun:
     @pytest.mark.parametrize("n, seed", [(4, 4), (8, 5), (12, 6)])
     def test_pinned_shortcut_matches_full_phase2_bitwise(self, n, seed):
         state = self._observed_state(n=n, seed=seed)
-        x, y = state.encoded_history()
+        x, y = state.x, state.y
         a = transfer.source_means(state.sources, x)
         p_raw = transfer.learn_phase2_weights(a, x, y, state.target_gp.params, n_cv=state.n_cv)
         full = apply_nondecreasing_prior(p_raw, 1.0)
@@ -487,6 +509,7 @@ class TestRunRecords:
 
     def test_record_fields_present(self):
         result = run(one_d_space(), quadratic, policy="igp", budget=4, seed=0)
+        assert [r["iteration"] for r in result.records] == [0, 1, 2, 3]
         for record in result.records:
             assert set(record) == {
                 "iteration",

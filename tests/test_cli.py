@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tlbo import oracles
+from tlbo import bench, oracles
 from tlbo.cli import main
 
 
@@ -105,6 +105,19 @@ class TestRunStaticCli:
         assert main(["run-static", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         record = json.loads(err.strip())
+        assert record["error"] == "ValidationError"
+
+    @pytest.mark.parametrize("verb", ["run-static", "run-dynamic"])
+    def test_missing_out_dir_checked_before_running(self, tmp_path, capsys, monkeypatch, verb):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("the protocol ran without an output directory")
+
+        monkeypatch.setattr(bench, "run_static", refuse)
+        monkeypatch.setattr(bench, "run_dynamic", refuse)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(family_cfg()))
+        assert main([verb, str(cfg_path)]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ValidationError"
 
     def test_single_fold_fails_with_error_record(self, tmp_path, capsys):

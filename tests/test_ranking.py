@@ -153,13 +153,13 @@ class TestProjection:
 class TestMinimizeOnSimplex:
     def test_single_column_returns_one(self):
         pm = PredictionMatrix(np.random.default_rng(0).normal(size=(5, 1)), np.arange(5.0))
-        np.testing.assert_array_equal(minimize_on_simplex(pm, SimplexWeights([1.0])).values, [1.0])
+        np.testing.assert_array_equal(minimize_on_simplex(pm).values, [1.0])
 
     def test_perfect_vs_inverted_predictor(self):
         rng = np.random.default_rng(1)
         y = rng.normal(size=10)
         pm = PredictionMatrix(np.column_stack([y, -y]), y)
-        w = minimize_on_simplex(pm, SimplexWeights.uniform(2))
+        w = minimize_on_simplex(pm)
         # fine-grid oracle confirms the minimizer sits at the first vertex
         grid = np.arange(0.0, 1.0 + 1e-12, 0.001)
         grid_w = min(grid, key=lambda g: ranking_loss(pm, SimplexWeights([g, 1.0 - g])))
@@ -169,26 +169,25 @@ class TestMinimizeOnSimplex:
     def test_identical_columns_return_uniform(self):
         col = np.random.default_rng(2).normal(size=8)
         pm = PredictionMatrix(np.column_stack([col, col, col]), np.arange(8.0))
-        w = minimize_on_simplex(pm, SimplexWeights([0.7, 0.2, 0.1]))
+        w = minimize_on_simplex(pm)
         np.testing.assert_allclose(w.values, [1 / 3] * 3, atol=1e-12)
 
-    def test_all_tied_y_returns_init(self):
+    def test_all_tied_y_returns_uniform(self):
         pm = PredictionMatrix(np.random.default_rng(3).normal(size=(4, 2)), np.ones(4))
-        init = SimplexWeights([0.9, 0.1])
-        assert minimize_on_simplex(pm, init) is init
+        assert minimize_on_simplex(pm).values.tolist() == [0.5, 0.5]
 
     def test_beats_brute_force_grid(self):
         rng = np.random.default_rng(5)
         for _ in range(8):
             k = int(rng.integers(2, 4))
             pm = PredictionMatrix(rng.normal(size=(15, k)), rng.normal(size=15))
-            w = minimize_on_simplex(pm, SimplexWeights.uniform(k))
+            w = minimize_on_simplex(pm)
             assert ranking_loss(pm, w) <= simplex_grid_min(pm, 0.01) + 1e-3
 
     @given(pm=ranking_problems())
     @settings(max_examples=80, deadline=None)
     def test_kkt_conditions_hold(self, pm):
-        w = minimize_on_simplex(pm, SimplexWeights.uniform(pm.k)).values
+        w = minimize_on_simplex(pm).values
         g = ranking_loss_grad(pm, SimplexWeights(w))
         # The multiplier of the sum constraint, read off the largest weight.
         lam = g[np.argmax(w)]
@@ -216,23 +215,17 @@ class TestMinimizeOnSimplex:
         rng = np.random.default_rng(6)
         for k in range(2, 7):
             pm = PredictionMatrix(rng.normal(size=(10, k)), rng.normal(size=10))
-            inits = [SimplexWeights.uniform(k), SimplexWeights.vertex(k, k - 1)]
-            inits.append(SimplexWeights(project_to_simplex(rng.uniform(size=k))))
-            results = []
-            for init in inits:
-                calls.clear()
-                results.append(minimize_on_simplex(pm, init).values)
-                assert len(calls) == 1
-            # one start, the uniform point, whatever ``init`` says
-            assert all(r.tobytes() == results[0].tobytes() for r in results)
+            calls.clear()
+            minimize_on_simplex(pm)
+            assert len(calls) == 1
         calls.clear()
-        minimize_on_simplex(PredictionMatrix(rng.normal(size=(5, 1)), np.arange(5.0)), SimplexWeights([1.0]))
-        minimize_on_simplex(PredictionMatrix(rng.normal(size=(5, 3)), np.ones(5)), SimplexWeights.uniform(3))
+        minimize_on_simplex(PredictionMatrix(rng.normal(size=(5, 1)), np.arange(5.0)))
+        minimize_on_simplex(PredictionMatrix(rng.normal(size=(5, 3)), np.ones(5)))
         assert calls == []  # a single column or no strict pair needs no descent
 
     def test_output_satisfies_simplex_invariants(self):
         rng = np.random.default_rng(7)
         pm = PredictionMatrix(rng.normal(size=(9, 4)), rng.normal(size=9))
-        w = minimize_on_simplex(pm, SimplexWeights.uniform(4))
+        w = minimize_on_simplex(pm)
         assert w.values.min() >= 0.0
         assert abs(w.values.sum() - 1.0) <= 1e-8
