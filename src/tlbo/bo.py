@@ -108,7 +108,8 @@ class OptimizerState:
     """Mutable state of one sequential run.
 
     ``x`` (n, D) and ``y`` (n,) hold the encoded inputs and performances of
-    the trials so far, row i for iteration i; only ``observe`` grows them.
+    the trials so far, row i for iteration i, and ``failed`` (n,) marks the
+    rows whose ``y`` is imputed; only ``observe`` grows them.
     """
 
     space: ConfigSpace
@@ -123,10 +124,12 @@ class OptimizerState:
     force_p: tuple[float, float] | None = None
     x: np.ndarray = field(init=False)
     y: np.ndarray = field(init=False)
+    failed: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.x = np.empty((0, self.space.encoded_dim))
         self.y = np.empty(0)
+        self.failed = np.empty(0, dtype=bool)
 
 
 def _candidate_pool(state: OptimizerState, iteration: int):
@@ -227,20 +230,36 @@ def suggest(
     return config_at(int(np.argmax(ei))), w, p
 
 
-def observe(state: OptimizerState, config: Configuration, y: float) -> OptimizerState:
+def observe(state: OptimizerState, config: Configuration, y: float | None) -> OptimizerState:
     """Append an observation and refit the target surrogate; returns ``state``.
 
-    Only ``config`` is encoded, as the new row of ``state.x``. A failed fit
-    leaves ``state.target_gp`` at ``None``, so the next suggestion falls
-    back to random.
+    Only ``config`` is encoded, as the new row of ``state.x``. ``y=None``
+    records a failed evaluation, imputed as the worst value so far plus one
+    standardized unit. Until a trial succeeds there is no such value: the
+    failed rows hold the placeholder 0.0, no target GP is fitted, and the
+    first success re-imputes them from its own value. A failed fit, like a
+    run without a success, leaves ``state.target_gp`` at ``None``, so the
+    next suggestion falls back to random.
     """
-    if not (isinstance(y, (int, float, np.integer, np.floating)) and math.isfinite(float(y))):
+    failed = y is None
+    if not failed and not (
+        isinstance(y, (int, float, np.integer, np.floating)) and math.isfinite(float(y))
+    ):
         raise ValidationError("observed performance must be finite")
     fit_seed = derived_seed(state.seed, _STREAM_GPFIT, state.y.size)
+    no_success_yet = state.failed.all()
+    if failed:
+        y = 0.0 if no_success_yet else _impute_failure(state.y)
     state.x = np.vstack([state.x, space_mod.encode_batch(state.space, [config])])
     state.y = np.append(state.y, float(y))
+    state.failed = np.append(state.failed, failed)
+    if not failed and no_success_yet:
+        state.y[state.failed] = _impute_failure(state.y[-1:])
     if state.pool is not None:
         state.pool.mark(config)
+    if state.failed.all():
+        state.target_gp = None
+        return state
     try:
         state.target_gp = gp.fit(state.x, gp.standardize(state.y).z, seed=fit_seed)
     except FitError:
@@ -291,12 +310,10 @@ def _initial_design(state: OptimizerState) -> list[Configuration]:
     return [space_mod._config_from_arrays(state.space, cols, i) for i in range(N_INIT)]
 
 
-def _impute_failure(state: OptimizerState) -> float:
-    """Worst observed value plus one standardized unit; anchor 0.0 if none."""
-    if state.y.size == 0:
-        return 0.0
-    spread = float(state.y.std())
-    return float(state.y.max()) + (spread if spread > 0 else 1.0)
+def _impute_failure(y: np.ndarray) -> float:
+    """Worst value of the non-empty ``y`` plus one standardized unit."""
+    spread = float(y.std())
+    return float(y.max()) + (spread if spread > 0 else 1.0)
 
 
 def run(
@@ -315,11 +332,13 @@ def run(
 
     The first ``N_INIT`` evaluations are seeded uniform draws (shared across
     policies for a fixed seed); the rest follow suggest/observe. A failing
-    objective call is imputed as the worst value seen plus one standardized
-    unit and the run continues; its record carries ``failed`` and ``error``,
-    and ``incumbent_y`` is the best value of the trials that did not fail
-    (``None`` until one succeeds). ``fallback`` marks a random suggestion
-    forced by a failed surrogate fit.
+    objective call is imputed by ``observe`` and the run continues; its
+    record carries ``failed``, ``error`` and the imputed ``y`` (0.0 if no
+    trial ever succeeds), and ``incumbent_y`` is the best value of the trials
+    that did not fail (``None`` until one succeeds). ``fallback`` marks a
+    random suggestion forced by a missing target surrogate: a failed fit, or
+    no success yet. ``fit_nfev`` counts the likelihood evaluations of the
+    refit in that trial's ``observe`` (0 when no refit ran or it failed).
     """
     if policy not in POLICIES:
         raise ValidationError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -363,7 +382,7 @@ def run(
             if not math.isfinite(y):
                 raise ValueError("objective returned a non-finite value")
         except Exception as exc:
-            y = _impute_failure(state)
+            y = None
             error = f"{type(exc).__name__}: {exc}"
         else:
             incumbent = y if incumbent is None else min(incumbent, y)
@@ -384,6 +403,11 @@ def run(
                 "error": error,
                 "fallback": fallback,
                 "suggest_wallclock_ms": wallclock_ms,
+                "fit_nfev": state.target_gp.fit_nfev if state.target_gp is not None else 0,
             }
         )
+    # A failure's imputed value, which a later first success may have set.
+    for record, value in zip(records, state.y):
+        if record["failed"]:
+            record["y"] = float(value)
     return RunResult(records=records)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from . import bench, bo, gp, space as space_mod, transfer
 from .ranking import (
@@ -35,6 +36,60 @@ def loss_off_simplex(a: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
     s = a @ w
     z = s[k] - s[j]
     return float((np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))).sum()) / y.size**2
+
+
+def reference_neg_lml_and_grad(theta, sq_diffs, z, eye):
+    """The GP's negative log marginal likelihood and gradient, written
+    straightforwardly: (n, n, d) differences, scipy's checked Cholesky
+    routines and one einsum. It takes ``gp._lml_args(x, z)`` like
+    ``gp._neg_lml_and_grad``, so it can stand in for it inside ``gp.fit``."""
+    del eye  # builds its own identity
+    sq_diffs = np.ascontiguousarray(np.moveaxis(sq_diffs, 0, -1))
+    n, _, dim = sq_diffs.shape
+    ls = np.exp(theta[:dim])
+    sv = float(np.exp(theta[dim]))
+    nv = float(np.exp(theta[dim + 1]))
+
+    scaled = sq_diffs / ls**2
+    d2 = scaled.sum(axis=2)
+    r = np.sqrt(d2)
+    decay = np.exp(-gp.SQRT5 * r)
+    kf = sv * (1.0 + gp.SQRT5 * r + (5.0 / 3.0) * d2) * decay
+    kn = kf + nv * np.eye(n)
+    try:
+        chol = cho_factor(kn, lower=True)
+    except LinAlgError:
+        return gp._BAD_OBJECTIVE, np.zeros(dim + 2)
+
+    alpha = cho_solve(chol, z)
+    lml = (
+        -0.5 * float(z @ alpha)
+        - float(np.log(np.diag(chol[0])).sum())
+        - 0.5 * n * math.log(2.0 * math.pi)
+    )
+    kinv = cho_solve(chol, np.eye(n))
+    gmat = np.outer(alpha, alpha) - kinv
+
+    base = (5.0 / 3.0) * sv * (1.0 + gp.SQRT5 * r) * decay
+    grad_ls = 0.5 * np.einsum("ij,ijd->d", gmat * base, scaled)
+    grad_sv = 0.5 * float((gmat * kf).sum())
+    grad_nv = 0.5 * float(np.trace(gmat)) * nv
+    grad = np.concatenate([grad_ls, [grad_sv, grad_nv]])
+    return -lml, -grad
+
+
+def lml_mismatch(theta, args, bitwise: bool) -> str | None:
+    """How ``gp._neg_lml_and_grad`` differs from the reference at one point:
+    in any bit when ``bitwise``, else by more than 1e-12 relative; ``None``
+    when it does not."""
+    f, g = gp._neg_lml_and_grad(theta, *args)
+    f_ref, g_ref = reference_neg_lml_and_grad(theta, *args)
+    got, want = np.append(f, g), np.append(f_ref, g_ref)
+    if bitwise:
+        same = got.tobytes() == want.tobytes()
+    else:
+        same = bool(np.all(np.abs(got - want) <= 1e-12 * np.abs(want)))
+    return None if same else f"value and gradient {got} vs reference {want}"
 
 
 def ei_by_quadrature(mean: float, sigma: float, y_best: float) -> float:
@@ -171,6 +226,20 @@ def check_combined_prediction():
         np.testing.assert_array_equal(var, ref_var)
 
 
+def check_likelihood_vs_reference():
+    """The GP likelihood and its gradient against the reference formula:
+    bitwise at d in {2, 4} (Branin's and the 4-D bowl's encoded dimensions),
+    within 1e-12 relative at every other d in 1..12."""
+    rng = np.random.default_rng(17)
+    for dim in range(1, 13):
+        log_bounds = np.log([gp.LENGTHSCALE_BOUNDS] * dim + [gp.SIGNAL_BOUNDS, gp.NOISE_BOUNDS])
+        for n in (2, 9, 40, 75):
+            theta = rng.uniform(log_bounds[:, 0], log_bounds[:, 1])
+            z = gp.standardize(rng.normal(size=n)).z
+            mismatch = lml_mismatch(theta, gp._lml_args(rng.uniform(size=(n, dim)), z), dim in (2, 4))
+            _expect(mismatch is None, f"n={n}, d={dim}: {mismatch}")
+
+
 CHECKS = (
     ("encoding", check_encoding),
     ("standardize", check_standardize),
@@ -180,4 +249,5 @@ CHECKS = (
     ("expected-improvement-quadrature", check_expected_improvement_quadrature),
     ("average-rank-ties", check_average_rank_ties),
     ("combined-prediction", check_combined_prediction),
+    ("likelihood-vs-reference", check_likelihood_vs_reference),
 )

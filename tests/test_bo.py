@@ -18,7 +18,7 @@ from tlbo.bo import (
     suggest,
 )
 from tlbo.errors import ValidationError
-from tlbo.oracles import ei_by_quadrature
+from tlbo.oracles import ei_by_quadrature, reference_neg_lml_and_grad
 from tlbo.space import ConfigSpace, Configuration, ParamSpec, sample_uniform
 from tlbo.transfer import SourceEnsemble, apply_nondecreasing_prior
 
@@ -126,6 +126,21 @@ class TestObserve:
         state = self._state()
         with pytest.raises(ValidationError):
             observe(state, Configuration({"x": 0.5}), float("nan"))
+
+    @given(mask=st.lists(st.booleans(), min_size=1, max_size=8))
+    @settings(max_examples=30, deadline=None)
+    def test_gp_minimum_is_never_an_imputed_value(self, mask):
+        state = self._state()
+        configs = sample_uniform(one_d_space(), len(mask), seed=len(mask))
+        for config, failed in zip(configs, mask):
+            observe(state, config, None if failed else quadratic(config))
+            if state.failed.all():
+                assert state.target_gp is None  # no success yet: nothing to train on
+                continue
+            z = state.target_gp.train_targets
+            assert z.size == state.y.size
+            if state.failed.any():
+                assert z[state.failed].min() > z.min()
 
 
 class TestSuggest:
@@ -256,7 +271,8 @@ class TestRun:
 
         result = run(one_d_space(), crash_first, policy="igp", budget=6, seed=6)
         ys = [r["y"] for r in result.records]
-        assert ys[0] == 0.0  # the imputation anchor the surrogate trains on
+        # Imputed at the first success: its value plus one unit, not 0.0.
+        assert ys[0] == ys[1] + 1.0
         assert min(ys[1:]) >= 5.0
         assert result.records[0]["incumbent_y"] is None
         assert [r["incumbent_y"] for r in result.records[1:]] == list(np.minimum.accumulate(ys[1:]))
@@ -499,6 +515,37 @@ class TestTransferRun:
 
 
 class TestRunRecords:
+    def test_fit_nfev_repeats_and_counts_the_refit(self, monkeypatch):
+        space = ConfigSpace([ParamSpec(name=n, kind="continuous", low=0.0, high=1.0) for n in "ab"])
+
+        def objective(config):
+            return (config.values["a"] - 0.3) ** 2 + config.values["b"]
+
+        result = run(space, objective, policy="igp", budget=8, seed=2)
+        nfev = [r["fit_nfev"] for r in result.records]
+        assert nfev == [r["fit_nfev"] for r in run(space, objective, policy="igp", budget=8, seed=2).records]
+        assert nfev[0] == 0 and min(nfev[1:]) > 0  # one point keeps the defaults
+
+        # Count likelihood calls with the reference formula in place: each
+        # fit also evaluates the default parameters once, outside L-BFGS-B.
+        calls = []
+        real_fit = gp.fit
+
+        def counting_fit(*args, **kwargs):
+            calls.append(0)
+            return real_fit(*args, **kwargs)
+
+        def counting_reference(theta, *args):
+            calls[-1] += 1
+            return reference_neg_lml_and_grad(theta, *args)
+
+        monkeypatch.setattr(gp, "fit", counting_fit)
+        monkeypatch.setattr(gp, "_neg_lml_and_grad", counting_reference)
+        reference = run(space, objective, policy="igp", budget=8, seed=2)
+        assert nfev == [max(c - 1, 0) for c in calls]
+        assert [r["fit_nfev"] for r in reference.records] == nfev
+        assert trials(reference) == trials(result)
+
     def test_jsonl_round_trip(self, tmp_path):
         result = run(one_d_space(), quadratic, policy="igp", budget=5, seed=0)
         path = tmp_path / "run.jsonl"
@@ -523,5 +570,6 @@ class TestRunRecords:
                 "error",
                 "fallback",
                 "suggest_wallclock_ms",
+                "fit_nfev",
             }
             assert record["error"] is None and record["fallback"] is False

@@ -53,6 +53,7 @@ SELFTEST_NAMES = (
     "expected-improvement-quadrature",
     "average-rank-ties",
     "combined-prediction",
+    "likelihood-vs-reference",
 )
 
 

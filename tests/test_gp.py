@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tlbo import gp, oracles
 from tlbo.errors import ValidationError
 from tlbo.gp import (
     KernelParams,
+    _lml_args,
     _neg_lml_and_grad,
     condition,
     fit,
@@ -83,9 +87,9 @@ class TestFit:
             x = rng.uniform(size=(15, 2))
             z = standardize(rng.normal(size=15)).z
             m = fit(x, z, seed=seed)
-            sq_diffs = (x[:, None, :] - x[None, :, :]) ** 2
-            lml_fit = -_neg_lml_and_grad(m.params.to_log_vector(), sq_diffs, z)[0]
-            lml_default = -_neg_lml_and_grad(KernelParams.defaults(2).to_log_vector(), sq_diffs, z)[0]
+            args = _lml_args(x, z)
+            lml_fit = -_neg_lml_and_grad(m.params.to_log_vector(), *args)[0]
+            lml_default = -_neg_lml_and_grad(KernelParams.defaults(2).to_log_vector(), *args)[0]
             assert lml_fit >= lml_default - 1e-9
 
     def test_nonfinite_inputs_rejected(self):
@@ -158,13 +162,45 @@ class TestLikelihoodGradient:
         for _ in range(6):
             x = rng.uniform(size=(5, 2))
             z = rng.normal(size=5)
-            sq = (x[:, None, :] - x[None, :, :]) ** 2
+            args = _lml_args(x, z)
             theta = rng.uniform(-1.0, 1.0, size=4)
-            _, grad = _neg_lml_and_grad(theta, sq, z)
+            _, grad = _neg_lml_and_grad(theta, *args)
             for d in range(4):
                 e = np.zeros(4)
                 e[d] = 1e-5
-                hi, _ = _neg_lml_and_grad(theta + e, sq, z)
-                lo, _ = _neg_lml_and_grad(theta - e, sq, z)
+                hi, _ = _neg_lml_and_grad(theta + e, *args)
+                lo, _ = _neg_lml_and_grad(theta - e, *args)
                 fd = (hi - lo) / 2e-5
                 assert abs(grad[d] - fd) <= 1e-4 * max(1.0, abs(fd))
+
+
+class TestLikelihoodMatchesReference:
+    """The likelihood against ``oracles.reference_neg_lml_and_grad``: bitwise
+    at d in {2, 4} (Branin's and the 4-D bowl's encoded dimensions), within
+    1e-12 relative at every other d in 1..12."""
+
+    @given(data=st.data(), n=st.integers(2, 80), dim=st.integers(1, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_value_and_gradient(self, data, n, dim):
+        log_bounds = np.log([gp.LENGTHSCALE_BOUNDS] * dim + [gp.SIGNAL_BOUNDS, gp.NOISE_BOUNDS])
+        theta = np.array([data.draw(st.floats(lo, hi)) for lo, hi in log_bounds])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.uniform(size=(n, dim))
+        z = standardize(rng.normal(size=n)).z
+        mismatch = oracles.lml_mismatch(theta, _lml_args(x, z), bitwise=dim in (2, 4))
+        assert mismatch is None, mismatch
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_fit_params_bitwise(self, dim, monkeypatch):
+        rng = np.random.default_rng(dim)
+        cases = []
+        for seed in range(3):
+            n = int(rng.integers(8, 40))
+            x = rng.uniform(size=(n, dim))
+            cases.append((x, standardize(np.sin(4.0 * x).sum(axis=1) + 0.1 * rng.normal(size=n)).z, seed))
+        fitted = [fit(x, z, seed=seed) for x, z, seed in cases]
+        monkeypatch.setattr(gp, "_neg_lml_and_grad", oracles.reference_neg_lml_and_grad)
+        for (x, z, seed), m in zip(cases, fitted):
+            ref = fit(x, z, seed=seed)
+            assert m.params.to_log_vector().tobytes() == ref.params.to_log_vector().tobytes()
+            assert m.fit_nfev == ref.fit_nfev > 0
