@@ -338,7 +338,9 @@ def run(
     that did not fail (``None`` until one succeeds). ``fallback`` marks a
     random suggestion forced by a missing target surrogate: a failed fit, or
     no success yet. ``fit_nfev`` counts the likelihood evaluations of the
-    refit in that trial's ``observe`` (0 when no refit ran or it failed).
+    refit in that trial's ``observe`` (0 when no refit ran or it failed),
+    and ``fit_start`` is the index of the refit's winning start
+    (``GpSurrogate.fit_start``; ``None`` when no refit ran or it failed).
     """
     if policy not in POLICIES:
         raise ValidationError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -404,6 +406,7 @@ def run(
                 "fallback": fallback,
                 "suggest_wallclock_ms": wallclock_ms,
                 "fit_nfev": state.target_gp.fit_nfev if state.target_gp is not None else 0,
+                "fit_start": state.target_gp.fit_start if state.target_gp is not None else None,
             }
         )
     # A failure's imputed value, which a later first success may have set.

@@ -16,6 +16,24 @@ scipy's finiteness checks. Every sum keeps the order of the straightforward
 formula, ``oracles.reference_neg_lml_and_grad``, so the value and gradient
 are bitwise equal to it; the tests hold them to that at d = 2 and 4, the
 encoded dimensions of the benchmarks.
+
+Each start of the search runs L-BFGS-B through its own short loop over
+scipy's reverse-communication routine ``setulb`` (``_lbfgsb``) rather than
+``scipy.optimize.minimize``, whose layers of wrappers and copies cost tens
+of microseconds per likelihood evaluation, a sizeable share of a refit. The
+loop keeps everything of ``minimize(method="L-BFGS-B", jac=True)`` that
+changes a result: its settings (10 corrections, ``ftol`` 2.22e-9, ``gtol``
+1e-5, 20 line-search steps, 15000 iterations and evaluations), its
+evaluation at the start before the first call, and its memo, which never
+re-evaluates an unchanged point, so ``nfev`` counts distinct evaluations.
+``setulb`` is private to scipy, so ``oracles.check_lbfgsb_vs_minimize``
+(run by ``tlbo selftest``) and a property test hold the loop to the public
+``minimize`` bit for bit, in x, value and evaluation count; a scipy release
+that changes ``setulb`` fails them rather than silently moving the fits.
+
+The kernel and the predictive variance are built in place, in the order of
+the straightforward formulas, so they too keep every bit; the kernel's
+element-wise steps run block by block over its rows.
 """
 from __future__ import annotations
 
@@ -23,9 +41,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import minimize
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.optimize import _lbfgsb
 
 from .errors import FitError, ValidationError
 
@@ -45,6 +63,20 @@ MIN_FIT_POINTS = 2  # below this, hyperparameters stay at defaults
 N_RESTARTS = 4
 
 _BAD_OBJECTIVE = 1e25
+
+# Elements per block of rows in _matern52's element-wise steps: two buffers
+# of 64 KB, small enough to stay in cache.
+_KERNEL_BLOCK = 8192
+
+# The settings of scipy.optimize.minimize(method="L-BFGS-B"): corrections
+# kept, factr = ftol / eps, the projected-gradient tolerance, line-search
+# steps per iteration, and the iteration and evaluation caps.
+_LBFGSB_M = 10
+_LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+_LBFGSB_PGTOL = 1e-5
+_LBFGSB_MAXLS = 20
+_LBFGSB_MAXITER = 15000
+_LBFGSB_MAXFUN = 15000
 
 
 @dataclass(frozen=True)
@@ -114,17 +146,39 @@ class KernelParams:
 
 
 def _matern52(x1: np.ndarray, x2: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Matern-5/2 cross-kernel matrix, without the noise term."""
+    """Matern-5/2 cross-kernel matrix, without the noise term.
+
+    The value is sv * (1 + sqrt5 r + 5/3 d2) * exp(-sqrt5 r), taken in that
+    order, one operation at a time. The only (m, n) array is the cross
+    product's, which becomes the result: the rest runs over blocks of rows
+    in two small buffers that stay in cache. Blocking the cross product
+    itself could change its bits, so it is one product.
+    """
     scaled1 = x1 / params.lengthscales
     scaled2 = x2 / params.lengthscales
-    d2 = np.maximum(
-        (scaled1**2).sum(axis=1)[:, None]
-        - 2.0 * scaled1 @ scaled2.T
-        + (scaled2**2).sum(axis=1)[None, :],
-        0.0,
-    )
-    r = np.sqrt(d2)
-    return params.signal_variance * (1.0 + SQRT5 * r + (5.0 / 3.0) * d2) * np.exp(-SQRT5 * r)
+    k = 2.0 * scaled1 @ scaled2.T
+    sq1 = (scaled1**2).sum(axis=1)[:, None]
+    sq2 = (scaled2**2).sum(axis=1)[None, :]
+    m, n = k.shape
+    rows = max(1, min(m, _KERNEL_BLOCK // n))
+    sqrt5_r_buf, linear_buf = np.empty((2, rows, n))
+    for i in range(0, m, rows):
+        block = k[i : i + rows]
+        sqrt5_r = sqrt5_r_buf[: block.shape[0]]
+        linear = linear_buf[: block.shape[0]]
+        np.subtract(sq1[i : i + rows], block, out=block)
+        block += sq2
+        np.maximum(block, 0.0, out=block)  # d2
+        np.sqrt(block, out=sqrt5_r)
+        sqrt5_r *= SQRT5
+        block *= 5.0 / 3.0
+        np.add(sqrt5_r, 1.0, out=linear)
+        block += linear
+        block *= params.signal_variance
+        # exp(-sqrt5 r): negation is exact, so this is exp(-SQRT5 * r) bit for bit.
+        np.negative(sqrt5_r, out=sqrt5_r)
+        block *= np.exp(sqrt5_r, out=sqrt5_r)
+    return k
 
 
 def _lml_args(x: np.ndarray, z: np.ndarray):
@@ -196,9 +250,19 @@ class GpSurrogate:
 
     ``fit_nfev`` is the number of likelihood evaluations L-BFGS-B spent
     choosing ``params``, summed over the starts; 0 when none ran.
+    ``fit_start`` is the index of the start whose result ``fit`` kept (0 for
+    the defaults start, then 1..``N_RESTARTS``); ``None`` when none beat the
+    default parameters strictly, or no search ran.
     """
 
-    def __init__(self, train_inputs, train_targets, params: KernelParams, fit_nfev: int = 0):
+    def __init__(
+        self,
+        train_inputs,
+        train_targets,
+        params: KernelParams,
+        fit_nfev: int = 0,
+        fit_start: int | None = None,
+    ):
         x = np.atleast_2d(np.asarray(train_inputs, dtype=float))
         z = np.asarray(train_targets, dtype=float)
         if x.shape[0] != z.shape[0] or z.ndim != 1 or x.shape[0] == 0:
@@ -211,6 +275,7 @@ class GpSurrogate:
         self.train_targets = z
         self.params = params
         self.fit_nfev = fit_nfev
+        self.fit_start = fit_start
         self._chol, self._alpha = _factorize(x, z, params)
 
     @property
@@ -221,7 +286,8 @@ class GpSurrogate:
         """Latent posterior (mean, variance) at one point or a batch.
 
         A 1-D input returns scalars; a 2-D (m, d) input returns (m,) arrays.
-        Variance is floored at a small positive constant.
+        Variance is floored at a small positive constant. Non-finite queries
+        are rejected.
         """
         arr = np.asarray(x, dtype=float)
         single = arr.ndim == 1
@@ -230,10 +296,15 @@ class GpSurrogate:
             raise ValidationError(
                 f"query dimension {arr.shape[1]} does not match surrogate dimension {self.input_dim}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("query points must be finite")
         ks = _matern52(arr, self.train_inputs, self.params)
         mean = ks @ self._alpha
-        v = solve_triangular(self._chol, ks.T, lower=True)
-        var = np.maximum(self.params.signal_variance - (v**2).sum(axis=0), VARIANCE_FLOOR)
+        # v = L^-1 ks^T, as solve_triangular computes it: LAPACK gets L^T (the
+        # F-ordered view of the C-ordered L) with trans set, and solves in
+        # place in ks's memory through its F-ordered (n, m) view.
+        v, _ = dtrtrs(self._chol.T, ks.T, lower=0, trans=1, overwrite_b=1)
+        var = np.maximum(self.params.signal_variance - np.square(v, out=v).sum(axis=0), VARIANCE_FLOOR)
         if single:
             return float(mean[0]), float(var[0])
         return mean, var
@@ -251,6 +322,12 @@ def _factorize(x: np.ndarray, z: np.ndarray, params: KernelParams):
         alpha = cho_solve((chol, True), z)
         return chol, alpha
     raise FitError("kernel matrix is not positive definite even after jitter escalation")
+
+
+def _log_bounds(dim: int):
+    """Lower and upper bounds of the log-parameters ``fit`` searches."""
+    bounds = [LENGTHSCALE_BOUNDS] * dim + [SIGNAL_BOUNDS, NOISE_BOUNDS]
+    return np.array([math.log(lo) for lo, _ in bounds]), np.array([math.log(hi) for _, hi in bounds])
 
 
 def fit(x, z, seed: int = 0) -> GpSurrogate:
@@ -272,38 +349,77 @@ def fit(x, z, seed: int = 0) -> GpSurrogate:
         return GpSurrogate(x, z, defaults)
 
     args = _lml_args(x, z)
-    log_bounds = (
-        [(math.log(LENGTHSCALE_BOUNDS[0]), math.log(LENGTHSCALE_BOUNDS[1]))] * dim
-        + [(math.log(SIGNAL_BOUNDS[0]), math.log(SIGNAL_BOUNDS[1]))]
-        + [(math.log(NOISE_BOUNDS[0]), math.log(NOISE_BOUNDS[1]))]
-    )
-    lows = np.array([b[0] for b in log_bounds])
-    highs = np.array([b[1] for b in log_bounds])
-
+    lows, highs = _log_bounds(dim)
     rng = np.random.default_rng(seed)
     starts = [defaults.to_log_vector()]
     for _ in range(N_RESTARTS):
         starts.append(rng.uniform(lows, highs))
 
-    # The raw default parameters are always a candidate.
-    best_theta = defaults.to_log_vector()
-    best_obj, _ = _neg_lml_and_grad(best_theta, *args)
+    # The raw default parameters are always a candidate; their value is the
+    # first start's initial evaluation. A start's result replaces the best
+    # one only when it is strictly lower.
+    best_theta, start = starts[0], None
     nfev = 0
-    for theta0 in starts:
-        res = minimize(
-            _neg_lml_and_grad,
-            theta0,
-            args=args,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=log_bounds,
-        )
-        nfev += res.nfev
-        if np.all(np.isfinite(res.x)) and res.fun < best_obj:
-            best_obj = res.fun
-            best_theta = res.x
+    for i, theta0 in enumerate(starts):
+        theta, obj, n_eval, obj0 = _lbfgsb_minimize(_neg_lml_and_grad, theta0, args, lows, highs)
+        nfev += n_eval
+        if i == 0:
+            best_obj = obj0
+        if np.all(np.isfinite(theta)) and obj < best_obj:
+            best_obj, best_theta, start = obj, theta, i
 
-    return GpSurrogate(x, z, KernelParams.from_log_vector(best_theta, dim), fit_nfev=nfev)
+    return GpSurrogate(
+        x, z, KernelParams.from_log_vector(best_theta, dim), fit_nfev=nfev, fit_start=start
+    )
+
+
+def _lbfgsb_minimize(fun, x0, args, lows, highs):
+    """Minimize ``fun(x, *args) -> (value, gradient)`` over the box
+    [``lows``, ``highs``] from ``x0`` with L-BFGS-B, as
+    ``scipy.optimize.minimize(fun, x0, args, method="L-BFGS-B", jac=True,
+    bounds=...)`` does, bit for bit. Returns the final point, its value, the
+    number of distinct evaluations, and the value at the (clipped) start."""
+    n = x0.size
+    m = _LBFGSB_M
+    x = np.clip(x0, lows, highs)
+    nbd = np.full(n, 2, dtype=np.int32)  # every variable bounded on both sides
+    f = np.array(0.0)
+    g = np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+
+    # minimize evaluates the start first and keeps the last point it
+    # evaluated, with its value and gradient, for a repeated request.
+    x_eval = x.copy()
+    f_eval, g_eval = fun(x_eval, *args)
+    f0, nfev, n_iter = f_eval, 1, 0
+    while True:
+        # setulb may write into g, so it gets a copy of the kept gradient.
+        g = g.astype(np.float64)
+        _lbfgsb.setulb(
+            m, x, lows, highs, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL,
+            wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task,
+        )
+        if task[0] == 3:  # FG: wants the value and gradient at x
+            if not (x == x_eval).all():
+                x_eval = x.copy()
+                f_eval, g_eval = fun(x_eval, *args)
+                nfev += 1
+            f, g = f_eval, g_eval
+        elif task[0] == 1:  # NEW_X: an iteration ended
+            n_iter += 1
+            if n_iter >= _LBFGSB_MAXITER:
+                task[0], task[1] = 5, 504
+            elif nfev > _LBFGSB_MAXFUN:
+                task[0], task[1] = 5, 502
+        else:
+            break
+    return x, f, nfev, f0
 
 
 def condition(x, z, params: KernelParams) -> GpSurrogate:

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.optimize import minimize
 
 from . import bench, bo, gp, space as space_mod, transfer
 from .ranking import (
@@ -90,6 +91,29 @@ def lml_mismatch(theta, args, bitwise: bool) -> str | None:
     else:
         same = bool(np.all(np.abs(got - want) <= 1e-12 * np.abs(want)))
     return None if same else f"value and gradient {got} vs reference {want}"
+
+
+def lbfgsb_mismatch(x, z, theta0, lows, highs) -> str | None:
+    """How ``gp._lbfgsb_minimize`` of the GP likelihood of (``x``, ``z``)
+    from ``theta0`` within [``lows``, ``highs``] differs from the public
+    ``scipy.optimize.minimize``: in any bit of x or the value, in the
+    evaluation count, or in the value it reports at the start; ``None`` when
+    it does not."""
+    args = gp._lml_args(x, z)
+    res = minimize(
+        gp._neg_lml_and_grad, theta0, args=args, jac=True, method="L-BFGS-B",
+        bounds=list(zip(lows, highs)),
+    )
+    got_x, got_f, got_nfev, got_f0 = gp._lbfgsb_minimize(gp._neg_lml_and_grad, theta0, args, lows, highs)
+    want_f0, _ = gp._neg_lml_and_grad(np.clip(theta0, lows, highs), *args)
+    got = (got_x.tobytes(), np.float64(got_f).tobytes(), got_nfev, got_f0)
+    want = (res.x.tobytes(), np.float64(res.fun).tobytes(), res.nfev, want_f0)
+    if got == want:
+        return None
+    return (
+        f"x {got_x}, value {got_f}, nfev {got_nfev}, start value {got_f0}"
+        f" vs {res.x}, {res.fun}, {res.nfev}, {want_f0}"
+    )
 
 
 def ei_by_quadrature(mean: float, sigma: float, y_best: float) -> float:
@@ -240,6 +264,39 @@ def check_likelihood_vs_reference():
             _expect(mismatch is None, f"n={n}, d={dim}: {mismatch}")
 
 
+def check_lbfgsb_vs_minimize():
+    """The fit's L-BFGS-B loop against ``scipy.optimize.minimize`` on GP
+    likelihoods, bit for bit in x and value and equal in evaluation count:
+    d in {1, 2, 4}, n in {2, 9, 40, 75}, starts inside the box and on its
+    faces; and, with the noise bound widened below its floor and duplicated
+    inputs, runs whose Cholesky factorization fails at the start and midway."""
+    rng = np.random.default_rng(23)
+    for dim in (1, 2, 4):
+        lows, highs = gp._log_bounds(dim)
+        for n in (2, 9, 40, 75):
+            x = rng.uniform(size=(n, dim))
+            z = gp.standardize(np.sin(5.0 * x).sum(axis=1) + 0.1 * rng.normal(size=n)).z
+            inside = rng.uniform(lows, highs)
+            on_faces = np.where(rng.uniform(size=dim + 2) < 0.5, lows, highs)
+            on_faces[0] = inside[0]
+            for theta0 in (inside, on_faces):
+                mismatch = lbfgsb_mismatch(x, z, theta0, lows, highs)
+                _expect(mismatch is None, f"n={n}, d={dim}, start {theta0}: {mismatch}")
+
+        lows[-1] = math.log(1e-30)  # noise bound widened below its floor
+        half = rng.uniform(size=(10, dim))
+        x = np.concatenate([half, half])
+        z = gp.standardize(np.sin(5.0 * x).sum(axis=1)).z
+        failing = highs.copy()  # long length-scales, largest signal, ...
+        failing[-1] = lows[-1]  # ... and noise 1e-30: K is singular
+        midway = gp.KernelParams.defaults(dim).to_log_vector()  # descends into failing noise
+        for theta0 in (failing, midway):
+            mismatch = lbfgsb_mismatch(x, z, theta0, lows, highs)
+            _expect(mismatch is None, f"duplicated inputs, d={dim}, start {theta0}: {mismatch}")
+        value, _ = gp._neg_lml_and_grad(failing, *gp._lml_args(x, z))
+        _expect(value == gp._BAD_OBJECTIVE, f"d={dim}: the failing start factorized, value {value}")
+
+
 CHECKS = (
     ("encoding", check_encoding),
     ("standardize", check_standardize),
@@ -250,4 +307,5 @@ CHECKS = (
     ("average-rank-ties", check_average_rank_ties),
     ("combined-prediction", check_combined_prediction),
     ("likelihood-vs-reference", check_likelihood_vs_reference),
+    ("lbfgsb-vs-minimize", check_lbfgsb_vs_minimize),
 )

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from tlbo import bench, bo, gp, space as space_mod, transfer
 from tlbo.bo import (
@@ -526,8 +527,7 @@ class TestRunRecords:
         assert nfev == [r["fit_nfev"] for r in run(space, objective, policy="igp", budget=8, seed=2).records]
         assert nfev[0] == 0 and min(nfev[1:]) > 0  # one point keeps the defaults
 
-        # Count likelihood calls with the reference formula in place: each
-        # fit also evaluates the default parameters once, outside L-BFGS-B.
+        # Count likelihood calls with the reference formula in place.
         calls = []
         real_fit = gp.fit
 
@@ -542,9 +542,53 @@ class TestRunRecords:
         monkeypatch.setattr(gp, "fit", counting_fit)
         monkeypatch.setattr(gp, "_neg_lml_and_grad", counting_reference)
         reference = run(space, objective, policy="igp", budget=8, seed=2)
-        assert nfev == [max(c - 1, 0) for c in calls]
+        assert nfev == calls
         assert [r["fit_nfev"] for r in reference.records] == nfev
         assert trials(reference) == trials(result)
+
+    def test_fit_start_repeats_and_matches_a_replay_of_the_starts(self, monkeypatch):
+        space = ConfigSpace([ParamSpec(name=n, kind="continuous", low=0.0, high=1.0) for n in "ab"])
+
+        def objective(config):
+            return math.sin(7.0 * config.values["a"]) + (config.values["b"] - 0.6) ** 2
+
+        fits = []
+        real_fit = gp.fit
+
+        def recording_fit(x, z, seed=0):
+            fits.append((x.copy(), z.copy(), seed))
+            return real_fit(x, z, seed=seed)
+
+        monkeypatch.setattr(gp, "fit", recording_fit)
+        result = run(space, objective, policy="igp", budget=12, seed=4)
+        starts = [r["fit_start"] for r in result.records]
+        again = run(space, objective, policy="igp", budget=12, seed=4)
+        assert starts == [r["fit_start"] for r in again.records]
+        assert starts[0] is None  # one point keeps the defaults
+
+        # Replay each refit with scipy's public minimize from the same starts:
+        # the defaults, then the seeded uniform draws in the log-bounds.
+        replayed = []
+        for x, z, seed in fits[: len(starts)]:
+            if x.shape[0] < gp.MIN_FIT_POINTS:
+                replayed.append(None)
+                continue
+            args = gp._lml_args(x, z)
+            lows, highs = gp._log_bounds(x.shape[1])
+            rng = np.random.default_rng(seed)
+            thetas = [gp.KernelParams.defaults(x.shape[1]).to_log_vector()]
+            thetas += [rng.uniform(lows, highs) for _ in range(gp.N_RESTARTS)]
+            best, winner = gp._neg_lml_and_grad(thetas[0], *args)[0], None
+            for i, theta0 in enumerate(thetas):
+                res = minimize(
+                    gp._neg_lml_and_grad, theta0, args=args, jac=True, method="L-BFGS-B",
+                    bounds=list(zip(lows, highs)),
+                )
+                if np.all(np.isfinite(res.x)) and res.fun < best:
+                    best, winner = res.fun, i
+            replayed.append(winner)
+        assert starts == replayed
+        assert any(s is not None for s in starts)
 
     def test_jsonl_round_trip(self, tmp_path):
         result = run(one_d_space(), quadratic, policy="igp", budget=5, seed=0)
@@ -571,5 +615,6 @@ class TestRunRecords:
                 "fallback",
                 "suggest_wallclock_ms",
                 "fit_nfev",
+                "fit_start",
             }
             assert record["error"] is None and record["fallback"] is False

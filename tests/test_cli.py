@@ -54,6 +54,7 @@ SELFTEST_NAMES = (
     "average-rank-ties",
     "combined-prediction",
     "likelihood-vs-reference",
+    "lbfgsb-vs-minimize",
 )
 
 

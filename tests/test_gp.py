@@ -1,9 +1,12 @@
 """Tests for target standardization and the GP surrogate."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from tlbo import gp, oracles
 from tlbo.errors import ValidationError
@@ -15,6 +18,20 @@ from tlbo.gp import (
     fit,
     standardize,
 )
+
+
+def reference_matern52(x1, x2, params):
+    """The Matern-5/2 cross-kernel written straightforwardly."""
+    scaled1 = x1 / params.lengthscales
+    scaled2 = x2 / params.lengthscales
+    d2 = np.maximum(
+        (scaled1**2).sum(axis=1)[:, None]
+        - 2.0 * scaled1 @ scaled2.T
+        + (scaled2**2).sum(axis=1)[None, :],
+        0.0,
+    )
+    r = np.sqrt(d2)
+    return params.signal_variance * (1.0 + gp.SQRT5 * r + (5.0 / 3.0) * d2) * np.exp(-gp.SQRT5 * r)
 
 
 class TestStandardize:
@@ -92,6 +109,31 @@ class TestFit:
             lml_default = -_neg_lml_and_grad(KernelParams.defaults(2).to_log_vector(), *args)[0]
             assert lml_fit >= lml_default - 1e-9
 
+    @pytest.mark.parametrize("winner", [None, 3])
+    def test_only_a_strictly_lower_start_replaces_the_defaults(self, winner, monkeypatch):
+        # Every start reports the default parameters' own value, except
+        # ``winner``, which reports one just below it.
+        rng = np.random.default_rng(10)
+        x = rng.uniform(size=(6, 2))
+        z = standardize(rng.normal(size=6)).z
+        default_value, _ = _neg_lml_and_grad(KernelParams.defaults(2).to_log_vector(), *_lml_args(x, z))
+        starts = []
+
+        def tied(fun, theta0, args, lows, highs):
+            starts.append(theta0)
+            value = default_value
+            if len(starts) - 1 == winner:
+                value = np.nextafter(default_value, -np.inf)
+            # The i-th start ends at theta = (-i, ..., -i).
+            return np.full(lows.size, -float(len(starts) - 1)), value, 7, default_value
+
+        monkeypatch.setattr(gp, "_lbfgsb_minimize", tied)
+        m = fit(x, z, seed=0)
+        assert len(starts) == 1 + gp.N_RESTARTS and m.fit_nfev == 7 * len(starts)
+        assert m.fit_start == winner
+        kept = KernelParams.defaults(2).to_log_vector() if winner is None else np.full(4, -3.0)
+        assert m.params.to_log_vector().tobytes() == kept.tobytes()
+
     def test_nonfinite_inputs_rejected(self):
         with pytest.raises(ValidationError):
             fit(np.array([[np.nan]]), np.array([0.0]))
@@ -147,6 +189,12 @@ class TestPredict:
         m = fit(np.zeros((1, 2)), np.zeros(1))
         with pytest.raises(ValidationError):
             m.predict(np.zeros(3))
+
+    def test_nonfinite_query_rejected(self):
+        m = fit(np.zeros((2, 1)), np.zeros(2))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                m.predict(np.array([[0.5], [bad]]))
 
     def test_variance_nonnegative(self):
         rng = np.random.default_rng(8)
@@ -204,3 +252,90 @@ class TestLikelihoodMatchesReference:
             ref = fit(x, z, seed=seed)
             assert m.params.to_log_vector().tobytes() == ref.params.to_log_vector().tobytes()
             assert m.fit_nfev == ref.fit_nfev > 0
+
+
+class TestKernelAndPredictionBits:
+    """The in-place kernel and prediction against the straightforward
+    formulas, bit for bit, with a query on a training point (where the
+    squared distance is clamped at 0)."""
+
+    @pytest.mark.parametrize("m", [1, 37, 5000])
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_bitwise(self, dim, m):
+        rng = np.random.default_rng(100 * dim + m)
+        for n in (1, 2, 40, 75):
+            x = rng.uniform(size=(n, dim))
+            params = KernelParams(
+                lengthscales=np.exp(rng.uniform(-2.0, 2.0, size=dim)),
+                signal_variance=float(np.exp(rng.uniform(-3.0, 3.0))),
+                noise_variance=1e-6,
+            )
+            model = condition(x, standardize(rng.normal(size=n)).z, params)
+            q = rng.uniform(size=(m, dim))
+            q[0] = x[-1]
+            ks = reference_matern52(q, x, params)
+            assert gp._matern52(q, x, params).tobytes() == ks.tobytes()
+
+            mean, var = model.predict(q)
+            v = solve_triangular(model._chol, ks.T, lower=True)
+            ref_var = np.maximum(params.signal_variance - (v**2).sum(axis=0), gp.VARIANCE_FLOOR)
+            assert mean.tobytes() == (ks @ model._alpha).tobytes()
+            assert var.tobytes() == ref_var.tobytes()
+
+
+class TestLbfgsbMatchesMinimize:
+    """``gp._lbfgsb_minimize`` against ``scipy.optimize.minimize(method=
+    "L-BFGS-B", jac=True)`` on GP likelihoods: x and value bit for bit, the
+    same evaluation count, and the start's value."""
+
+    @given(
+        data=st.data(),
+        n=st.integers(2, 75),
+        dim=st.sampled_from([1, 2, 4]),
+        duplicated=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_likelihoods(self, data, n, dim, duplicated):
+        # Duplicated inputs with the noise bound widened below its floor let
+        # the Cholesky factorization fail on the way.
+        lows, highs = gp._log_bounds(dim)
+        if duplicated:
+            lows[-1] = math.log(1e-30)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.uniform(size=(n, dim))
+        if duplicated:
+            x[n // 2 :] = x[: n - n // 2]
+        z = standardize(np.sin(5.0 * x).sum(axis=1) + 0.1 * rng.normal(size=n)).z
+        faces = np.array(data.draw(st.lists(st.sampled_from("ilh"), min_size=dim + 2, max_size=dim + 2)))
+        theta0 = np.where(faces == "l", lows, np.where(faces == "h", highs, rng.uniform(lows, highs)))
+        mismatch = oracles.lbfgsb_mismatch(x, z, theta0, lows, highs)
+        assert mismatch is None, mismatch
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_failed_factorizations_match(self, dim, monkeypatch):
+        rng = np.random.default_rng(dim)
+        half = rng.uniform(size=(8, dim))
+        x = np.concatenate([half, half])
+        z = standardize(np.cos(3.0 * x).sum(axis=1)).z
+        lows, highs = gp._log_bounds(dim)
+        lows[-1] = math.log(1e-30)
+        singular = highs.copy()
+        singular[-1] = lows[-1]
+        defaults = KernelParams.defaults(dim).to_log_vector()
+
+        failures = []
+        real = gp._neg_lml_and_grad
+
+        def counting(theta, *args):
+            value, grad = real(theta, *args)
+            failures[-1] += value == gp._BAD_OBJECTIVE
+            return value, grad
+
+        monkeypatch.setattr(gp, "_neg_lml_and_grad", counting)
+        for theta0 in (singular, defaults):
+            failures.append(0)
+            mismatch = oracles.lbfgsb_mismatch(x, z, theta0, lows, highs)
+            assert mismatch is None, mismatch
+        # The singular start fails in both optimizers and in the start value;
+        # from the defaults both descend into a failing step.
+        assert failures[0] >= 3 and failures[1] >= 2
