@@ -173,13 +173,6 @@ class SyntheticFamilySpec:
             raise ValidationError("bowl translation range must keep the optimum in the domain")
         object.__setattr__(self, "scale_range", (float(lo), float(hi)))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SyntheticFamilySpec":
-        kwargs = dict(data)
-        if "scale_range" in kwargs:
-            kwargs["scale_range"] = tuple(kwargs["scale_range"])
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class SyntheticTask:
@@ -415,12 +408,14 @@ def _source_rows(task, n: int, seed: int):
     return configs, ys
 
 
-def _fit_source(task, n_s: int, rows_seed: int, fit_seed: int, flip: bool) -> gp.GpSurrogate:
-    configs, ys = _source_rows(task, n_s, rows_seed)
-    if flip:
-        ys = -ys
-    x = space_mod.encode_batch(task.space, configs)
-    return gp.fit(x, gp.standardize(ys).z, seed=fit_seed)
+def _fit_source(space: ConfigSpace, configs, ys: np.ndarray, seed: int) -> gp.GpSurrogate:
+    """A source surrogate: a GP on the encoded configs and standardized ys."""
+    return gp.fit(space_mod.encode_batch(space, configs), gp.standardize(ys).z, seed=seed)
+
+
+def _check_target(index, n_tasks: int) -> None:
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or not 0 <= index < n_tasks:
+        raise ValidationError(f"target {index!r} is not a task index in [0, {n_tasks})")
 
 
 def build_static_sources(
@@ -428,19 +423,14 @@ def build_static_sources(
 ) -> SourceEnsemble:
     """Offline source ensemble for one target: every other task contributes a
     GP fitted on n_s of its observations. The target's own rows never enter."""
+    _check_target(target_index, len(tasks))
     models, ids = [], []
     for j, task in enumerate(tasks):
         if j == target_index:
             continue
-        models.append(
-            _fit_source(
-                task,
-                n_s,
-                rows_seed=derived_seed(base_seed, _TAG_SOURCE_ROWS, j),
-                fit_seed=derived_seed(base_seed, _TAG_SOURCE_FIT, j),
-                flip=flip_source_outputs,
-            )
-        )
+        configs, ys = _source_rows(task, n_s, derived_seed(base_seed, _TAG_SOURCE_ROWS, j))
+        fit_seed = derived_seed(base_seed, _TAG_SOURCE_FIT, j)
+        models.append(_fit_source(task.space, configs, -ys if flip_source_outputs else ys, fit_seed))
         ids.append(task.name)
     return SourceEnsemble(models=tuple(models), task_ids=tuple(ids))
 
@@ -474,25 +464,30 @@ def _augment_true_values(run_result: RunResult, task) -> RunResult:
     return run_result
 
 
-def _normalize_seeds(seeds) -> list[int]:
-    if isinstance(seeds, int):
-        if seeds < 1:
-            raise ValidationError("seed count must be positive")
-        return list(range(seeds))
-    out = [int(s) for s in seeds]
-    if not out:
-        raise ValidationError("at least one seed is required")
-    return out
-
-
-def _check_methods(methods) -> list[str]:
+def _experiment(protocol, tasks, methods, budget, seeds, n_s, n_cv) -> ExperimentResult:
+    """The empty result of one experiment on ``tasks`` (the targets), after
+    the checks both protocols share; ``seeds`` is a count or a list."""
     methods = list(methods)
-    if not methods:
-        raise ValidationError("at least one method is required")
-    unknown = set(methods) - set(bo.POLICIES)
-    if unknown:
-        raise ValidationError(f"unknown method(s): {sorted(unknown)}")
-    return methods
+    seeds = list(range(seeds)) if isinstance(seeds, int) else [int(s) for s in seeds]
+    if not tasks:
+        raise ValidationError("an experiment needs at least one target task")
+    if budget < bo.N_INIT:
+        raise ValidationError(f"budget must be at least N_INIT={bo.N_INIT}")
+    if n_s < 1:
+        raise ValidationError("a source needs at least one observation (N_S >= 1)")
+    if not methods or not set(methods) <= set(bo.POLICIES) or len(set(methods)) < len(methods):
+        raise ValidationError(f"methods must be distinct names from {bo.POLICIES}; got {methods}")
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ValidationError("seeds must be a positive count or distinct non-negative integers")
+    return ExperimentResult(
+        protocol=protocol,
+        budget=budget,
+        n_s=n_s,
+        n_cv=n_cv,
+        methods=methods,
+        seeds=seeds,
+        tasks=[TaskMeta(t.name, t.y_min, t.y_max) for t in tasks],
+    )
 
 
 def _map_jobs(fn, args_list, workers: int) -> list:
@@ -551,20 +546,13 @@ def run_static(
     tasks = list(tasks)
     if len(tasks) < 2:
         raise ValidationError("the static protocol needs at least two tasks")
-    if budget < 3:
-        raise ValidationError("budget must be at least 3")
-    methods = _check_methods(methods)
-    seeds = _normalize_seeds(seeds)
     target_indices = list(range(len(tasks))) if targets is None else list(targets)
-
-    result = ExperimentResult(
-        protocol="static",
-        budget=budget,
-        n_s=n_s,
-        n_cv=n_cv,
-        methods=methods,
-        seeds=seeds,
-        tasks=[TaskMeta(tasks[i].name, tasks[i].y_min, tasks[i].y_max) for i in target_indices],
+    for ti in target_indices:
+        _check_target(ti, len(tasks))
+    if len(set(target_indices)) < len(target_indices):
+        raise ValidationError(f"targets list a task more than once: {target_indices}")
+    result = _experiment(
+        "static", [tasks[i] for i in target_indices], methods, budget, seeds, n_s, n_cv
     )
     keys, jobs = [], []
     for ti in target_indices:
@@ -572,10 +560,10 @@ def run_static(
         sources = build_static_sources(
             tasks, ti, n_s, base_seed=base_seed, flip_source_outputs=flip_source_outputs
         )
-        for seed in seeds:
+        for seed in result.seeds:
             run_seed = derived_seed(base_seed, _TAG_RUN, ti, seed)
             noise_seed = derived_seed(base_seed, _TAG_NOISE, ti, seed)
-            for method in methods:
+            for method in result.methods:
                 keys.append((task.name, method, seed))
                 jobs.append((task, sources, method, run_seed, noise_seed, budget, n_cv, n_candidates))
     result.runs.update(zip(keys, _map_jobs(_run_job, jobs, workers)))
@@ -602,11 +590,10 @@ def _dynamic_chain(tasks, method, seed, budget, n_s, n_cv, n_candidates, base_se
         )
         out.append((task.name, run_result))
         head = run_result.records[:n_s]
-        x = space_mod.encode_batch(task.space, [Configuration(r["config"]) for r in head])
+        configs = [Configuration(r["config"]) for r in head]
         ys = np.array([r["y"] for r in head])
-        models.append(
-            gp.fit(x, gp.standardize(ys).z, seed=derived_seed(base_seed, _TAG_SOURCE_FIT, ti, seed))
-        )
+        fit_seed = derived_seed(base_seed, _TAG_SOURCE_FIT, ti, seed)
+        models.append(_fit_source(task.space, configs, ys, fit_seed))
         ids.append(task.name)
     return out
 
@@ -630,23 +617,8 @@ def run_dynamic(
     ``workers`` > 1 the independent chains run in parallel.
     """
     tasks = list(tasks)
-    if not tasks:
-        raise ValidationError("the dynamic protocol needs at least one task")
-    if budget < 3:
-        raise ValidationError("budget must be at least 3")
-    methods = _check_methods(methods)
-    seeds = _normalize_seeds(seeds)
-
-    result = ExperimentResult(
-        protocol="dynamic",
-        budget=budget,
-        n_s=n_s,
-        n_cv=n_cv,
-        methods=methods,
-        seeds=seeds,
-        tasks=[TaskMeta(t.name, t.y_min, t.y_max) for t in tasks],
-    )
-    chains = [(method, seed) for method in methods for seed in seeds]
+    result = _experiment("dynamic", tasks, methods, budget, seeds, n_s, n_cv)
+    chains = [(method, seed) for method in result.methods for seed in result.seeds]
     jobs = [(tasks, m, s, budget, n_s, n_cv, n_candidates, base_seed) for m, s in chains]
     for (method, seed), chain in zip(chains, _map_jobs(_dynamic_chain, jobs, workers)):
         for task_name, run_result in chain:
@@ -672,11 +644,12 @@ def top_counts(result: ExperimentResult) -> dict[str, tuple[int, int]]:
     return {m: (c[0], c[1]) for m, c in counts.items()}
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(path, header, rows) -> str:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
+    return str(path)
 
 
 def report(result: ExperimentResult, out_dir) -> list[str]:
@@ -690,14 +663,13 @@ def report(result: ExperimentResult, out_dir) -> list[str]:
         raise ValidationError("cannot report an empty result")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[str] = []
-    budget = result.budget
-    trials = np.arange(1, budget + 1)
+    methods = result.methods
+    pairs = [(t, seed) for t in result.tasks for seed in result.seeds]
 
     # ADTM: per method, averaged over seeds of the task-averaged curve.
     # Synthetic runs carry noiseless incumbents; use those where present.
     adtm_by_method = {}
-    for method in result.methods:
+    for method in methods:
         per_seed = []
         for seed in result.seeds:
             curves = [result.incumbent_curve(t.name, method, seed, true_values=True) for t in result.tasks]
@@ -707,56 +679,35 @@ def report(result: ExperimentResult, out_dir) -> list[str]:
                     adtm(curves, [t.y_min for t in result.tasks], [t.y_max for t in result.tasks])
                 )
         adtm_by_method[method] = np.mean(per_seed, axis=0)
-    path = out / "adtm.csv"
-    _write_csv(
-        path,
-        ["trial"] + result.methods,
-        [
-            [int(trials[i])] + [repr(float(adtm_by_method[m][i])) for m in result.methods]
-            for i in range(budget)
-        ],
-    )
-    written.append(str(path))
 
     # Average rank across methods, computed per (task, seed, trial).
-    rank_sums = np.zeros((budget, len(result.methods)))
-    count = 0
-    for t in result.tasks:
-        for seed in result.seeds:
-            incs = np.stack([result.incumbent_curve(t.name, m, seed) for m in result.methods])
-            for i in range(budget):
-                rank_sums[i] += average_rank(incs[:, i])
-            count += 1
-    ranks = rank_sums / max(count, 1)
-    path = out / "avg_rank.csv"
-    _write_csv(
-        path,
-        ["trial"] + result.methods,
-        [[int(trials[i])] + [repr(float(r)) for r in ranks[i]] for i in range(budget)],
-    )
-    written.append(str(path))
+    rank_sums = np.zeros((result.budget, len(methods)))
+    for t, seed in pairs:
+        incs = np.stack([result.incumbent_curve(t.name, m, seed) for m in methods])
+        for i in range(result.budget):
+            rank_sums[i] += average_rank(incs[:, i])
+    ranks = rank_sums / max(len(pairs), 1)
 
     # Mean cumulative suggestion overhead per trial.
-    overhead = {}
-    for method in result.methods:
-        cum = []
-        for t in result.tasks:
-            for seed in result.seeds:
-                wall = np.array(
-                    [r["suggest_wallclock_ms"] for r in result.runs[(t.name, method, seed)].records]
-                )
-                cum.append(np.cumsum(wall))
-        overhead[method] = np.mean(cum, axis=0)
-    path = out / "overhead.csv"
-    _write_csv(
-        path,
-        ["trial"] + result.methods,
-        [
-            [int(trials[i])] + [repr(float(overhead[m][i])) for m in result.methods]
-            for i in range(budget)
-        ],
-    )
-    written.append(str(path))
+    overhead = {
+        m: np.mean(
+            [
+                np.cumsum([r["suggest_wallclock_ms"] for r in result.runs[(t.name, m, seed)].records])
+                for t, seed in pairs
+            ],
+            axis=0,
+        )
+        for m in methods
+    }
+
+    written = []
+    for name, columns in (
+        ("adtm.csv", [adtm_by_method[m] for m in methods]),
+        ("avg_rank.csv", ranks.T),
+        ("overhead.csv", [overhead[m] for m in methods]),
+    ):
+        rows = [[i + 1] + [repr(float(c[i])) for c in columns] for i in range(result.budget)]
+        written.append(_write_csv(out / name, ["trial"] + methods, rows))
 
     # Weight trajectories for runs that learned them.
     weights_dir = out / "weights"
@@ -770,25 +721,25 @@ def report(result: ExperimentResult, out_dir) -> list[str]:
             continue
         weights_dir.mkdir(exist_ok=True)
         k = max(len(r["w"] or []) for r in rows)
-        path = weights_dir / f"{task}__{method}__seed{seed}.csv"
-        _write_csv(
-            path,
-            ["iteration", "p_source", "p_target"] + [f"w_{i + 1}" for i in range(k)],
-            [
-                [r["iteration"], repr(float(r["p_source"])), repr(float(r["p_target"]))]
-                + [repr(float(v)) for v in (r["w"] or [])]
-                for r in rows
-            ],
+        written.append(
+            _write_csv(
+                weights_dir / f"{task}__{method}__seed{seed}.csv",
+                ["iteration", "p_source", "p_target"] + [f"w_{i + 1}" for i in range(k)],
+                [
+                    [r["iteration"], repr(float(r["p_source"])), repr(float(r["p_target"]))]
+                    + [repr(float(v)) for v in (r["w"] or [])]
+                    for r in rows
+                ],
+            )
         )
-        written.append(str(path))
 
     if result.protocol == "dynamic":
         counts = top_counts(result)
-        path = out / "top_counts.csv"
-        _write_csv(
-            path,
-            ["method", "top1", "top2"],
-            [[m, counts[m][0], counts[m][1]] for m in result.methods],
+        written.append(
+            _write_csv(
+                out / "top_counts.csv",
+                ["method", "top1", "top2"],
+                [[m, counts[m][0], counts[m][1]] for m in methods],
+            )
         )
-        written.append(str(path))
     return written

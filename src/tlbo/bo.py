@@ -80,7 +80,8 @@ def expected_improvement(mean, variance, y_best):
 
 
 class _TabularPool:
-    """Finite candidate grid; suggestions draw from unevaluated rows only."""
+    """Finite candidate grid; suggestions draw from unevaluated rows only,
+    which ``unused`` marks."""
 
     def __init__(self, space: ConfigSpace, configs: list[Configuration]):
         if not configs:
@@ -88,15 +89,19 @@ class _TabularPool:
         self.configs = list(configs)
         self.encoded = space_mod.encode_batch(space, self.configs)
         self._index = {_config_key(c): i for i, c in enumerate(self.configs)}
-        self.evaluated: set[int] = set()
+        self.unused = np.ones(len(self.configs), dtype=bool)
 
     def remaining(self) -> np.ndarray:
-        return np.array([i for i in range(len(self.configs)) if i not in self.evaluated], dtype=int)
+        """Indices of the unevaluated rows, ascending; never empty."""
+        remaining = np.flatnonzero(self.unused)
+        if remaining.size == 0:
+            raise ValidationError("no unevaluated rows remain in the candidate grid")
+        return remaining
 
     def mark(self, config: Configuration) -> None:
         idx = self._index.get(_config_key(config))
         if idx is not None:
-            self.evaluated.add(idx)
+            self.unused[idx] = False
 
 
 def _config_key(config: Configuration):
@@ -140,8 +145,6 @@ def _candidate_pool(state: OptimizerState, iteration: int):
     """
     if state.pool is not None:
         remaining = state.pool.remaining()
-        if remaining.size == 0:
-            raise ValidationError("no unevaluated rows remain in the candidate grid")
         enc = state.pool.encoded[remaining]
         return enc, lambda i: state.pool.configs[int(remaining[i])]
     rng = _stream_rng(state.seed, _STREAM_POOL, iteration)
@@ -152,11 +155,8 @@ def _candidate_pool(state: OptimizerState, iteration: int):
 
 def _random_suggestion(state: OptimizerState, iteration: int) -> Configuration:
     if state.pool is not None:
-        remaining = state.pool.remaining()
-        if remaining.size == 0:
-            raise ValidationError("no unevaluated rows remain in the candidate grid")
         rng = _stream_rng(state.seed, _STREAM_POOL, iteration)
-        return state.pool.configs[int(rng.choice(remaining))]
+        return state.pool.configs[int(rng.choice(state.pool.remaining()))]
     rng = _stream_rng(state.seed, _STREAM_POOL, iteration)
     cols = space_mod._sample_arrays(state.space, 1, rng)
     return space_mod._config_from_arrays(state.space, cols, 0)
@@ -302,8 +302,6 @@ class RunResult:
 def _initial_design(state: OptimizerState) -> list[Configuration]:
     rng = _stream_rng(state.seed, _STREAM_INIT)
     if state.pool is not None:
-        if len(state.pool.configs) < N_INIT:
-            raise ValidationError("candidate grid smaller than the initial design")
         picks = rng.choice(len(state.pool.configs), size=N_INIT, replace=False)
         return [state.pool.configs[int(i)] for i in picks]
     cols = space_mod._sample_arrays(state.space, N_INIT, rng)
@@ -350,6 +348,8 @@ def run(
         raise ValidationError("seed must be non-negative")
     if n_cv < 2:
         raise ValidationError("cross-validation needs at least 2 folds")
+    if n_candidates < 1:
+        raise ValidationError("the EI candidate pool needs at least one candidate")
     if sources is None:
         sources = SourceEnsemble(models=())
     pool = _TabularPool(space, candidate_grid) if candidate_grid is not None else None

@@ -40,40 +40,43 @@ def _build_tasks(tasks_cfg):
         family = tasks_cfg.get("family")
         if not isinstance(family, dict):
             raise ParseError("synthetic tasks need a 'family' object")
-        return bench.make_synthetic_family(bench.SyntheticFamilySpec.from_dict(family))
+        return bench.make_synthetic_family(bench.SyntheticFamilySpec(**family))
     raise ParseError(f"unknown task kind {kind!r}")
 
 
-def _require_out_dir(args, cfg) -> str:
-    out = args.out or cfg.get("out_dir")
-    if not out:
-        raise ValidationError("an output directory is required (--out or config 'out_dir')")
-    return out
-
-
 def _cmd_run(args, protocol: str) -> int:
+    """Run one protocol from a config; every key is read once, by ``pop``, so
+    the keys left over are the ones this verb does not read."""
     cfg = _load_json(args.config)
-    out = _require_out_dir(args, cfg)
-    tasks = _build_tasks(cfg.get("tasks"))
-    common = dict(
-        methods=cfg.get("methods", ["transbo"]),
-        budget=int(cfg.get("budget", 30)),
-        seeds=cfg.get("seeds", 1),
-        n_s=int(cfg.get("N_S", cfg.get("n_s", 50))),
-        n_cv=int(cfg.get("n_cv", 5)),
-        n_candidates=int(cfg.get("n_candidates", bo.N_CANDIDATES)),
-        base_seed=int(cfg.get("base_seed", 0)),
-        workers=int(cfg.get("workers", 1)),
+    if not isinstance(cfg, dict):
+        raise ParseError(f"{args.config}: the config must be a JSON object")
+    config_protocol = cfg.pop("protocol", protocol)
+    if config_protocol != protocol:
+        raise ValidationError(f"config protocol {config_protocol!r} does not match run-{protocol}")
+    out_dir = cfg.pop("out_dir", None)
+    tasks_cfg = cfg.pop("tasks", None)
+    kwargs = dict(
+        methods=cfg.pop("methods", ["transbo"]),
+        budget=int(cfg.pop("budget", 30)),
+        seeds=cfg.pop("seeds", 1),
+        n_s=int(cfg.pop("N_S", 50)),
+        n_cv=int(cfg.pop("n_cv", 5)),
+        n_candidates=int(cfg.pop("n_candidates", bo.N_CANDIDATES)),
+        base_seed=int(cfg.pop("base_seed", 0)),
+        workers=int(cfg.pop("workers", 1)),
     )
     if protocol == "static":
-        result = bench.run_static(
-            tasks,
-            targets=cfg.get("targets"),
-            flip_source_outputs=bool(cfg.get("flip_sources", False)),
-            **common,
+        kwargs.update(
+            targets=cfg.pop("targets", None),
+            flip_source_outputs=bool(cfg.pop("flip_sources", False)),
         )
-    else:
-        result = bench.run_dynamic(tasks, **common)
+    if cfg:
+        raise ValidationError(f"run-{protocol} does not read the config key(s) {sorted(cfg)}")
+    out = args.out or out_dir
+    if not out:
+        raise ValidationError("an output directory is required (--out or config 'out_dir')")
+    run = bench.run_static if protocol == "static" else bench.run_dynamic
+    result = run(_build_tasks(tasks_cfg), **kwargs)
     result.save(out)
     print(f"wrote {len(result.runs)} run(s) to {out}")
     return 0
@@ -81,8 +84,8 @@ def _cmd_run(args, protocol: str) -> int:
 
 def _cmd_bench_synthetic(args) -> int:
     spec_data = _load_json(args.spec)
-    grid_size = args.grid_size or int(spec_data.pop("grid_size", 2000))
-    spec = bench.SyntheticFamilySpec.from_dict(spec_data)
+    grid_size = int(spec_data.pop("grid_size", 2000))
+    spec = bench.SyntheticFamilySpec(**spec_data)
     tasks = bench.make_synthetic_family(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -151,7 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-synthetic", help="materialize a synthetic family as tabular task files")
     p.add_argument("spec")
     p.add_argument("--out", required=True)
-    p.add_argument("--grid-size", type=int, default=None)
 
     p = sub.add_parser("report", help="emit CSV summaries from a result directory")
     p.add_argument("result_dir")

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,6 +280,22 @@ class TestRunStatic:
         with pytest.raises(ValidationError):
             run_static(tasks, ["sa"], budget=5, seeds=1)
 
+    @pytest.mark.parametrize("targets", [[-1], [3], [2, 2], [], [1.0], [True]])
+    def test_bad_targets_rejected_before_any_source_fit(self, monkeypatch, targets):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a source was fitted for an invalid target list")
+
+        monkeypatch.setattr(bench, "_fit_source", refuse)
+        tasks = [tiny_tabular(n, seed=i) for i, n in enumerate(("a", "b", "c"))]
+        with pytest.raises(ValidationError):
+            run_static(tasks, ["random"], budget=4, seeds=1, n_s=5, targets=targets)
+
+    @pytest.mark.parametrize("target_index", [-1, 3])
+    def test_sources_reject_a_target_outside_the_tasks(self, target_index):
+        tasks = [tiny_tabular(n, seed=i) for i, n in enumerate(("a", "b", "c"))]
+        with pytest.raises(ValidationError):
+            build_static_sources(tasks, target_index, n_s=5)
+
     def test_parallel_workers_match_serial(self):
         tasks = [tiny_tabular("a", seed=0), tiny_tabular("b", seed=1)]
         kwargs = dict(methods=["transbo", "random"], budget=5, seeds=[0, 1], n_s=10)
@@ -315,6 +332,39 @@ class TestRunStatic:
             means[method] = float(np.mean(finals))
         eps = 0.01 * (target.y_max - target.y_min)
         assert means["transbo"] <= means["igp"] + eps
+
+
+class TestSharedArgumentChecks:
+    """Both protocols reject the same bad arguments, before any run."""
+
+    @pytest.mark.parametrize("protocol", [run_static, run_dynamic])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(methods=["random"], budget=bo.N_INIT - 1, seeds=1),
+            dict(methods=[], budget=4, seeds=1),
+            dict(methods=["sa"], budget=4, seeds=1),
+            dict(methods=["igp", "igp"], budget=4, seeds=1),
+            dict(methods=["random"], budget=4, seeds=0),
+            dict(methods=["random"], budget=4, seeds=[]),
+            dict(methods=["random"], budget=4, seeds=[0, 0]),
+            dict(methods=["random"], budget=4, seeds=[-1]),
+            dict(methods=["random"], budget=4, seeds=1, n_s=0),
+        ],
+    )
+    def test_rejected(self, monkeypatch, protocol, bad):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run started despite a bad argument")
+
+        monkeypatch.setattr(bench, "_run_job", refuse)
+        monkeypatch.setattr(bench, "_fit_source", refuse)
+        tasks = [tiny_tabular("a", seed=0), tiny_tabular("b", seed=1)]
+        with pytest.raises(ValidationError):
+            protocol(tasks, **{"n_s": 5, **bad})
+
+    def test_dynamic_needs_a_task(self):
+        with pytest.raises(ValidationError):
+            run_dynamic([], ["random"], budget=4, seeds=1)
 
 
 class TestRunDynamic:
@@ -420,6 +470,73 @@ class TestTopCounts:
     def test_run_without_success_finishes_last(self):
         result = self._result_with_finals({"m1": [0.1, None], "m2": [0.2, 0.3]})
         assert top_counts(result) == {"m1": (1, 1), "m2": (1, 1)}
+
+
+def run_with(incumbents, walls, true=None, weights=None):
+    """A RunResult with one record per trial carrying the given fields."""
+    records = []
+    for i, (incumbent, wall) in enumerate(zip(incumbents, walls)):
+        record = {"iteration": i, "incumbent_y": incumbent, "suggest_wallclock_ms": wall}
+        if true is not None:
+            record["incumbent_y_true"] = true[i]
+        if weights is not None:
+            record.update(weights[i])
+        records.append(record)
+    return bo.RunResult(records)
+
+
+class TestReportValues:
+    """The exact text of every report file on hand-built records: ``syn``
+    carries noiseless incumbents (range 0-4), ``tab`` only observed ones
+    (range 1-3); trials tie across methods, and runs start without a
+    successful trial (``None`` incumbents)."""
+
+    WEIGHTS = [
+        {"p_source": None, "p_target": None, "w": None},
+        {"p_source": 0.75, "p_target": 0.25, "w": [0.5, 0.5]},
+        {"p_source": 0.25, "p_target": 0.75, "w": [1.0, 0.0]},
+    ]
+
+    def _result(self):
+        result = ExperimentResult(
+            protocol="dynamic",
+            budget=3,
+            n_s=5,
+            n_cv=5,
+            methods=["transbo", "igp"],
+            seeds=[0, 1],
+            tasks=[bench.TaskMeta("syn", 0.0, 4.0), bench.TaskMeta("tab", 1.0, 3.0)],
+        )
+        result.runs = {
+            ("syn", "transbo", 0): run_with(
+                [3.0, 1.0, 1.0], [0.5, 2.0, 4.0], true=[2.0, 0.5, 0.5], weights=self.WEIGHTS
+            ),
+            ("syn", "transbo", 1): run_with([None, 2.0, 2.0], [1.0, 1.0, 1.0], true=[None, 1.0, 1.0]),
+            ("syn", "igp", 0): run_with([3.0, 3.0, 1.0], [0.25, 0.25, 0.5], true=[2.0, 2.0, 0.5]),
+            ("syn", "igp", 1): run_with([None, None, 4.0], [1.0, 2.0, 3.0], true=[None, None, 3.0]),
+            ("tab", "transbo", 0): run_with([2.0, 2.0, 1.5], [0.5, 0.5, 0.5]),
+            ("tab", "transbo", 1): run_with([2.5, 1.0, 1.0], [1.0, 0.5, 0.25]),
+            ("tab", "igp", 0): run_with([2.0, 1.5, 1.5], [0.5, 1.0, 1.5]),
+            ("tab", "igp", 1): run_with([2.5, 2.5, 1.0], [0.5, 0.5, 0.5]),
+        }
+        return result
+
+    def test_file_texts(self, tmp_path):
+        files = report(self._result(), tmp_path)
+        texts = {str(Path(f).relative_to(tmp_path)): Path(f).read_text() for f in files}
+        assert texts == {
+            # trial 1: syn 2.0/4 and tab (2.0-1)/2 at seed 0, 1.0 (None) and 0.75 at seed 1
+            "adtm.csv": "trial,transbo,igp\n1,0.6875,0.6875\n2,0.21875,0.625\n3,0.15625,0.28125\n",
+            # trial 1 ties everywhere; trial 2 transbo is first on three of four (task, seed)
+            "avg_rank.csv": "trial,transbo,igp\n1,1.5,1.5\n2,1.25,1.75\n3,1.375,1.625\n",
+            "overhead.csv": "trial,transbo,igp\n1,0.75,0.5625\n2,1.75,1.5\n3,3.1875,2.875\n",
+            "weights/syn__transbo__seed0.csv": (
+                "iteration,p_source,p_target,w_1,w_2\n1,0.75,0.25,0.5,0.5\n2,0.25,0.75,1.0,0.0\n"
+            ),
+            # syn: transbo 1.5 beats igp 2.5; tab: both 1.25, so both are credited first
+            "top_counts.csv": "method,top1,top2\ntransbo,2,0\nigp,1,1\n",
+        }
+        assert list(texts)[:3] == ["adtm.csv", "avg_rank.csv", "overhead.csv"]
 
 
 class TestReport:

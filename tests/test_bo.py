@@ -212,6 +212,23 @@ class TestSuggest:
 
 
 class TestRun:
+    def test_empty_candidate_pool_rejected_before_any_trial(self):
+        def objective(config):
+            raise AssertionError("a trial ran despite an empty candidate pool")
+
+        with pytest.raises(ValidationError):
+            run(one_d_space(), objective, policy="igp", budget=5, seed=0, n_candidates=0)
+
+    def test_exhausted_grid_rejected(self):
+        grid = [Configuration({"x": v}) for v in (0.1, 0.4, 0.6)]
+        pool = bo._TabularPool(one_d_space(), grid)
+        for config in grid[:2]:
+            pool.mark(config)
+        np.testing.assert_array_equal(pool.remaining(), [2])
+        pool.mark(grid[2])
+        with pytest.raises(ValidationError):
+            pool.remaining()
+
     def test_budget_three_is_pure_initialization(self):
         result = run(one_d_space(), quadratic, policy="transbo", budget=3, seed=2)
         assert len(result.records) == 3

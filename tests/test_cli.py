@@ -116,11 +116,40 @@ class TestRunStaticCli:
 
         monkeypatch.setattr(bench, "run_static", refuse)
         monkeypatch.setattr(bench, "run_dynamic", refuse)
+        cfg = family_cfg()
+        cfg["protocol"] = verb.removeprefix("run-")
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(family_cfg()))
+        cfg_path.write_text(json.dumps(cfg))
         assert main([verb, str(cfg_path)]) == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ValidationError"
+        assert "output directory" in record["message"]
+
+    @pytest.mark.parametrize(
+        "verb, change",
+        [
+            ("run-static", {"protocol": "dynamic"}),
+            ("run-dynamic", {"protocol": "static"}),
+            ("run-dynamic", {"protocol": "dynamic", "targets": [0]}),
+            ("run-dynamic", {"protocol": "dynamic", "flip_sources": True}),
+            ("run-static", {"n_s": 15}),
+            ("run-static", {"budgett": 5}),
+        ],
+    )
+    def test_mismatched_protocol_or_unread_key_rejected(self, tmp_path, capsys, monkeypatch, verb, change):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("the protocol ran with a config it does not read")
+
+        monkeypatch.setattr(bench, "run_static", refuse)
+        monkeypatch.setattr(bench, "run_dynamic", refuse)
+        cfg = family_cfg(out_dir=tmp_path / "res")
+        cfg.update(change)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([verb, str(cfg_path)]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert not (tmp_path / "res").exists()
 
     def test_single_fold_fails_with_error_record(self, tmp_path, capsys):
         cfg = family_cfg(out_dir=tmp_path / "res", methods=("transbo",), budget=4, seeds=1)
@@ -174,6 +203,15 @@ class TestBenchSynthetic:
 
         task = load_tabular(tables[0])
         assert len(task.rows) == 50
+
+    def test_grid_size_is_read_from_the_spec_only(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"base": "quadratic-bowl", "n_tasks": 1, "grid_size": 20}))
+        with pytest.raises(SystemExit):
+            main(["bench-synthetic", str(spec_path), "--out", str(tmp_path / "t"), "--grid-size", "5"])
+        assert main(["bench-synthetic", str(spec_path), "--out", str(tmp_path / "t")]) == 0
+        task = bench.load_tabular(tmp_path / "t" / "quadratic-bowl-00.json")
+        assert len(task.rows) == 20
 
     def test_tables_usable_as_tabular_experiment(self, tmp_path):
         spec = {
