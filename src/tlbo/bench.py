@@ -464,7 +464,7 @@ def _augment_true_values(run_result: RunResult, task) -> RunResult:
     return run_result
 
 
-def _experiment(protocol, tasks, methods, budget, seeds, n_s, n_cv) -> ExperimentResult:
+def _experiment(protocol, tasks, methods, budget, seeds, n_s, n_cv, base_seed) -> ExperimentResult:
     """The empty result of one experiment on ``tasks`` (the targets), after
     the checks both protocols share; ``seeds`` is a count or a list."""
     methods = list(methods)
@@ -479,6 +479,8 @@ def _experiment(protocol, tasks, methods, budget, seeds, n_s, n_cv) -> Experimen
         raise ValidationError(f"methods must be distinct names from {bo.POLICIES}; got {methods}")
     if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
         raise ValidationError("seeds must be a positive count or distinct non-negative integers")
+    if base_seed < 0:
+        raise ValidationError(f"base_seed must be a non-negative integer; got {base_seed}")
     return ExperimentResult(
         protocol=protocol,
         budget=budget,
@@ -552,7 +554,7 @@ def run_static(
     if len(set(target_indices)) < len(target_indices):
         raise ValidationError(f"targets list a task more than once: {target_indices}")
     result = _experiment(
-        "static", [tasks[i] for i in target_indices], methods, budget, seeds, n_s, n_cv
+        "static", [tasks[i] for i in target_indices], methods, budget, seeds, n_s, n_cv, base_seed
     )
     keys, jobs = [], []
     for ti in target_indices:
@@ -617,7 +619,7 @@ def run_dynamic(
     ``workers`` > 1 the independent chains run in parallel.
     """
     tasks = list(tasks)
-    result = _experiment("dynamic", tasks, methods, budget, seeds, n_s, n_cv)
+    result = _experiment("dynamic", tasks, methods, budget, seeds, n_s, n_cv, base_seed)
     chains = [(method, seed) for method in result.methods for seed in result.seeds]
     jobs = [(tasks, m, s, budget, n_s, n_cv, n_candidates, base_seed) for m, s in chains]
     for (method, seed), chain in zip(chains, _map_jobs(_dynamic_chain, jobs, workers)):

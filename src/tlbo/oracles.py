@@ -24,6 +24,12 @@ from .ranking import (
 )
 
 
+# KKT tolerance on the gradient. The solver stops once its projected-gradient
+# step is at most PG_TOL (1e-6); on the support that keeps each violation
+# within 2 * PG_TOL.
+KKT_TOL = 1e-5
+
+
 def _expect(condition, message: str) -> None:
     # An explicit raise, so that the checks still run under ``python -O``.
     if not condition:
@@ -139,6 +145,36 @@ def simplex_grid_min(pm: PredictionMatrix, step: float) -> float:
     )
 
 
+def badly_scaled_problem(rng: np.random.Generator) -> PredictionMatrix:
+    """A ranking problem with K in [2, 10] columns and n in [3, 40] rows:
+    standard normal entries, each column scaled by 10^U(-3, 2), and standard
+    normal performances."""
+    k = int(rng.integers(2, 11))
+    n = int(rng.integers(3, 41))
+    a = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-3.0, 2.0, size=k)
+    return PredictionMatrix(a, rng.normal(size=n))
+
+
+def kkt_violation(pm: PredictionMatrix, w: np.ndarray) -> str | None:
+    """How the simplex point ``w`` misses optimality for the ranking loss on
+    ``pm`` by more than ``KKT_TOL``; ``None`` when it does not. The
+    conditions: no coordinate's gradient lies below the multiplier of the sum
+    constraint (read off the largest weight), the gradient is level on the
+    support, and the Frank-Wolfe gap g.w - min g, which bounds how far any
+    simplex point beats w, is small."""
+    g = ranking_loss_grad(pm, SimplexWeights(w))
+    lam = g[np.argmax(w)]
+    support = w > KKT_TOL
+    gap = float(g @ w - g.min())
+    if np.any(g < lam - KKT_TOL):
+        return f"a coordinate offers descent: gradient {g}, multiplier {lam}"
+    if np.any(np.abs(g[support] - lam) > KKT_TOL):
+        return f"the support of {w} is not level: gradient {g}, multiplier {lam}"
+    if gap > KKT_TOL:
+        return f"Frank-Wolfe gap {gap} at {w}"
+    return None
+
+
 class ConstantModel:
     """A surrogate that predicts the same mean and variance everywhere."""
 
@@ -208,6 +244,17 @@ def check_simplex_solver_vs_grid():
         _expect(abs(w.values.sum() - 1.0) <= 1e-8, f"weights {w.values} do not sum to 1")
         solved, grid_best = ranking_loss(pm, w), simplex_grid_min(pm, 0.01)
         _expect(solved <= grid_best + 1e-3, f"n={n}, k={k}: loss {solved} vs grid {grid_best}")
+
+
+def check_simplex_solver_kkt_badly_scaled():
+    """200 problems with per-column scales 10^U(-3, 2) (see
+    ``badly_scaled_problem``): the solver's output meets the KKT conditions
+    within ``KKT_TOL``."""
+    rng = np.random.default_rng(29)
+    for i in range(200):
+        pm = badly_scaled_problem(rng)
+        violation = kkt_violation(pm, minimize_on_simplex(pm).values)
+        _expect(violation is None, f"problem {i} (n={pm.n}, k={pm.k}): {violation}")
 
 
 def check_expected_improvement_quadrature():
@@ -303,6 +350,7 @@ CHECKS = (
     ("ranking-loss-values", check_ranking_loss_values),
     ("ranking-gradient-fd", check_ranking_gradient_fd),
     ("simplex-solver-vs-grid", check_simplex_solver_vs_grid),
+    ("simplex-solver-kkt-badly-scaled", check_simplex_solver_kkt_badly_scaled),
     ("expected-improvement-quadrature", check_expected_improvement_quadrature),
     ("average-rank-ties", check_average_rank_ties),
     ("combined-prediction", check_combined_prediction),

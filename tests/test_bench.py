@@ -350,6 +350,7 @@ class TestSharedArgumentChecks:
             dict(methods=["random"], budget=4, seeds=[0, 0]),
             dict(methods=["random"], budget=4, seeds=[-1]),
             dict(methods=["random"], budget=4, seeds=1, n_s=0),
+            dict(methods=["random"], budget=4, seeds=1, base_seed=-1),
         ],
     )
     def test_rejected(self, monkeypatch, protocol, bad):

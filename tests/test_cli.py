@@ -50,6 +50,7 @@ SELFTEST_NAMES = (
     "ranking-loss-values",
     "ranking-gradient-fd",
     "simplex-solver-vs-grid",
+    "simplex-solver-kkt-badly-scaled",
     "expected-improvement-quadrature",
     "average-rank-ties",
     "combined-prediction",
@@ -159,6 +160,18 @@ class TestRunStaticCli:
         assert main(["run-static", str(cfg_path)]) == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ValidationError"
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("verb", ["run-static", "run-dynamic"])
+    def test_negative_base_seed_fails_with_error_record(self, tmp_path, capsys, verb):
+        cfg = family_cfg(out_dir=tmp_path / "res", methods=("random",), budget=4, seeds=1)
+        cfg.update(protocol=verb.removeprefix("run-"), base_seed=-1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([verb, str(cfg_path)]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert "base_seed" in record["message"]
         assert not (tmp_path / "res").exists()
 
     def test_bad_config_fails_with_error_record(self, tmp_path, capsys):
