@@ -38,7 +38,6 @@ N_CANDIDATES = 5000
 _STREAM_INIT = 0
 _STREAM_POOL = 1
 _STREAM_GPFIT = 2
-_STREAM_NOISE = 3
 
 
 def derived_seed(seed: int, *key: int) -> int:
@@ -114,7 +113,8 @@ class OptimizerState:
 
     ``x`` (n, D) and ``y`` (n,) hold the encoded inputs and performances of
     the trials so far, row i for iteration i, and ``failed`` (n,) marks the
-    rows whose ``y`` is imputed; only ``observe`` grows them.
+    rows whose ``y`` is imputed; only ``observe`` grows them. Neither are
+    ``target_gp`` and ``prev_p_target``, which ``observe`` and ``suggest`` set.
     """
 
     space: ConfigSpace
@@ -123,10 +123,10 @@ class OptimizerState:
     seed: int
     n_cv: int = transfer.N_CV_DEFAULT
     n_candidates: int = N_CANDIDATES
-    prev_p_target: float = 0.0
-    target_gp: gp.GpSurrogate | None = None
     pool: _TabularPool | None = None
     force_p: tuple[float, float] | None = None
+    prev_p_target: float = field(init=False, default=0.0)
+    target_gp: gp.GpSurrogate | None = field(init=False, default=None)
     x: np.ndarray = field(init=False)
     y: np.ndarray = field(init=False)
     failed: np.ndarray = field(init=False)
@@ -154,10 +154,9 @@ def _candidate_pool(state: OptimizerState, iteration: int):
 
 
 def _random_suggestion(state: OptimizerState, iteration: int) -> Configuration:
-    if state.pool is not None:
-        rng = _stream_rng(state.seed, _STREAM_POOL, iteration)
-        return state.pool.configs[int(rng.choice(state.pool.remaining()))]
     rng = _stream_rng(state.seed, _STREAM_POOL, iteration)
+    if state.pool is not None:
+        return state.pool.configs[int(rng.choice(state.pool.remaining()))]
     cols = space_mod._sample_arrays(state.space, 1, rng)
     return space_mod._config_from_arrays(state.space, cols, 0)
 

@@ -9,6 +9,7 @@ if any fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -133,7 +134,7 @@ def _check(name: str, fn) -> bool:
     return True
 
 
-def _selftest() -> int:
+def _selftest(args) -> int:
     """Run the oracle checks of ``tlbo.oracles``, the acceptance suite's own."""
     ok = all([_check(name, fn) for name, fn in oracles.CHECKS])
     return 0 if ok else 1
@@ -143,40 +144,31 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tlbo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run-static", help="run the leave-one-out protocol from a config file")
-    p.add_argument("config")
-    p.add_argument("--out", help="output directory (overrides config 'out_dir')")
-
-    p = sub.add_parser("run-dynamic", help="run the sequential-arrival protocol from a config file")
-    p.add_argument("config")
-    p.add_argument("--out", help="output directory (overrides config 'out_dir')")
+    for protocol, protocol_help in (("static", "leave-one-out"), ("dynamic", "sequential-arrival")):
+        p = sub.add_parser(f"run-{protocol}", help=f"run the {protocol_help} protocol from a config file")
+        p.add_argument("config")
+        p.add_argument("--out", help="output directory (overrides config 'out_dir')")
+        p.set_defaults(handler=functools.partial(_cmd_run, protocol=protocol))
 
     p = sub.add_parser("bench-synthetic", help="materialize a synthetic family as tabular task files")
     p.add_argument("spec")
     p.add_argument("--out", required=True)
+    p.set_defaults(handler=_cmd_bench_synthetic)
 
     p = sub.add_parser("report", help="emit CSV summaries from a result directory")
     p.add_argument("result_dir")
     p.add_argument("out_dir")
+    p.set_defaults(handler=_cmd_report)
 
-    sub.add_parser("selftest", help="run the acceptance suite's oracle checks")
+    p = sub.add_parser("selftest", help="run the acceptance suite's oracle checks")
+    p.set_defaults(handler=_selftest)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run-static":
-            return _cmd_run(args, "static")
-        if args.command == "run-dynamic":
-            return _cmd_run(args, "dynamic")
-        if args.command == "bench-synthetic":
-            return _cmd_bench_synthetic(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "selftest":
-            return _selftest()
-        raise ValidationError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except Exception as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)

@@ -290,7 +290,7 @@ def check_combined_prediction():
     m2 = gp.fit(x, gp.standardize(rng.normal(size=8)).z, seed=1)
     q = rng.uniform(size=(5, 1))
     for idx, member in enumerate((m1, m2)):
-        w = SimplexWeights.vertex(2, idx)
+        w = SimplexWeights(np.eye(2)[idx])
         mean, var = transfer.combined_predict([m1, m2], w, q)
         ref_mean, ref_var = member.predict(q)
         np.testing.assert_array_equal(mean, ref_mean)

@@ -95,17 +95,6 @@ class SimplexWeights:
             raise ValidationError("weight dimension must be at least 1")
         return cls(np.full(dim, 1.0 / dim))
 
-    @classmethod
-    def vertex(cls, dim: int, index: int) -> "SimplexWeights":
-        if not 0 <= index < dim:
-            raise ValidationError("vertex index out of range")
-        v = np.zeros(dim)
-        v[index] = 1.0
-        return cls(v)
-
-    def __len__(self):
-        return self.values.size
-
     def __repr__(self):
         return f"SimplexWeights({np.array2string(self.values, precision=4)})"
 

@@ -49,10 +49,6 @@ class SourceEnsemble:
         return len(self.models)
 
 
-def _has_pairs(y: np.ndarray) -> bool:
-    return np.unique(y).size > 1
-
-
 def source_means(sources: SourceEnsemble, x: np.ndarray) -> np.ndarray:
     """The (n, K) matrix of source predictive means at the target inputs.
 
@@ -134,23 +130,20 @@ def learn_phase2_weights(
     Fallbacks: [0, 1] with no sources (only the target can carry weight),
     [1, 0] when the history is too small for cross-validation (fewer
     observations than folds, so some fold would be empty) or carries no
-    strict performance pairs. A constant objective with pairs present
-    resolves toward the target. Fewer than two folds is rejected.
+    strict performance pairs. Otherwise the pure-target vertex [0, 1] wins
+    any tie within 1e-12 of the solver's loss, so a constant objective with
+    pairs present (equal cross-validated columns) resolves to the target.
+    Fewer than two folds is rejected.
     """
     if n_cv < 2:
         raise ValidationError("cross-validation needs at least 2 folds")
     if a.shape[1] == 0:
         return SimplexWeights([0.0, 1.0])
     y = np.asarray(y, dtype=float)
-    if y.size < n_cv or not _has_pairs(y):
+    if y.size < n_cv or np.unique(y).size < 2:
         return SimplexWeights([1.0, 0.0])
-    matrix = assemble_phase2_matrix(a, x, y, target_params, n_cv)
-    if np.allclose(matrix[:, 0], matrix[:, 1], rtol=0.0, atol=1e-12):
-        return SimplexWeights([0.0, 1.0])
-    pm = PredictionMatrix(matrix, y)
+    pm = PredictionMatrix(assemble_phase2_matrix(a, x, y, target_params, n_cv), y)
     p = minimize_on_simplex(pm)
-    # Ties between the solver result and the pure-target vertex resolve
-    # toward the target.
     target_vertex = SimplexWeights([0.0, 1.0])
     if ranking_loss(pm, target_vertex) <= ranking_loss(pm, p) + 1e-12:
         return target_vertex
@@ -183,16 +176,12 @@ def combined_predict(models, weights: SimplexWeights, x):
     active = np.nonzero(wv > 0.0)[0]
     if active.size == 1 and wv[active[0]] == 1.0:
         return models[active[0]].predict(x)
-    mean = None
-    var = None
+    # A SimplexWeights always has a positive entry, so the sums are arrays.
+    mean = var = 0.0
     for i in active:
         m_i, v_i = models[i].predict(x)
-        contrib_m = wv[i] * np.asarray(m_i, dtype=float)
-        contrib_v = wv[i] ** 2 * np.asarray(v_i, dtype=float)
-        mean = contrib_m if mean is None else mean + contrib_m
-        var = contrib_v if var is None else var + contrib_v
-    if mean is None:
-        raise ValidationError("all weights are zero")
+        mean = mean + wv[i] * np.asarray(m_i, dtype=float)
+        var = var + wv[i] ** 2 * np.asarray(v_i, dtype=float)
     if np.asarray(x).ndim == 1:
         return float(mean), float(var)
     return mean, var

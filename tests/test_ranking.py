@@ -47,9 +47,8 @@ class TestSimplexWeights:
         with pytest.raises(ValidationError):
             SimplexWeights([0.5, 0.4])
 
-    def test_uniform_and_vertex(self):
+    def test_uniform(self):
         np.testing.assert_allclose(SimplexWeights.uniform(4).values, [0.25] * 4)
-        np.testing.assert_array_equal(SimplexWeights.vertex(3, 1).values, [0.0, 1.0, 0.0])
 
 
 class TestRankingLoss:
@@ -189,8 +188,8 @@ class TestMinimizeOnSimplex:
         gap = float(g @ w - g.min())
         achieved = ranking_loss(pm, SimplexWeights(w))
         assert achieved <= ranking_loss(pm, SimplexWeights.uniform(pm.k)) + 1e-12
-        for i in range(pm.k):
-            assert achieved <= ranking_loss(pm, SimplexWeights.vertex(pm.k, i)) + gap + 1e-12
+        for vertex in np.eye(pm.k):
+            assert achieved <= ranking_loss(pm, SimplexWeights(vertex)) + gap + 1e-12
 
     @given(pm=ranking_problems())
     @settings(max_examples=80, deadline=None)

@@ -176,6 +176,20 @@ class TestLearnPhase2Weights:
         pm = PredictionMatrix(matrix, y)
         assert ranking_loss(pm, p) <= simplex_grid_min(pm, 0.001) + 1e-3
 
+    @pytest.mark.parametrize("n", [5, 40, 200])
+    @pytest.mark.parametrize("offset", [0.0, 1e-13, 9e-13])
+    def test_columns_within_1e_12_resolve_to_target(self, monkeypatch, n, offset):
+        # Columns within 1e-12 move every pair difference by at most 2e-12,
+        # so every p's loss is within (1 - 1/n) * 1e-12 of the target
+        # vertex's, and the tie rule must return the vertex exactly.
+        rng = np.random.default_rng(n)
+        src = rng.normal(size=n)
+        tgt = src + offset * rng.choice([-1.0, 1.0], size=n)
+        assert np.abs(tgt - src).max() <= 1e-12
+        monkeypatch.setattr(transfer, "assemble_phase2_matrix", lambda *args: np.column_stack([src, tgt]))
+        p = learn_phase2_weights(np.zeros((n, 1)), np.zeros((n, 1)), rng.normal(size=n), DEFAULT_PARAMS)
+        assert p.values.tolist() == [0.0, 1.0]
+
 
 class TestCvAssembly:
     def _setup(self, seed=5, n=15):
