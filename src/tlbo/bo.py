@@ -124,7 +124,7 @@ class OptimizerState:
     n_cv: int = transfer.N_CV_DEFAULT
     n_candidates: int = N_CANDIDATES
     pool: _TabularPool | None = None
-    force_p: tuple[float, float] | None = None
+    force_p: SimplexWeights | None = None
     prev_p_target: float = field(init=False, default=0.0)
     target_gp: gp.GpSurrogate | None = field(init=False, default=None)
     x: np.ndarray = field(init=False)
@@ -178,7 +178,7 @@ def _refresh_transfer_weights(state: OptimizerState):
     if state.sources.k >= 1:
         w = transfer.learn_source_weights(a, y)
     if state.force_p is not None:
-        p = SimplexWeights(list(state.force_p))
+        p = state.force_p
     elif state.prev_p_target == 1.0:
         p = SimplexWeights([0.0, 1.0])
     else:
@@ -338,6 +338,9 @@ def run(
     refit in that trial's ``observe`` (0 when no refit ran or it failed),
     and ``fit_start`` is the index of the refit's winning start
     (``GpSurrogate.fit_start``; ``None`` when no refit ran or it failed).
+    ``force_p``, for ``transbo`` only, fixes ``p`` = (p_source, p_target)
+    in every suggestion. Every argument is checked before the first
+    objective call.
     """
     if policy not in POLICIES:
         raise ValidationError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -349,6 +352,12 @@ def run(
         raise ValidationError("cross-validation needs at least 2 folds")
     if n_candidates < 1:
         raise ValidationError("the EI candidate pool needs at least one candidate")
+    if force_p is not None:
+        if policy != "transbo":
+            raise ValidationError(f"force_p applies to the transbo policy only, not {policy!r}")
+        force_p = SimplexWeights(force_p)
+        if force_p.dim != 2:
+            raise ValidationError("force_p must hold two weights, (p_source, p_target)")
     if sources is None:
         sources = SourceEnsemble(models=())
     pool = _TabularPool(space, candidate_grid) if candidate_grid is not None else None

@@ -10,17 +10,24 @@ noise-free latent posterior (mean, variance).
 The likelihood is the inner loop of every refit, so its inputs are laid out
 for it once per fit (``_lml_args``): the squared input differences are
 stored dimension-major, (d, n, n), so that scaling and summing them runs
-over whole (n, n) planes, and the identity is built once. The Cholesky
-factor and solves call LAPACK's ``dpotrf``/``dpotrs`` directly, without
-scipy's finiteness checks. Every sum keeps the order of the straightforward
-formula, ``oracles.reference_neg_lml_and_grad``, so the value and gradient
-are bitwise equal to it; the tests hold them to that at d = 2 and 4, the
-encoded dimensions of the benchmarks.
+over whole (n, n) planes. ``_lml_args`` also builds the fit's workspace
+(``_LmlWorkspace``): every buffer an evaluation writes, and the views into
+them, made once. An evaluation computes into it with ``out=`` and in-place
+operations, so it allocates little more than its returned value and
+gradient, which are new objects: L-BFGS-B keeps the last gradient while
+the next point is evaluated. The Cholesky factor and solves call LAPACK's
+``dpotrf``/``dpotrs`` directly, in place and without scipy's finiteness
+checks. Every operation keeps the grouping, and every sum the order, of the
+straightforward formula, ``oracles.reference_neg_lml_and_grad``, so the
+value and gradient are bitwise equal to it; the tests hold them to that at
+d = 2 and 4, the encoded dimensions of the benchmarks, and hold a reused
+workspace to a fresh one's bits (``oracles.check_likelihood_workspace_reuse``).
 
 Each start of the search runs L-BFGS-B through its own short loop over
 scipy's reverse-communication routine ``setulb`` (``_lbfgsb``) rather than
 ``scipy.optimize.minimize``, whose layers of wrappers and copies cost tens
-of microseconds per likelihood evaluation, a sizeable share of a refit. The
+of microseconds per likelihood evaluation, a sizeable share of a refit; it
+hands ``setulb`` one gradient buffer rather than a copy on every pass. The
 loop keeps everything of ``minimize(method="L-BFGS-B", jac=True)`` that
 changes a result: its settings (10 corrections, ``ftol`` 2.22e-9, ``gtol``
 1e-5, 20 line-search steps, 15000 iterations and evaluations), its
@@ -181,68 +188,112 @@ def _matern52(x1: np.ndarray, x2: np.ndarray, params: KernelParams) -> np.ndarra
     return k
 
 
+class _LmlWorkspace:
+    """Preallocated buffers for the likelihood evaluations of one fit, at n
+    inputs in d dimensions: the scaled squared differences (d, n, n), four
+    (n, n) planes, the gradient terms (n, n, d), and the Cholesky factor and
+    K^-1, which LAPACK writes in place; views into them are made once too."""
+
+    __slots__ = (
+        "scaled", "kf", "linear", "decay", "gmat", "kn", "kn_diag", "eye", "kinv", "terms",
+        "terms_planes",
+    )
+
+    def __init__(self, n: int, dim: int):
+        self.scaled = np.empty((dim, n, n))
+        self.kf, self.linear, self.decay, self.gmat = np.empty((4, n, n))
+        # Column-major, so that LAPACK takes them without a copy.
+        self.kn = np.empty((n, n), order="F")
+        self.kn_diag = self.kn.T.reshape(-1)[:: n + 1]
+        self.eye = np.eye(n, order="F")
+        self.kinv = np.empty((n, n), order="F")
+        self.terms = np.empty((n, n, dim))
+        self.terms_planes = np.moveaxis(self.terms, -1, 0)
+
+
 def _lml_args(x: np.ndarray, z: np.ndarray):
     """The fixed arguments of ``_neg_lml_and_grad`` for inputs ``x`` (n, d)
     and targets ``z``: the squared input differences per dimension, (d, n, n),
-    then ``z`` and the (n, n) identity."""
+    then ``z`` and the fit's ``_LmlWorkspace``."""
     xt = np.ascontiguousarray(x.T)
-    return (xt[:, :, None] - xt[:, None, :]) ** 2, z, np.eye(x.shape[0])
+    return (xt[:, :, None] - xt[:, None, :]) ** 2, z, _LmlWorkspace(*x.shape)
 
 
-def _neg_lml_and_grad(theta: np.ndarray, sq_diffs: np.ndarray, z: np.ndarray, eye: np.ndarray):
+def _neg_lml_and_grad(theta: np.ndarray, sq_diffs: np.ndarray, z: np.ndarray, ws: _LmlWorkspace):
     """Negative log marginal likelihood and its gradient in log-parameters.
 
-    ``sq_diffs``, ``z`` and ``eye`` are ``_lml_args(x, z)``.
+    ``sq_diffs``, ``z`` and ``ws`` are ``_lml_args(x, z)``. Every
+    intermediate is written into ``ws``, and every call rewrites all of it, so
+    no call depends on the one before, also after a failed factorization.
+    The value and gradient returned are new objects, never views into ``ws``.
     """
     dim, n, _ = sq_diffs.shape
     ls = np.exp(theta[:dim])
     sv = float(np.exp(theta[dim]))
     nv = float(np.exp(theta[dim + 1]))
 
-    # Each sum adds its terms in the reference's order. Fewer than 8 terms
-    # along the reference's last axis are added one by one, as the planes are
-    # here; from 8 on, numpy adds them pairwise, so that sum is taken in the
-    # reference's (n, n, d) layout.
-    scaled = sq_diffs / (ls**2)[:, None, None]
+    # Each step keeps the reference's operations and their grouping; as
+    # IEEE + and * are commutative, an in-place ``a op= b`` has the bits of
+    # ``b op a``. Each sum adds its terms in the reference's order. Fewer
+    # than 8 terms along the reference's last axis are added one by one, as
+    # the planes are here; from 8 on, numpy adds them pairwise, so that sum
+    # is taken in the reference's (n, n, d) layout.
+    scaled = np.divide(sq_diffs, (ls**2)[:, None, None], out=ws.scaled)
     if dim < 8:
-        d2 = np.add.reduce(scaled, axis=0)
+        d2 = np.add.reduce(scaled, axis=0, out=ws.kf)
     else:
         d2 = np.ascontiguousarray(np.moveaxis(scaled, 0, -1)).sum(axis=2)
-    sqrt5_r = SQRT5 * np.sqrt(d2)
-    decay = np.exp(-sqrt5_r)
-    linear = 1.0 + sqrt5_r
-    kf = sv * (linear + (5.0 / 3.0) * d2) * decay
-    # kn is symmetric and new, so LAPACK may factor its F-ordered view in place.
-    kn = kf + nv * eye
-    chol, info = dpotrf(kn.T, lower=1, clean=0, overwrite_a=1)
+    sqrt5_r = np.sqrt(d2, out=ws.linear)
+    sqrt5_r *= SQRT5
+    # exp(-sqrt5 r): negation is exact.
+    decay = np.exp(np.negative(sqrt5_r, out=ws.decay), out=ws.decay)
+    linear = np.add(sqrt5_r, 1.0, out=sqrt5_r)
+    # kf = sv * (linear + (5/3) d2) * decay, in d2's memory.
+    kf = d2
+    kf *= 5.0 / 3.0
+    kf += linear
+    kf *= sv
+    kf *= decay
+    # kn = kf + nv * I: kf >= 0, so adding nv * 0 off the diagonal is exact.
+    kn = ws.kn
+    np.copyto(kn, kf)
+    ws.kn_diag += nv
+    chol, info = dpotrf(kn, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         return _BAD_OBJECTIVE, np.zeros(dim + 2)
 
     alpha, _ = dpotrs(chol, z, lower=1)
     lml = (
         -0.5 * float(z @ alpha)
-        - float(np.log(np.diag(chol)).sum())
+        - float(np.log(chol.diagonal()).sum())
         - 0.5 * n * math.log(2.0 * math.pi)
     )
-    kinv, _ = dpotrs(chol, eye, lower=1)
-    gmat = np.outer(alpha, alpha) - kinv
+    kinv = ws.kinv
+    np.copyto(kinv, ws.eye)
+    dpotrs(chol, kinv, lower=1, overwrite_b=1)
+    gmat = np.multiply(alpha[:, None], alpha[None, :], out=ws.gmat)  # np.outer's product
+    gmat -= kinv
 
     # d k / d log(ls_d) = (5/3) * sv * (1 + sqrt5 r) * exp(-sqrt5 r) * scaled_d
-    base = (5.0 / 3.0) * sv * linear * decay
-    weighted = gmat * base
+    weighted = linear
+    weighted *= (5.0 / 3.0) * sv
+    weighted *= decay
+    weighted *= gmat
+    grad = np.empty(dim + 2)
     if dim == 1:
         # The reference's einsum adds all n * n terms vectorized here...
-        grad_ls = 0.5 * np.einsum("ij,dij->d", weighted, scaled)
+        grad_ls = np.einsum("ij,dij->d", weighted, scaled)
     else:
         # ...and each dimension's terms one by one in (i, j) order here,
         # which einsum repeats only for terms laid out (n, n, d).
-        terms = np.empty((n, n, dim))
-        np.multiply(weighted, scaled, out=np.moveaxis(terms, -1, 0))
-        grad_ls = 0.5 * np.einsum("ijd->d", terms)
-    grad_sv = 0.5 * float((gmat * kf).sum())
-    grad_nv = 0.5 * float(np.trace(gmat)) * nv
-    grad = np.concatenate([grad_ls, [grad_sv, grad_nv]])
-    return -lml, -grad
+        np.multiply(weighted, scaled, out=ws.terms_planes)
+        grad_ls = np.einsum("ijd->d", ws.terms)
+    # The negated gradient: -(0.5 * g) is (-0.5) * g bit for bit.
+    np.multiply(grad_ls, -0.5, out=grad[:dim])
+    kf *= gmat  # gmat * kf, in kf's memory
+    grad[dim] = -0.5 * float(kf.sum())
+    grad[dim + 1] = -0.5 * float(gmat.trace()) * nv
+    return -lml, grad
 
 
 class GpSurrogate:
@@ -399,8 +450,9 @@ def _lbfgsb_minimize(fun, x0, args, lows, highs):
     f_eval, g_eval = fun(x_eval, *args)
     f0, nfev, n_iter = f_eval, 1, 0
     while True:
-        # setulb may write into g, so it gets a copy of the kept gradient.
-        g = g.astype(np.float64)
+        # setulb may write into g, so g is its own buffer: an FG request
+        # copies the kept gradient into it, and a NEW_X pass hands it back
+        # as setulb left it, as minimize's copy of its g on every pass does.
         _lbfgsb.setulb(
             m, x, lows, highs, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL,
             wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task,
@@ -410,7 +462,8 @@ def _lbfgsb_minimize(fun, x0, args, lows, highs):
                 x_eval = x.copy()
                 f_eval, g_eval = fun(x_eval, *args)
                 nfev += 1
-            f, g = f_eval, g_eval
+            f = f_eval
+            np.copyto(g, g_eval)
         elif task[0] == 1:  # NEW_X: an iteration ended
             n_iter += 1
             if n_iter >= _LBFGSB_MAXITER:

@@ -99,6 +99,25 @@ def lml_mismatch(theta, args, bitwise: bool) -> str | None:
     return None if same else f"value and gradient {got} vs reference {want}"
 
 
+def workspace_reuse_mismatch(x, z, thetas) -> str | None:
+    """How evaluating ``gp._neg_lml_and_grad`` at ``thetas`` in turn, on the
+    one workspace of ``gp._lml_args(x, z)``, differs from evaluating each
+    on a fresh workspace: in any bit of the value or gradient, or by a
+    gradient that shares memory with the workspace; ``None`` when it does
+    not."""
+    args = gp._lml_args(x, z)
+    ws = args[-1]
+    buffers = [getattr(ws, name) for name in type(ws).__slots__]
+    for i, theta in enumerate(thetas):
+        f, g = gp._neg_lml_and_grad(theta, *args)
+        f_fresh, g_fresh = gp._neg_lml_and_grad(theta, *gp._lml_args(x, z))
+        if np.append(f, g).tobytes() != np.append(f_fresh, g_fresh).tobytes():
+            return f"call {i} at {theta}: {f}, {g} vs a fresh workspace's {f_fresh}, {g_fresh}"
+        if any(np.shares_memory(g, b) for b in buffers):
+            return f"call {i} at {theta}: the gradient is a view into the workspace"
+    return None
+
+
 def lbfgsb_mismatch(x, z, theta0, lows, highs) -> str | None:
     """How ``gp._lbfgsb_minimize`` of the GP likelihood of (``x``, ``z``)
     from ``theta0`` within [``lows``, ``highs``] differs from the public
@@ -311,6 +330,28 @@ def check_likelihood_vs_reference():
             _expect(mismatch is None, f"n={n}, d={dim}: {mismatch}")
 
 
+def check_likelihood_workspace_reuse():
+    """The likelihood evaluated at a point, then at a point whose Cholesky
+    factorization fails (duplicated inputs, noise 1e-30), then at the first
+    point again, all on one workspace: both results at the first point have
+    the bits of a fresh workspace's, and no gradient shares its memory; at
+    d in {1, 2, 4}, n in {4, 20, 60}."""
+    rng = np.random.default_rng(31)
+    for dim in (1, 2, 4):
+        lows, highs = gp._log_bounds(dim)
+        for n in (4, 20, 60):
+            half = rng.uniform(size=(n // 2, dim))
+            x = np.concatenate([half, half])
+            z = gp.standardize(np.sin(5.0 * x).sum(axis=1) + 0.1 * rng.normal(size=n)).z
+            theta_a = rng.uniform(lows, highs)
+            theta_b = highs.copy()
+            theta_b[-1] = math.log(1e-30)
+            value, _ = gp._neg_lml_and_grad(theta_b, *gp._lml_args(x, z))
+            _expect(value == gp._BAD_OBJECTIVE, f"n={n}, d={dim}: the failing point factorized")
+            mismatch = workspace_reuse_mismatch(x, z, (theta_a, theta_b, theta_a))
+            _expect(mismatch is None, f"n={n}, d={dim}: {mismatch}")
+
+
 def check_lbfgsb_vs_minimize():
     """The fit's L-BFGS-B loop against ``scipy.optimize.minimize`` on GP
     likelihoods, bit for bit in x and value and equal in evaluation count:
@@ -355,5 +396,6 @@ CHECKS = (
     ("average-rank-ties", check_average_rank_ties),
     ("combined-prediction", check_combined_prediction),
     ("likelihood-vs-reference", check_likelihood_vs_reference),
+    ("likelihood-workspace-reuse", check_likelihood_workspace_reuse),
     ("lbfgsb-vs-minimize", check_lbfgsb_vs_minimize),
 )

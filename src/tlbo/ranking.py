@@ -78,6 +78,9 @@ class SimplexWeights:
         arr = np.array(values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("weights must form a non-empty 1-D vector")
+        # NaN fails no comparison, so it would pass the checks below.
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"weights must be finite, got {arr}")
         if arr.min() < -1e-9:
             raise ValidationError(f"weights must be nonnegative, got min {arr.min()}")
         arr = np.clip(arr, 0.0, None)

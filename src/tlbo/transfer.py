@@ -55,6 +55,12 @@ def source_means(sources: SourceEnsemble, x: np.ndarray) -> np.ndarray:
     Column k holds source k's mean at every row of ``x``; with no sources the
     matrix is (n, 0). The sources are fixed for a run, so one matrix per
     history serves phase 1 and every cross-validation fold of phase 2.
+
+    A row's bits depend on how many rows are predicted with it: BLAS blocks
+    the products of ``GpSurrogate.predict`` by the row count. So the matrix
+    of a history is not, bit for bit, the one of its first n - 1 rows with a
+    row appended; growing it row by row would move the weights in the last
+    bits.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     means = [m.predict(x)[0] for m in sources.models]

@@ -219,6 +219,27 @@ class TestRun:
         with pytest.raises(ValidationError):
             run(one_d_space(), objective, policy="igp", budget=5, seed=0, n_candidates=0)
 
+    @pytest.mark.parametrize(
+        "policy, force_p",
+        [
+            ("transbo", (0.7, 0.7)),
+            ("transbo", (math.nan, 1.0)),
+            ("transbo", (0.2, 0.3, 0.5)),
+            ("igp", (0.0, 1.0)),
+            ("random", (0.0, 1.0)),
+        ],
+    )
+    def test_bad_force_p_rejected_before_any_trial(self, policy, force_p):
+        calls = []
+
+        def objective(config):
+            calls.append(config)
+            return quadratic(config)
+
+        with pytest.raises(ValidationError, match="force_p|weights"):
+            run(one_d_space(), objective, policy=policy, budget=6, seed=0, force_p=force_p)
+        assert calls == []
+
     def test_exhausted_grid_rejected(self):
         grid = [Configuration({"x": v}) for v in (0.1, 0.4, 0.6)]
         pool = bo._TabularPool(one_d_space(), grid)

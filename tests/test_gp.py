@@ -254,6 +254,33 @@ class TestLikelihoodMatchesReference:
             assert m.fit_nfev == ref.fit_nfev > 0
 
 
+class TestLikelihoodWorkspaceReuse:
+    """Evaluations on one fit's workspace, in any order and across failed
+    factorizations, against fresh workspaces (see
+    ``oracles.workspace_reuse_mismatch``)."""
+
+    @given(
+        data=st.data(),
+        n=st.integers(2, 60),
+        dim=st.sampled_from([1, 2, 4]),
+        order=st.lists(st.integers(0, 3), min_size=2, max_size=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_orders(self, data, n, dim, order):
+        # Duplicated inputs and noise 1e-30 make point 3's factorization fail.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        half = rng.uniform(size=((n + 1) // 2, dim))
+        x = np.concatenate([half, half])[:n]
+        z = standardize(np.sin(5.0 * x).sum(axis=1) + 0.1 * rng.normal(size=n)).z
+        lows, highs = gp._log_bounds(dim)
+        failing = highs.copy()
+        failing[-1] = math.log(1e-30)
+        assert _neg_lml_and_grad(failing, *_lml_args(x, z))[0] == gp._BAD_OBJECTIVE
+        points = [rng.uniform(lows, highs) for _ in range(3)] + [failing]
+        mismatch = oracles.workspace_reuse_mismatch(x, z, [points[i] for i in order])
+        assert mismatch is None, mismatch
+
+
 class TestKernelAndPredictionBits:
     """The in-place kernel and prediction against the straightforward
     formulas, bit for bit, with a query on a training point (where the

@@ -50,6 +50,13 @@ class TestSimplexWeights:
     def test_uniform(self):
         np.testing.assert_allclose(SimplexWeights.uniform(4).values, [0.25] * 4)
 
+    @pytest.mark.parametrize(
+        "values", [[math.nan, 1.0], [1.0, math.nan], [math.inf, 1.0], [-math.inf, 1.0]]
+    )
+    def test_rejects_non_finite(self, values):
+        with pytest.raises(ValidationError, match="finite"):
+            SimplexWeights(values)
+
 
 class TestRankingLoss:
     def test_single_observation_has_no_pairs(self):
