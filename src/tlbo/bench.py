@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import bo, gp, space as space_mod
 from .bo import RunResult, derived_seed
@@ -305,15 +304,21 @@ def adtm(incumbent_y_per_task, y_min_per_task, y_max_per_task) -> np.ndarray:
 
 
 def average_rank(best_values) -> np.ndarray:
-    """Competition ranking of per-method values (lower is better); tied
-    values share the mean of the positions they occupy. ``+inf`` stands for
-    a method with no successful trial yet and ranks last."""
+    """Competition ranks of per-method values along the last axis (lower is
+    better): a 1-D array is one ranking, and a 2-D (rows, methods) array is
+    ranked row by row. Tied values share the mean of the 1-based positions
+    they occupy, so every rank is a whole number or a half. ``+inf`` stands
+    for a method with no successful trial yet and ranks last. Each value is
+    compared with every other in its row, which suits the few methods of a
+    report."""
     arr = np.asarray(best_values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("average_rank expects a non-empty 1-D array")
+    if arr.ndim not in (1, 2) or arr.size == 0:
+        raise ValidationError("average_rank expects a non-empty 1-D or 2-D array")
     if not np.all(np.isfinite(arr) | (arr == np.inf)):
         raise ValidationError("average_rank expects finite values or +inf")
-    return rankdata(arr, method="average")
+    below = (arr[..., None, :] < arr[..., :, None]).sum(axis=-1)
+    tied = (arr[..., None, :] == arr[..., :, None]).sum(axis=-1)
+    return below + (tied + 1) / 2
 
 
 @dataclass(frozen=True)
@@ -685,9 +690,9 @@ def report(result: ExperimentResult, out_dir) -> list[str]:
     # Average rank across methods, computed per (task, seed, trial).
     rank_sums = np.zeros((result.budget, len(methods)))
     for t, seed in pairs:
-        incs = np.stack([result.incumbent_curve(t.name, m, seed) for m in methods])
-        for i in range(result.budget):
-            rank_sums[i] += average_rank(incs[:, i])
+        rank_sums += average_rank(
+            np.stack([result.incumbent_curve(t.name, m, seed) for m in methods], axis=-1)
+        )
     ranks = rank_sums / max(len(pairs), 1)
 
     # Mean cumulative suggestion overhead per trial.

@@ -79,8 +79,8 @@ def expected_improvement(mean, variance, y_best):
 
 
 class _TabularPool:
-    """Finite candidate grid; suggestions draw from unevaluated rows only,
-    which ``unused`` marks."""
+    """Finite candidate grid of distinct configurations; suggestions draw
+    from unevaluated rows only, which ``unused`` marks."""
 
     def __init__(self, space: ConfigSpace, configs: list[Configuration]):
         if not configs:
@@ -88,6 +88,8 @@ class _TabularPool:
         self.configs = list(configs)
         self.encoded = space_mod.encode_batch(space, self.configs)
         self._index = {_config_key(c): i for i, c in enumerate(self.configs)}
+        if len(self._index) != len(self.configs):
+            raise ValidationError("tabular candidate grid repeats a configuration")
         self.unused = np.ones(len(self.configs), dtype=bool)
 
     def remaining(self) -> np.ndarray:
@@ -338,6 +340,8 @@ def run(
     refit in that trial's ``observe`` (0 when no refit ran or it failed),
     and ``fit_start`` is the index of the refit's winning start
     (``GpSurrogate.fit_start``; ``None`` when no refit ran or it failed).
+    ``fit_jitter`` is the diagonal jitter the refit's Cholesky settled on
+    (``GpSurrogate.fit_jitter``; ``None`` when no refit ran or it failed).
     ``force_p``, for ``transbo`` only, fixes ``p`` = (p_source, p_target)
     in every suggestion. Every argument is checked before the first
     objective call.
@@ -415,6 +419,7 @@ def run(
                 "suggest_wallclock_ms": wallclock_ms,
                 "fit_nfev": state.target_gp.fit_nfev if state.target_gp is not None else 0,
                 "fit_start": state.target_gp.fit_start if state.target_gp is not None else None,
+                "fit_jitter": state.target_gp.fit_jitter if state.target_gp is not None else None,
             }
         )
     # A failure's imputed value, which a later first success may have set.

@@ -303,7 +303,10 @@ class GpSurrogate:
     choosing ``params``, summed over the starts; 0 when none ran.
     ``fit_start`` is the index of the start whose result ``fit`` kept (0 for
     the defaults start, then 1..``N_RESTARTS``); ``None`` when none beat the
-    default parameters strictly, or no search ran.
+    default parameters strictly, or no search ran. ``fit_jitter`` is the
+    diagonal jitter, on top of the noise variance, that the Cholesky of the
+    training kernel matrix needed: the first level of ``JITTERS`` it
+    succeeded at.
     """
 
     def __init__(
@@ -327,7 +330,7 @@ class GpSurrogate:
         self.params = params
         self.fit_nfev = fit_nfev
         self.fit_start = fit_start
-        self._chol, self._alpha = _factorize(x, z, params)
+        self._chol, self._alpha, self.fit_jitter = _factorize(x, z, params)
 
     @property
     def input_dim(self) -> int:
@@ -362,7 +365,8 @@ class GpSurrogate:
 
 
 def _factorize(x: np.ndarray, z: np.ndarray, params: KernelParams):
-    """Cholesky of the noisy kernel matrix, escalating jitter on failure."""
+    """Cholesky of the noisy kernel matrix, escalating jitter on failure;
+    returns (chol, alpha, jitter)."""
     kf = _matern52(x, x, params)
     eye = np.eye(x.shape[0])
     for jitter in JITTERS:
@@ -370,8 +374,7 @@ def _factorize(x: np.ndarray, z: np.ndarray, params: KernelParams):
             chol = np.linalg.cholesky(kf + (params.noise_variance + jitter) * eye)
         except np.linalg.LinAlgError:
             continue
-        alpha = cho_solve((chol, True), z)
-        return chol, alpha
+        return chol, cho_solve((chol, True), z), jitter
     raise FitError("kernel matrix is not positive definite even after jitter escalation")
 
 

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from tlbo import bench, bo
 from tlbo.bench import (
@@ -221,6 +224,46 @@ class TestAverageRank:
         np.testing.assert_array_equal(average_rank([0.2, math.inf, 0.1, math.inf]), [2.0, 3.5, 1.0, 3.5])
         with pytest.raises(ValidationError):
             average_rank([0.1, -math.inf])
+
+
+@st.composite
+def tied_rows(draw, max_rows=1):
+    """(rows, m) values drawn from a few distinct floats plus ``+inf``, so
+    that ties are common."""
+    pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4))
+    pool.append(math.inf)
+    m = draw(st.integers(1, 10))
+    n_rows = draw(st.integers(1, max_rows))
+    cells = st.lists(st.sampled_from(pool), min_size=m, max_size=m)
+    return np.array(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+
+
+class TestAverageRankOracle:
+    """``average_rank`` against scipy's ``rankdata``, which the library
+    itself does not import."""
+
+    @given(values=tied_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_rankdata(self, values):
+        ranks = average_rank(values[0])
+        expected = rankdata(values[0], method="average")
+        assert ranks.dtype == expected.dtype and ranks.tobytes() == expected.tobytes()
+
+    @given(matrix=tied_rows(max_rows=6))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_rank_like_one_dimensional_calls(self, matrix):
+        ranks = average_rank(matrix)
+        assert ranks.tobytes() == np.stack([average_rank(row) for row in matrix]).tobytes()
+
+    @given(values=tied_rows(), bad=st.sampled_from([math.nan, -math.inf]), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_nan_and_negative_infinity_rejected(self, values, bad, data):
+        row = values[0].tolist()
+        row.insert(data.draw(st.integers(0, len(row))), bad)
+        with pytest.raises(ValidationError):
+            average_rank(row)
+        with pytest.raises(ValidationError):
+            average_rank([row, row])
 
 
 class TestRunStatic:

@@ -18,7 +18,7 @@ from tlbo.bo import (
     run,
     suggest,
 )
-from tlbo.errors import ValidationError
+from tlbo.errors import FitError, ValidationError
 from tlbo.oracles import ei_by_quadrature, reference_neg_lml_and_grad
 from tlbo.space import ConfigSpace, Configuration, ParamSpec, sample_uniform
 from tlbo.transfer import SourceEnsemble, apply_nondecreasing_prior
@@ -368,6 +368,21 @@ class TestRun:
         with pytest.raises(ValidationError):
             run(one_d_space(), quadratic, budget=5, seed=0, candidate_grid=grid)
 
+    @pytest.mark.parametrize("policy", bo.POLICIES)
+    def test_grid_with_a_repeated_configuration_rejected_before_any_evaluation(self, policy):
+        # A repeated row could never be marked used, so it was suggested
+        # again and again: 3 distinct x in 6 trials under random, seed 0.
+        calls = []
+
+        def objective(config):
+            calls.append(config)
+            return quadratic(config)
+
+        grid = [Configuration({"x": v}) for v in (0.1, 0.5, 0.9)] * 2
+        with pytest.raises(ValidationError, match="repeats"):
+            run(one_d_space(), objective, policy=policy, budget=6, seed=0, candidate_grid=grid)
+        assert calls == []
+
     def test_surrogate_fit_failure_falls_back_to_random(self, monkeypatch):
         from tlbo.errors import FitError
 
@@ -628,6 +643,32 @@ class TestRunRecords:
         assert starts == replayed
         assert any(s is not None for s in starts)
 
+    def test_fit_jitter_is_the_level_the_cholesky_settled_on(self, monkeypatch):
+        result = run(one_d_space(), quadratic, policy="igp", budget=5, seed=0)
+        assert [r["fit_jitter"] for r in result.records] == [0.0] * 5
+
+        # Every factorization's first attempt fails and its second succeeds.
+        real_cholesky = np.linalg.cholesky
+        attempts = []
+
+        def failing_first(a):
+            attempts.append(a)
+            if len(attempts) % 2 == 1:
+                raise np.linalg.LinAlgError("engineered failure")
+            return real_cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing_first)
+        result = run(one_d_space(), quadratic, policy="igp", budget=5, seed=0)
+        assert [r["fit_jitter"] for r in result.records] == [1e-10] * 5
+        assert len(attempts) == 10
+
+        def broken_fit(*args, **kwargs):
+            raise FitError("engineered failure")
+
+        monkeypatch.setattr(gp, "fit", broken_fit)
+        result = run(one_d_space(), quadratic, policy="igp", budget=5, seed=0)
+        assert [r["fit_jitter"] for r in result.records] == [None] * 5
+
     def test_jsonl_round_trip(self, tmp_path):
         result = run(one_d_space(), quadratic, policy="igp", budget=5, seed=0)
         path = tmp_path / "run.jsonl"
@@ -654,5 +695,6 @@ class TestRunRecords:
                 "suggest_wallclock_ms",
                 "fit_nfev",
                 "fit_start",
+                "fit_jitter",
             }
             assert record["error"] is None and record["fallback"] is False
