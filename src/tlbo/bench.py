@@ -59,7 +59,9 @@ def quadratic_bowl(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TabularTask:
-    """A finite pre-evaluated benchmark: configurations with stored outcomes."""
+    """A finite pre-evaluated benchmark: distinct configurations with stored
+    outcomes. ``from_rows`` rejects a repeated configuration before any
+    source is fitted on the table; ``load_tabular`` drops repeats first."""
 
     name: str
     space: ConfigSpace
@@ -72,6 +74,12 @@ class TabularTask:
         rows = tuple(rows)
         if not rows:
             raise ValidationError("a tabular task needs at least one row")
+        seen = set()
+        for config, _ in rows:
+            key = bo._config_key(config)
+            if key in seen:
+                raise ValidationError(f"tabular task {name!r} repeats the configuration {dict(key)}")
+            seen.add(key)
         ys = [y for _, y in rows]
         return cls(name=name, space=space, rows=rows, y_min=min(ys), y_max=max(ys))
 
@@ -389,7 +397,12 @@ class ExperimentResult:
                     path = root / "runs" / f"{t.name}__{method}__seed{seed}.jsonl"
                     if not path.exists():
                         raise ParseError(f"{path}: run file missing from the result directory")
-                    result.runs[(t.name, method, seed)] = RunResult.from_jsonl(path)
+                    run = RunResult.from_jsonl(path)
+                    if len(run.records) != result.budget:
+                        raise ParseError(
+                            f"{path}: {len(run.records)} records, expected the budget of {result.budget}"
+                        )
+                    result.runs[(t.name, method, seed)] = run
         if not result.runs:
             raise ParseError(f"{root}: no run records found")
         return result

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import gp, space as space_mod, transfer
-from .errors import FitError, ValidationError
+from .errors import FitError, ParseError, ValidationError
 from .ranking import SimplexWeights
 from .space import ConfigSpace, Configuration
 from .transfer import SourceEnsemble
@@ -291,12 +291,17 @@ class RunResult:
 
     @classmethod
     def from_jsonl(cls, path) -> "RunResult":
+        """Read ``to_jsonl``'s file; a line that is not JSON raises
+        ``ParseError`` naming the file and the line number."""
         records = []
         with open(path) as fh:
-            for line in fh:
+            for number, line in enumerate(fh, start=1):
                 line = line.strip()
                 if line:
-                    records.append(json.loads(line))
+                    try:
+                        records.append(json.loads(line))
+                    except json.JSONDecodeError as exc:
+                        raise ParseError(f"{path}: line {number}: not a JSON record ({exc})") from exc
         return cls(records=records)
 
 

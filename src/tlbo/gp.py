@@ -8,20 +8,31 @@ likelihood can never fall below the default one. Prediction returns the
 noise-free latent posterior (mean, variance).
 
 The likelihood is the inner loop of every refit, so its inputs are laid out
-for it once per fit (``_lml_args``): the squared input differences are
-stored dimension-major, (d, n, n), so that scaling and summing them runs
-over whole (n, n) planes. ``_lml_args`` also builds the fit's workspace
-(``_LmlWorkspace``): every buffer an evaluation writes, and the views into
-them, made once. An evaluation computes into it with ``out=`` and in-place
-operations, so it allocates little more than its returned value and
-gradient, which are new objects: L-BFGS-B keeps the last gradient while
-the next point is evaluated. The Cholesky factor and solves call LAPACK's
-``dpotrf``/``dpotrs`` directly, in place and without scipy's finiteness
-checks. Every operation keeps the grouping, and every sum the order, of the
-straightforward formula, ``oracles.reference_neg_lml_and_grad``, so the
-value and gradient are bitwise equal to it; the tests hold them to that at
-d = 2 and 4, the encoded dimensions of the benchmarks, and hold a reused
-workspace to a fresh one's bits (``oracles.check_likelihood_workspace_reuse``).
+for it once per fit (``_lml_args``). K is symmetric with kf_ii = sv, so an
+evaluation works on the P = n(n - 1)/2 pairs i > j of its strict lower
+triangle only: the squared input differences are stored packed and
+dimension-major, (d, P), so that scaling and summing them runs over whole
+(P,) vectors; the kernel values are scattered into the lower triangle of one
+column-major K, whose diagonal is sv + nv, and gathered back from it. LAPACK
+factors K (``dpotrf``), solves for alpha (``dpotrs``) and overwrites the
+factor with K^-1's lower triangle (``dpotri``), all in place and without
+scipy's finiteness checks. The gradient needs g = alpha alpha^T - K^-1 only
+on the pairs and the diagonal: each pair stands for (i, j) and (j, i), and
+the length-scale terms vanish on the diagonal. ``_lml_args`` also builds the
+fit's workspace (``_LmlWorkspace``): the pair indices and every buffer an
+evaluation writes, made once. An evaluation computes into it with ``out=``
+and in-place operations, so it allocates no (P,) or (n, n) array, only its
+returned value and gradient and a few (n,) ones; L-BFGS-B keeps the last
+gradient while the next point is evaluated, so the gradient is new.
+
+What is held to what: the implementation to the same packed formula written
+plainly, ``oracles.reference_neg_lml_and_grad``, bit for bit at every d
+(every operation keeps the grouping, and every sum the order, of that
+formula), and a reused workspace to a fresh one's bits
+(``oracles.check_likelihood_workspace_reuse``); and to the dense formula
+over the whole (n, n) matrix, ``oracles.dense_neg_lml_and_grad``,
+within 8 n eps cond_2(K) max(1, |dense|_inf) in every entry, with the same
+Cholesky failures (``oracles.dense_lml_mismatch``).
 
 Each start of the search runs L-BFGS-B through its own short loop over
 scipy's reverse-communication routine ``setulb`` (``_lbfgsb``) rather than
@@ -49,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 from scipy.optimize import _lbfgsb
 
 from .errors import FitError, ValidationError
@@ -190,59 +201,57 @@ def _matern52(x1: np.ndarray, x2: np.ndarray, params: KernelParams) -> np.ndarra
 
 class _LmlWorkspace:
     """Preallocated buffers for the likelihood evaluations of one fit, at n
-    inputs in d dimensions: the scaled squared differences (d, n, n), four
-    (n, n) planes, the gradient terms (n, n, d), and the Cholesky factor and
-    K^-1, which LAPACK writes in place; views into them are made once too."""
+    inputs in d dimensions, over the P = n(n - 1)/2 pairs i > j of K's strict
+    lower triangle: the pairs' rows and columns and their positions in K's
+    memory, the scaled squared differences (d, P), four (P,) vectors, and K,
+    which LAPACK factors and inverts in place."""
 
-    __slots__ = (
-        "scaled", "kf", "linear", "decay", "gmat", "kn", "kn_diag", "eye", "kinv", "terms",
-        "terms_planes",
-    )
+    __slots__ = ("rows", "cols", "pos", "scaled", "kf", "linear", "decay", "g", "kn", "kn_flat", "kn_diag")
 
     def __init__(self, n: int, dim: int):
-        self.scaled = np.empty((dim, n, n))
-        self.kf, self.linear, self.decay, self.gmat = np.empty((4, n, n))
-        # Column-major, so that LAPACK takes them without a copy.
-        self.kn = np.empty((n, n), order="F")
-        self.kn_diag = self.kn.T.reshape(-1)[:: n + 1]
-        self.eye = np.eye(n, order="F")
-        self.kinv = np.empty((n, n), order="F")
-        self.terms = np.empty((n, n, dim))
-        self.terms_planes = np.moveaxis(self.terms, -1, 0)
+        self.rows, self.cols = np.tril_indices(n, -1)
+        self.pos = self.rows + n * self.cols  # K[i, j] in column-major order
+        p = self.rows.size
+        self.scaled = np.empty((dim, p))
+        self.kf, self.linear, self.decay, self.g = np.empty((4, p))
+        # Column-major, so that LAPACK takes it without a copy; its strict
+        # upper triangle is never read.
+        self.kn = np.zeros((n, n), order="F")
+        self.kn_flat = self.kn.T.reshape(-1)
+        self.kn_diag = self.kn_flat[:: n + 1]
 
 
 def _lml_args(x: np.ndarray, z: np.ndarray):
     """The fixed arguments of ``_neg_lml_and_grad`` for inputs ``x`` (n, d)
-    and targets ``z``: the squared input differences per dimension, (d, n, n),
-    then ``z`` and the fit's ``_LmlWorkspace``."""
-    xt = np.ascontiguousarray(x.T)
-    return (xt[:, :, None] - xt[:, None, :]) ** 2, z, _LmlWorkspace(*x.shape)
+    and targets ``z``: the squared input differences of the pairs i > j,
+    C-ordered (d, P) in ``np.tril_indices(n, -1)`` order, then ``z`` and the
+    fit's ``_LmlWorkspace``."""
+    ws = _LmlWorkspace(*x.shape)
+    # C-ordered: a sum over d and the gradient's product keep their bits only
+    # in one layout, the one the reference formula gets too.
+    return np.ascontiguousarray((x[ws.rows] - x[ws.cols]).T ** 2), z, ws
 
 
 def _neg_lml_and_grad(theta: np.ndarray, sq_diffs: np.ndarray, z: np.ndarray, ws: _LmlWorkspace):
     """Negative log marginal likelihood and its gradient in log-parameters.
 
     ``sq_diffs``, ``z`` and ``ws`` are ``_lml_args(x, z)``. Every
-    intermediate is written into ``ws``, and every call rewrites all of it, so
-    no call depends on the one before, also after a failed factorization.
-    The value and gradient returned are new objects, never views into ``ws``.
+    intermediate is written into ``ws``, and every call rewrites all of it
+    that it reads, so no call depends on the one before, also after a failed
+    factorization. The value and gradient returned are new objects, never
+    views into ``ws``.
     """
-    dim, n, _ = sq_diffs.shape
+    dim = sq_diffs.shape[0]
+    n = z.size
     ls = np.exp(theta[:dim])
     sv = float(np.exp(theta[dim]))
     nv = float(np.exp(theta[dim + 1]))
 
     # Each step keeps the reference's operations and their grouping; as
     # IEEE + and * are commutative, an in-place ``a op= b`` has the bits of
-    # ``b op a``. Each sum adds its terms in the reference's order. Fewer
-    # than 8 terms along the reference's last axis are added one by one, as
-    # the planes are here; from 8 on, numpy adds them pairwise, so that sum
-    # is taken in the reference's (n, n, d) layout.
-    scaled = np.divide(sq_diffs, (ls**2)[:, None, None], out=ws.scaled)
-    if dim < 8:
-        d2 = np.add.reduce(scaled, axis=0, out=ws.kf)
-    else:
-        d2 = np.ascontiguousarray(np.moveaxis(scaled, 0, -1)).sum(axis=2)
+    # ``b op a``.
+    scaled = np.divide(sq_diffs, (ls**2)[:, None], out=ws.scaled)
+    d2 = np.add.reduce(scaled, axis=0, out=ws.kf)
     sqrt5_r = np.sqrt(d2, out=ws.linear)
     sqrt5_r *= SQRT5
     # exp(-sqrt5 r): negation is exact.
@@ -254,11 +263,11 @@ def _neg_lml_and_grad(theta: np.ndarray, sq_diffs: np.ndarray, z: np.ndarray, ws
     kf += linear
     kf *= sv
     kf *= decay
-    # kn = kf + nv * I: kf >= 0, so adding nv * 0 off the diagonal is exact.
-    kn = ws.kn
-    np.copyto(kn, kf)
-    ws.kn_diag += nv
-    chol, info = dpotrf(kn, lower=1, clean=0, overwrite_a=1)
+    # K's lower triangle: kf off the diagonal, and sv + nv on it, as
+    # kf_ii = sv * (1 + 0 + 0) * exp(0) = sv exactly.
+    ws.kn_flat[ws.pos] = kf
+    ws.kn_diag.fill(sv + nv)
+    chol, info = dpotrf(ws.kn, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         return _BAD_OBJECTIVE, np.zeros(dim + 2)
 
@@ -268,31 +277,32 @@ def _neg_lml_and_grad(theta: np.ndarray, sq_diffs: np.ndarray, z: np.ndarray, ws
         - float(np.log(chol.diagonal()).sum())
         - 0.5 * n * math.log(2.0 * math.pi)
     )
-    kinv = ws.kinv
-    np.copyto(kinv, ws.eye)
-    dpotrs(chol, kinv, lower=1, overwrite_b=1)
-    gmat = np.multiply(alpha[:, None], alpha[None, :], out=ws.gmat)  # np.outer's product
-    gmat -= kinv
-
-    # d k / d log(ls_d) = (5/3) * sv * (1 + sqrt5 r) * exp(-sqrt5 r) * scaled_d
+    # K^-1's lower triangle, in K's memory.
+    _, info = dpotri(chol, lower=1, overwrite_c=1)
+    if info != 0:
+        return _BAD_OBJECTIVE, np.zeros(dim + 2)
+    # d k / d log(ls_d) = (5/3) * sv * (1 + sqrt5 r) * exp(-sqrt5 r) * scaled_d,
+    # to be weighted by g = alpha_i alpha_j - K^-1_ij; decay's memory is free
+    # once it is in. The gathers do not check their indices (mode="clip"),
+    # which are in range, as a checking take buffers its whole output.
     weighted = linear
     weighted *= (5.0 / 3.0) * sv
     weighted *= decay
-    weighted *= gmat
+    tmp = decay
+    g = np.take(alpha, ws.rows, out=ws.g, mode="clip")
+    g *= np.take(alpha, ws.cols, out=tmp, mode="clip")
+    g -= np.take(ws.kn_flat, ws.pos, out=tmp, mode="clip")
+    weighted *= g
+    diag_sum = float((alpha * alpha - ws.kn_diag).sum())
+
+    # The negated gradient of 1/2 sum_ij g_ij dK_ij: each pair stands for
+    # (i, j) and (j, i), whose 2 cancels the 1/2; the diagonal adds nothing
+    # to the length-scales (scaled_ii = 0), sv * g_ii to the signal and
+    # nv * g_ii to the noise.
     grad = np.empty(dim + 2)
-    if dim == 1:
-        # The reference's einsum adds all n * n terms vectorized here...
-        grad_ls = np.einsum("ij,dij->d", weighted, scaled)
-    else:
-        # ...and each dimension's terms one by one in (i, j) order here,
-        # which einsum repeats only for terms laid out (n, n, d).
-        np.multiply(weighted, scaled, out=ws.terms_planes)
-        grad_ls = np.einsum("ijd->d", ws.terms)
-    # The negated gradient: -(0.5 * g) is (-0.5) * g bit for bit.
-    np.multiply(grad_ls, -0.5, out=grad[:dim])
-    kf *= gmat  # gmat * kf, in kf's memory
-    grad[dim] = -0.5 * float(kf.sum())
-    grad[dim + 1] = -0.5 * float(gmat.trace()) * nv
+    np.negative(scaled @ weighted, out=grad[:dim])
+    grad[dim] = -0.5 * (2.0 * float(kf @ g) + sv * diag_sum)
+    grad[dim + 1] = -0.5 * nv * diag_sum
     return -lml, grad
 
 

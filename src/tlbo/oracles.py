@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
 from . import bench, bo, gp, space as space_mod, transfer
@@ -45,13 +46,57 @@ def loss_off_simplex(a: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
     return float((np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))).sum()) / y.size**2
 
 
-def reference_neg_lml_and_grad(theta, sq_diffs, z, eye):
+def reference_neg_lml_and_grad(theta, sq_diffs, z, ws):
     """The GP's negative log marginal likelihood and gradient, written
-    straightforwardly: (n, n, d) differences, scipy's checked Cholesky
-    routines and one einsum. It takes ``gp._lml_args(x, z)`` like
-    ``gp._neg_lml_and_grad``, so it can stand in for it inside ``gp.fit``."""
-    del eye  # builds its own identity
-    sq_diffs = np.ascontiguousarray(np.moveaxis(sq_diffs, 0, -1))
+    straightforwardly over the pairs i > j of K's strict lower triangle, as
+    ``gp._neg_lml_and_grad`` computes them, but without its workspace or any
+    ``out=``. It takes ``gp._lml_args(x, z)`` like ``gp._neg_lml_and_grad``,
+    so it can stand in for it inside ``gp.fit``."""
+    del ws  # builds its own arrays
+    dim, n = sq_diffs.shape[0], z.size
+    rows, cols = np.tril_indices(n, -1)
+    ls = np.exp(theta[:dim])
+    sv = float(np.exp(theta[dim]))
+    nv = float(np.exp(theta[dim + 1]))
+
+    scaled = sq_diffs / (ls**2)[:, None]
+    d2 = scaled.sum(axis=0)
+    sqrt5_r = np.sqrt(d2) * gp.SQRT5
+    decay = np.exp(-sqrt5_r)
+    kf = sv * (1.0 + sqrt5_r + (5.0 / 3.0) * d2) * decay
+    kn = np.zeros((n, n))
+    kn[rows, cols] = kf
+    kn[np.diag_indices(n)] = sv + nv
+    chol, info = dpotrf(kn, lower=1)
+    if info != 0:
+        return gp._BAD_OBJECTIVE, np.zeros(dim + 2)
+
+    alpha, _ = dpotrs(chol, z, lower=1)
+    lml = (
+        -0.5 * float(z @ alpha)
+        - float(np.log(np.diag(chol)).sum())
+        - 0.5 * n * math.log(2.0 * math.pi)
+    )
+    kinv, info = dpotri(chol, lower=1)
+    if info != 0:
+        return gp._BAD_OBJECTIVE, np.zeros(dim + 2)
+    g = alpha[rows] * alpha[cols] - kinv[rows, cols]
+    diag_sum = float((alpha * alpha - np.diag(kinv)).sum())
+
+    weighted = (5.0 / 3.0) * sv * (1.0 + sqrt5_r) * decay * g
+    grad_ls = -(scaled @ weighted)
+    grad_sv = -0.5 * (2.0 * float(kf @ g) + sv * diag_sum)
+    grad_nv = -0.5 * nv * diag_sum
+    return -lml, np.concatenate([grad_ls, [grad_sv, grad_nv]])
+
+
+def dense_neg_lml_and_grad(theta, x, z):
+    """The GP's negative log marginal likelihood and gradient at inputs
+    ``x`` (n, d), written over the whole (n, n) kernel matrix: (n, n, d)
+    differences, scipy's checked Cholesky routines, K^-1 from a solve against
+    the identity, and one einsum. A formula independent of the packed one;
+    see ``dense_lml_mismatch``."""
+    sq_diffs = (x[:, None, :] - x[None, :, :]) ** 2
     n, _, dim = sq_diffs.shape
     ls = np.exp(theta[:dim])
     sv = float(np.exp(theta[dim]))
@@ -85,18 +130,37 @@ def reference_neg_lml_and_grad(theta, sq_diffs, z, eye):
     return -lml, -grad
 
 
-def lml_mismatch(theta, args, bitwise: bool) -> str | None:
-    """How ``gp._neg_lml_and_grad`` differs from the reference at one point:
-    in any bit when ``bitwise``, else by more than 1e-12 relative; ``None``
-    when it does not."""
-    f, g = gp._neg_lml_and_grad(theta, *args)
-    f_ref, g_ref = reference_neg_lml_and_grad(theta, *args)
-    got, want = np.append(f, g), np.append(f_ref, g_ref)
-    if bitwise:
-        same = got.tobytes() == want.tobytes()
-    else:
-        same = bool(np.all(np.abs(got - want) <= 1e-12 * np.abs(want)))
-    return None if same else f"value and gradient {got} vs reference {want}"
+def lml_mismatch(theta, args) -> str | None:
+    """How ``gp._neg_lml_and_grad`` differs from the reference at one point,
+    in any bit of the value or gradient; ``None`` when it does not."""
+    got = np.append(*gp._neg_lml_and_grad(theta, *args))
+    want = np.append(*reference_neg_lml_and_grad(theta, *args))
+    if got.tobytes() == want.tobytes():
+        return None
+    return f"value and gradient {got} vs reference {want}"
+
+
+def dense_lml_mismatch(theta, x, z) -> str | None:
+    """How ``gp._neg_lml_and_grad`` of (``x``, ``z``) at ``theta`` differs
+    from the dense formula: in whether the Cholesky factorization fails, or
+    by more than 8 n eps cond_2(K) max(1, |dense|_inf) in any entry of the
+    value and gradient, the rounding a backward-stable factorization and
+    inverse of K allow; ``None`` when it does not."""
+    got = np.append(*gp._neg_lml_and_grad(theta, *gp._lml_args(x, z)))
+    want = np.append(*dense_neg_lml_and_grad(theta, x, z))
+    got_failed, want_failed = got[0] == gp._BAD_OBJECTIVE, want[0] == gp._BAD_OBJECTIVE
+    if got_failed != want_failed:
+        return f"factorization failed: {got_failed} vs dense {want_failed}"
+    if got_failed:
+        return None
+    dim = x.shape[1]
+    kf = gp._matern52(x, x, gp.KernelParams(np.exp(theta[:dim]), float(np.exp(theta[dim])), gp.NOISE_FLOOR))
+    kn = kf + float(np.exp(theta[dim + 1])) * np.eye(x.shape[0])
+    bound = 8 * x.shape[0] * np.finfo(float).eps * np.linalg.cond(kn) * max(1.0, np.abs(want).max())
+    error = np.abs(got - want).max()
+    if error <= bound:
+        return None
+    return f"value and gradient {got} vs dense {want}: error {error} above {bound}"
 
 
 def workspace_reuse_mismatch(x, z, thetas) -> str | None:
@@ -317,17 +381,41 @@ def check_combined_prediction():
 
 
 def check_likelihood_vs_reference():
-    """The GP likelihood and its gradient against the reference formula:
-    bitwise at d in {2, 4} (Branin's and the 4-D bowl's encoded dimensions),
-    within 1e-12 relative at every other d in 1..12."""
+    """The GP likelihood and its gradient against the packed reference
+    formula, bit for bit, at every d in 1..12."""
     rng = np.random.default_rng(17)
     for dim in range(1, 13):
-        log_bounds = np.log([gp.LENGTHSCALE_BOUNDS] * dim + [gp.SIGNAL_BOUNDS, gp.NOISE_BOUNDS])
+        lows, highs = gp._log_bounds(dim)
         for n in (2, 9, 40, 75):
-            theta = rng.uniform(log_bounds[:, 0], log_bounds[:, 1])
+            theta = rng.uniform(lows, highs)
             z = gp.standardize(rng.normal(size=n)).z
-            mismatch = lml_mismatch(theta, gp._lml_args(rng.uniform(size=(n, dim)), z), dim in (2, 4))
+            mismatch = lml_mismatch(theta, gp._lml_args(rng.uniform(size=(n, dim)), z))
             _expect(mismatch is None, f"n={n}, d={dim}: {mismatch}")
+
+
+def check_likelihood_vs_dense():
+    """The GP likelihood and its gradient against the dense formula within
+    the bound of ``dense_lml_mismatch``, at every d in 1..12: n in {2, 9, 40,
+    75} at random parameters, and duplicated inputs at random parameters and
+    at a noise of 1e-30, where both factorizations must fail."""
+    rng = np.random.default_rng(37)
+    for dim in range(1, 13):
+        lows, highs = gp._log_bounds(dim)
+        for n in (2, 9, 40, 75):
+            x = rng.uniform(size=(n, dim))
+            z = gp.standardize(rng.normal(size=n)).z
+            mismatch = dense_lml_mismatch(rng.uniform(lows, highs), x, z)
+            _expect(mismatch is None, f"n={n}, d={dim}: {mismatch}")
+        half = rng.uniform(size=(10, dim))
+        x = np.concatenate([half, half])
+        z = gp.standardize(np.sin(5.0 * x).sum(axis=1)).z
+        failing = highs.copy()
+        failing[-1] = math.log(1e-30)
+        for theta in (rng.uniform(lows, highs), failing):
+            mismatch = dense_lml_mismatch(theta, x, z)
+            _expect(mismatch is None, f"duplicated inputs, d={dim}, at {theta}: {mismatch}")
+        value, _ = dense_neg_lml_and_grad(failing, x, z)
+        _expect(value == gp._BAD_OBJECTIVE, f"d={dim}: the failing point factorized, value {value}")
 
 
 def check_likelihood_workspace_reuse():
@@ -396,6 +484,7 @@ CHECKS = (
     ("average-rank-ties", check_average_rank_ties),
     ("combined-prediction", check_combined_prediction),
     ("likelihood-vs-reference", check_likelihood_vs_reference),
+    ("likelihood-vs-dense", check_likelihood_vs_dense),
     ("likelihood-workspace-reuse", check_likelihood_workspace_reuse),
     ("lbfgsb-vs-minimize", check_lbfgsb_vs_minimize),
 )

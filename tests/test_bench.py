@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from tlbo import bench, bo
+from tlbo import bench, bo, gp
 from tlbo.bench import (
     ExperimentResult,
     SyntheticFamilySpec,
@@ -105,6 +105,20 @@ class TestLoadTabular:
         loaded = load_tabular(path)
         assert loaded.name == task.name
         assert loaded.rows == task.rows
+
+
+class TestFromRows:
+    def test_repeated_configuration_rejected_before_any_fit(self, monkeypatch):
+        fits = []
+        real_fit = gp.fit
+        monkeypatch.setattr(gp, "fit", lambda *args, **kwargs: fits.append(1) or real_fit(*args, **kwargs))
+        space = ConfigSpace([ParamSpec(name="x", kind="continuous", low=0.0, high=1.0)])
+        configs = [Configuration({"x": v}) for v in (0.1, 0.2, 0.3, 0.4, 0.5)] * 2
+        with pytest.raises(ValidationError, match=r"'b' repeats the configuration \{'x': 0.1\}"):
+            tasks = [tiny_tabular("a")]
+            tasks.append(TabularTask.from_rows("b", space, [(c, float(i)) for i, c in enumerate(configs)]))
+            run_static(tasks, ["transbo"], budget=4, seeds=[0], n_s=5)
+        assert fits == []
 
 
 class TestSyntheticFamily:
@@ -635,6 +649,23 @@ class TestReport:
         run_static(tasks, ["igp", "random"], budget=4, seeds=[0], n_s=5).save(tmp_path / "out")
         (tmp_path / "out" / "runs" / "a__random__seed0.jsonl").unlink()
         with pytest.raises(ParseError, match="a__random__seed0.jsonl"):
+            ExperimentResult.load(tmp_path / "out")
+
+    def test_load_rejects_a_run_file_short_of_the_budget(self, tmp_path):
+        tasks = [tiny_tabular("a", seed=0), tiny_tabular("b", seed=1)]
+        run_static(tasks, ["igp", "random"], budget=4, seeds=[0], n_s=5).save(tmp_path / "out")
+        path = tmp_path / "out" / "runs" / "b__igp__seed0.jsonl"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:3]))
+        with pytest.raises(ParseError, match="b__igp__seed0.jsonl: 3 records, expected the budget of 4"):
+            ExperimentResult.load(tmp_path / "out")
+
+    def test_load_rejects_an_unparseable_line(self, tmp_path):
+        tasks = [tiny_tabular("a", seed=0), tiny_tabular("b", seed=1)]
+        run_static(tasks, ["igp", "random"], budget=4, seeds=[0], n_s=5).save(tmp_path / "out")
+        path = tmp_path / "out" / "runs" / "a__igp__seed0.jsonl"
+        text = path.read_text()
+        path.write_text(text[: len(text) - 20])  # the last line cut short
+        with pytest.raises(ParseError, match="a__igp__seed0.jsonl: line 4: not a JSON record"):
             ExperimentResult.load(tmp_path / "out")
 
     def test_save_load_round_trip(self, tmp_path):

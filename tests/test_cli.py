@@ -55,6 +55,7 @@ SELFTEST_NAMES = (
     "average-rank-ties",
     "combined-prediction",
     "likelihood-vs-reference",
+    "likelihood-vs-dense",
     "likelihood-workspace-reuse",
     "lbfgsb-vs-minimize",
 )
