@@ -380,17 +380,21 @@ class ExperimentResult:
         manifest_path = root / "manifest.json"
         if not manifest_path.exists():
             raise ParseError(f"{root}: no manifest.json found")
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-        result = cls(
-            protocol=manifest["protocol"],
-            budget=manifest["budget"],
-            n_s=manifest["n_s"],
-            n_cv=manifest["n_cv"],
-            methods=list(manifest["methods"]),
-            seeds=list(manifest["seeds"]),
-            tasks=[TaskMeta(t["name"], t["y_min"], t["y_max"]) for t in manifest["tasks"]],
-        )
+        try:
+            manifest = json.loads(manifest_path.read_text())
+            result = cls(
+                protocol=manifest["protocol"],
+                budget=manifest["budget"],
+                n_s=manifest["n_s"],
+                n_cv=manifest["n_cv"],
+                methods=list(manifest["methods"]),
+                seeds=list(manifest["seeds"]),
+                tasks=[TaskMeta(t["name"], t["y_min"], t["y_max"]) for t in manifest["tasks"]],
+            )
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{manifest_path}: not a JSON manifest ({exc})") from exc
+        except KeyError as exc:
+            raise ParseError(f"{manifest_path}: missing key {exc}") from exc
         for t in result.tasks:
             for method in result.methods:
                 for seed in result.seeds:
@@ -442,15 +446,14 @@ def build_static_sources(
     """Offline source ensemble for one target: every other task contributes a
     GP fitted on n_s of its observations. The target's own rows never enter."""
     _check_target(target_index, len(tasks))
-    models, ids = [], []
+    models = []
     for j, task in enumerate(tasks):
         if j == target_index:
             continue
         configs, ys = _source_rows(task, n_s, derived_seed(base_seed, _TAG_SOURCE_ROWS, j))
         fit_seed = derived_seed(base_seed, _TAG_SOURCE_FIT, j)
         models.append(_fit_source(task.space, configs, -ys if flip_source_outputs else ys, fit_seed))
-        ids.append(task.name)
-    return SourceEnsemble(models=tuple(models), task_ids=tuple(ids))
+    return SourceEnsemble(models=tuple(models))
 
 
 def _task_objective(task, noise_seed: int):
@@ -595,9 +598,8 @@ def _dynamic_chain(tasks, method, seed, budget, n_s, n_cv, n_candidates, base_se
     records of each finished task fit its source surrogate."""
     out = []
     models: list[gp.GpSurrogate] = []
-    ids: list[str] = []
     for ti, task in enumerate(tasks):
-        sources = SourceEnsemble(models=tuple(models), task_ids=tuple(ids))
+        sources = SourceEnsemble(models=tuple(models))
         run_result = _run_job(
             task,
             sources,
@@ -614,7 +616,6 @@ def _dynamic_chain(tasks, method, seed, budget, n_s, n_cv, n_candidates, base_se
         ys = np.array([r["y"] for r in head])
         fit_seed = derived_seed(base_seed, _TAG_SOURCE_FIT, ti, seed)
         models.append(_fit_source(task.space, configs, ys, fit_seed))
-        ids.append(task.name)
     return out
 
 

@@ -23,9 +23,12 @@ from .errors import ParseError, ValidationError
 def _load_json(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: cannot read JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return data
 
 
 def _build_tasks(tasks_cfg):
@@ -49,8 +52,6 @@ def _cmd_run(args, protocol: str) -> int:
     """Run one protocol from a config; every key is read once, by ``pop``, so
     the keys left over are the ones this verb does not read."""
     cfg = _load_json(args.config)
-    if not isinstance(cfg, dict):
-        raise ParseError(f"{args.config}: the config must be a JSON object")
     config_protocol = cfg.pop("protocol", protocol)
     if config_protocol != protocol:
         raise ValidationError(f"config protocol {config_protocol!r} does not match run-{protocol}")

@@ -12,25 +12,20 @@ for it once per fit (``_lml_args``). K is symmetric with kf_ii = sv, so an
 evaluation works on the P = n(n - 1)/2 pairs i > j of its strict lower
 triangle only: the squared input differences are stored packed and
 dimension-major, (d, P), so that scaling and summing them runs over whole
-(P,) vectors; the kernel values are scattered into the lower triangle of one
+(P,) vectors; the kernel values are scattered into the lower triangle of a
 column-major K, whose diagonal is sv + nv, and gathered back from it. LAPACK
 factors K (``dpotrf``), solves for alpha (``dpotrs``) and overwrites the
 factor with K^-1's lower triangle (``dpotri``), all in place and without
 scipy's finiteness checks. The gradient needs g = alpha alpha^T - K^-1 only
-on the pairs and the diagonal: each pair stands for (i, j) and (j, i), and
-the length-scale terms vanish on the diagonal. ``_lml_args`` also builds the
-fit's workspace (``_LmlWorkspace``): the pair indices and every buffer an
-evaluation writes, made once. An evaluation computes into it with ``out=``
-and in-place operations, so it allocates no (P,) or (n, n) array, only its
-returned value and gradient and a few (n,) ones; L-BFGS-B keeps the last
-gradient while the next point is evaluated, so the gradient is new.
+on the pairs and the diagonal. An evaluation makes its own arrays and writes
+into none of its arguments.
 
 What is held to what: the implementation to the same packed formula written
 plainly, ``oracles.reference_neg_lml_and_grad``, bit for bit at every d
 (every operation keeps the grouping, and every sum the order, of that
-formula), and a reused workspace to a fresh one's bits
-(``oracles.check_likelihood_workspace_reuse``); and to the dense formula
-over the whole (n, n) matrix, ``oracles.dense_neg_lml_and_grad``,
+formula), with its arguments unchanged and a second call's bits equal, also
+where K does not factorize (``oracles.lml_mismatch``); and to the dense
+formula over the whole (n, n) matrix, ``oracles.dense_neg_lml_and_grad``,
 within 8 n eps cond_2(K) max(1, |dense|_inf) in every entry, with the same
 Cholesky failures (``oracles.dense_lml_mismatch``).
 
@@ -199,50 +194,22 @@ def _matern52(x1: np.ndarray, x2: np.ndarray, params: KernelParams) -> np.ndarra
     return k
 
 
-class _LmlWorkspace:
-    """Preallocated buffers for the likelihood evaluations of one fit, at n
-    inputs in d dimensions, over the P = n(n - 1)/2 pairs i > j of K's strict
-    lower triangle: the pairs' rows and columns and their positions in K's
-    memory, the scaled squared differences (d, P), four (P,) vectors, and K,
-    which LAPACK factors and inverts in place."""
-
-    __slots__ = ("rows", "cols", "pos", "scaled", "kf", "linear", "decay", "g", "kn", "kn_flat", "kn_diag")
-
-    def __init__(self, n: int, dim: int):
-        self.rows, self.cols = np.tril_indices(n, -1)
-        self.pos = self.rows + n * self.cols  # K[i, j] in column-major order
-        p = self.rows.size
-        self.scaled = np.empty((dim, p))
-        self.kf, self.linear, self.decay, self.g = np.empty((4, p))
-        # Column-major, so that LAPACK takes it without a copy; its strict
-        # upper triangle is never read.
-        self.kn = np.zeros((n, n), order="F")
-        self.kn_flat = self.kn.T.reshape(-1)
-        self.kn_diag = self.kn_flat[:: n + 1]
-
-
 def _lml_args(x: np.ndarray, z: np.ndarray):
     """The fixed arguments of ``_neg_lml_and_grad`` for inputs ``x`` (n, d)
     and targets ``z``: the squared input differences of the pairs i > j,
-    C-ordered (d, P) in ``np.tril_indices(n, -1)`` order, then ``z`` and the
-    fit's ``_LmlWorkspace``."""
-    ws = _LmlWorkspace(*x.shape)
+    C-ordered (d, P) in ``np.tril_indices(n, -1)`` order, ``z``, and the
+    pairs' rows and columns and their positions in a column-major K."""
+    n = x.shape[0]
+    rows, cols = np.tril_indices(n, -1)
     # C-ordered: a sum over d and the gradient's product keep their bits only
     # in one layout, the one the reference formula gets too.
-    return np.ascontiguousarray((x[ws.rows] - x[ws.cols]).T ** 2), z, ws
+    return np.ascontiguousarray((x[rows] - x[cols]).T ** 2), z, rows, cols, rows + n * cols
 
 
-def _neg_lml_and_grad(theta: np.ndarray, sq_diffs: np.ndarray, z: np.ndarray, ws: _LmlWorkspace):
+def _neg_lml_and_grad(theta: np.ndarray, sq_diffs: np.ndarray, z: np.ndarray, rows, cols, pos):
     """Negative log marginal likelihood and its gradient in log-parameters.
-
-    ``sq_diffs``, ``z`` and ``ws`` are ``_lml_args(x, z)``. Every
-    intermediate is written into ``ws``, and every call rewrites all of it
-    that it reads, so no call depends on the one before, also after a failed
-    factorization. The value and gradient returned are new objects, never
-    views into ``ws``.
-    """
-    dim = sq_diffs.shape[0]
-    n = z.size
+    The arguments after ``theta`` are ``_lml_args(x, z)``; none is written."""
+    dim, n = sq_diffs.shape[0], z.size
     ls = np.exp(theta[:dim])
     sv = float(np.exp(theta[dim]))
     nv = float(np.exp(theta[dim + 1]))
@@ -250,55 +217,44 @@ def _neg_lml_and_grad(theta: np.ndarray, sq_diffs: np.ndarray, z: np.ndarray, ws
     # Each step keeps the reference's operations and their grouping; as
     # IEEE + and * are commutative, an in-place ``a op= b`` has the bits of
     # ``b op a``.
-    scaled = np.divide(sq_diffs, (ls**2)[:, None], out=ws.scaled)
-    d2 = np.add.reduce(scaled, axis=0, out=ws.kf)
-    sqrt5_r = np.sqrt(d2, out=ws.linear)
+    scaled = sq_diffs / (ls**2)[:, None]
+    d2 = scaled.sum(axis=0)
+    sqrt5_r = np.sqrt(d2)
     sqrt5_r *= SQRT5
-    # exp(-sqrt5 r): negation is exact.
-    decay = np.exp(np.negative(sqrt5_r, out=ws.decay), out=ws.decay)
-    linear = np.add(sqrt5_r, 1.0, out=sqrt5_r)
-    # kf = sv * (linear + (5/3) d2) * decay, in d2's memory.
-    kf = d2
+    decay = np.exp(-sqrt5_r)
+    linear = sqrt5_r + 1.0
+    kf = d2  # sv * (linear + (5/3) d2) * decay, in d2's memory
     kf *= 5.0 / 3.0
     kf += linear
     kf *= sv
     kf *= decay
-    # K's lower triangle: kf off the diagonal, and sv + nv on it, as
-    # kf_ii = sv * (1 + 0 + 0) * exp(0) = sv exactly.
-    ws.kn_flat[ws.pos] = kf
-    ws.kn_diag.fill(sv + nv)
-    chol, info = dpotrf(ws.kn, lower=1, clean=0, overwrite_a=1)
+    # Column-major, so that LAPACK works in place; only the lower triangle is
+    # read: kf off the diagonal, and sv + nv on it, as kf_ii = sv exactly.
+    kn = np.zeros((n, n), order="F")
+    kn_flat = kn.T.reshape(-1)
+    kn_flat[pos] = kf
+    kn_flat[:: n + 1] = sv + nv
+    chol, info = dpotrf(kn, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        return _BAD_OBJECTIVE, np.zeros(dim + 2)
+    alpha, _ = dpotrs(chol, z, lower=1)
+    lml = -0.5 * float(z @ alpha) - float(np.log(chol.diagonal()).sum()) - 0.5 * n * math.log(2.0 * math.pi)
+    _, info = dpotri(chol, lower=1, overwrite_c=1)  # K^-1's lower triangle, in kn
     if info != 0:
         return _BAD_OBJECTIVE, np.zeros(dim + 2)
 
-    alpha, _ = dpotrs(chol, z, lower=1)
-    lml = (
-        -0.5 * float(z @ alpha)
-        - float(np.log(chol.diagonal()).sum())
-        - 0.5 * n * math.log(2.0 * math.pi)
-    )
-    # K^-1's lower triangle, in K's memory.
-    _, info = dpotri(chol, lower=1, overwrite_c=1)
-    if info != 0:
-        return _BAD_OBJECTIVE, np.zeros(dim + 2)
-    # d k / d log(ls_d) = (5/3) * sv * (1 + sqrt5 r) * exp(-sqrt5 r) * scaled_d,
-    # to be weighted by g = alpha_i alpha_j - K^-1_ij; decay's memory is free
-    # once it is in. The gathers do not check their indices (mode="clip"),
-    # which are in range, as a checking take buffers its whole output.
+    # The negated gradient of 1/2 sum_ij g_ij dK_ij, g = alpha alpha^T - K^-1:
+    # each pair stands for (i, j) and (j, i), whose 2 cancels the 1/2; a pair
+    # adds g_ij (5/3) sv (1 + sqrt5 r) exp(-sqrt5 r) scaled_d to length-scale
+    # d, and the diagonal adds sv g_ii to the signal and nv g_ii to the noise.
+    g = alpha[rows]
+    g *= alpha[cols]
+    g -= kn_flat[pos]
     weighted = linear
     weighted *= (5.0 / 3.0) * sv
     weighted *= decay
-    tmp = decay
-    g = np.take(alpha, ws.rows, out=ws.g, mode="clip")
-    g *= np.take(alpha, ws.cols, out=tmp, mode="clip")
-    g -= np.take(ws.kn_flat, ws.pos, out=tmp, mode="clip")
     weighted *= g
-    diag_sum = float((alpha * alpha - ws.kn_diag).sum())
-
-    # The negated gradient of 1/2 sum_ij g_ij dK_ij: each pair stands for
-    # (i, j) and (j, i), whose 2 cancels the 1/2; the diagonal adds nothing
-    # to the length-scales (scaled_ii = 0), sv * g_ii to the signal and
-    # nv * g_ii to the noise.
+    diag_sum = float((alpha * alpha - kn_flat[:: n + 1]).sum())
     grad = np.empty(dim + 2)
     np.negative(scaled @ weighted, out=grad[:dim])
     grad[dim] = -0.5 * (2.0 * float(kf @ g) + sv * diag_sum)

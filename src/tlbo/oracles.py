@@ -46,13 +46,12 @@ def loss_off_simplex(a: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
     return float((np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))).sum()) / y.size**2
 
 
-def reference_neg_lml_and_grad(theta, sq_diffs, z, ws):
+def reference_neg_lml_and_grad(theta, sq_diffs, z, *pairs):
     """The GP's negative log marginal likelihood and gradient, written
     straightforwardly over the pairs i > j of K's strict lower triangle, as
-    ``gp._neg_lml_and_grad`` computes them, but without its workspace or any
-    ``out=``. It takes ``gp._lml_args(x, z)`` like ``gp._neg_lml_and_grad``,
-    so it can stand in for it inside ``gp.fit``."""
-    del ws  # builds its own arrays
+    ``gp._neg_lml_and_grad`` computes them, but without any in-place step.
+    It takes ``gp._lml_args(x, z)`` like ``gp._neg_lml_and_grad``, so it can
+    stand in for it inside ``gp.fit``; it builds its own pair indices."""
     dim, n = sq_diffs.shape[0], z.size
     rows, cols = np.tril_indices(n, -1)
     ls = np.exp(theta[:dim])
@@ -131,9 +130,17 @@ def dense_neg_lml_and_grad(theta, x, z):
 
 
 def lml_mismatch(theta, args) -> str | None:
-    """How ``gp._neg_lml_and_grad`` differs from the reference at one point,
-    in any bit of the value or gradient; ``None`` when it does not."""
+    """How ``gp._neg_lml_and_grad`` differs from the reference at one point:
+    in any bit of the value or gradient, by writing into an argument, or by
+    other bits when called again; ``None`` when it does not."""
+    before = [np.array(a) for a in (theta, *args)]
     got = np.append(*gp._neg_lml_and_grad(theta, *args))
+    for i, (arg, copy) in enumerate(zip((theta, *args), before)):
+        if arg.tobytes() != copy.tobytes():
+            return f"argument {i} changed in the call"
+    again = np.append(*gp._neg_lml_and_grad(theta, *args))
+    if again.tobytes() != got.tobytes():
+        return f"value and gradient {got}, then {again} when called again"
     want = np.append(*reference_neg_lml_and_grad(theta, *args))
     if got.tobytes() == want.tobytes():
         return None
@@ -161,25 +168,6 @@ def dense_lml_mismatch(theta, x, z) -> str | None:
     if error <= bound:
         return None
     return f"value and gradient {got} vs dense {want}: error {error} above {bound}"
-
-
-def workspace_reuse_mismatch(x, z, thetas) -> str | None:
-    """How evaluating ``gp._neg_lml_and_grad`` at ``thetas`` in turn, on the
-    one workspace of ``gp._lml_args(x, z)``, differs from evaluating each
-    on a fresh workspace: in any bit of the value or gradient, or by a
-    gradient that shares memory with the workspace; ``None`` when it does
-    not."""
-    args = gp._lml_args(x, z)
-    ws = args[-1]
-    buffers = [getattr(ws, name) for name in type(ws).__slots__]
-    for i, theta in enumerate(thetas):
-        f, g = gp._neg_lml_and_grad(theta, *args)
-        f_fresh, g_fresh = gp._neg_lml_and_grad(theta, *gp._lml_args(x, z))
-        if np.append(f, g).tobytes() != np.append(f_fresh, g_fresh).tobytes():
-            return f"call {i} at {theta}: {f}, {g} vs a fresh workspace's {f_fresh}, {g_fresh}"
-        if any(np.shares_memory(g, b) for b in buffers):
-            return f"call {i} at {theta}: the gradient is a view into the workspace"
-    return None
 
 
 def lbfgsb_mismatch(x, z, theta0, lows, highs) -> str | None:
@@ -382,7 +370,10 @@ def check_combined_prediction():
 
 def check_likelihood_vs_reference():
     """The GP likelihood and its gradient against the packed reference
-    formula, bit for bit, at every d in 1..12."""
+    formula, bit for bit, with its arguments unchanged and a second call's
+    bits equal (see ``lml_mismatch``), at every d in 1..12: n in {2, 9, 40,
+    75} at random parameters, and duplicated inputs at a noise of 1e-30,
+    where the factorization must fail."""
     rng = np.random.default_rng(17)
     for dim in range(1, 13):
         lows, highs = gp._log_bounds(dim)
@@ -391,6 +382,12 @@ def check_likelihood_vs_reference():
             z = gp.standardize(rng.normal(size=n)).z
             mismatch = lml_mismatch(theta, gp._lml_args(rng.uniform(size=(n, dim)), z))
             _expect(mismatch is None, f"n={n}, d={dim}: {mismatch}")
+        half = rng.uniform(size=(10, dim))
+        args = gp._lml_args(np.concatenate([half, half]), gp.standardize(rng.normal(size=20)).z)
+        highs[-1] = math.log(1e-30)  # with duplicated inputs, K is singular
+        _expect(gp._neg_lml_and_grad(highs, *args)[0] == gp._BAD_OBJECTIVE, f"d={dim}: K factorized")
+        mismatch = lml_mismatch(highs, args)
+        _expect(mismatch is None, f"duplicated inputs, d={dim}: {mismatch}")
 
 
 def check_likelihood_vs_dense():
@@ -416,28 +413,6 @@ def check_likelihood_vs_dense():
             _expect(mismatch is None, f"duplicated inputs, d={dim}, at {theta}: {mismatch}")
         value, _ = dense_neg_lml_and_grad(failing, x, z)
         _expect(value == gp._BAD_OBJECTIVE, f"d={dim}: the failing point factorized, value {value}")
-
-
-def check_likelihood_workspace_reuse():
-    """The likelihood evaluated at a point, then at a point whose Cholesky
-    factorization fails (duplicated inputs, noise 1e-30), then at the first
-    point again, all on one workspace: both results at the first point have
-    the bits of a fresh workspace's, and no gradient shares its memory; at
-    d in {1, 2, 4}, n in {4, 20, 60}."""
-    rng = np.random.default_rng(31)
-    for dim in (1, 2, 4):
-        lows, highs = gp._log_bounds(dim)
-        for n in (4, 20, 60):
-            half = rng.uniform(size=(n // 2, dim))
-            x = np.concatenate([half, half])
-            z = gp.standardize(np.sin(5.0 * x).sum(axis=1) + 0.1 * rng.normal(size=n)).z
-            theta_a = rng.uniform(lows, highs)
-            theta_b = highs.copy()
-            theta_b[-1] = math.log(1e-30)
-            value, _ = gp._neg_lml_and_grad(theta_b, *gp._lml_args(x, z))
-            _expect(value == gp._BAD_OBJECTIVE, f"n={n}, d={dim}: the failing point factorized")
-            mismatch = workspace_reuse_mismatch(x, z, (theta_a, theta_b, theta_a))
-            _expect(mismatch is None, f"n={n}, d={dim}: {mismatch}")
 
 
 def check_lbfgsb_vs_minimize():
@@ -485,6 +460,5 @@ CHECKS = (
     ("combined-prediction", check_combined_prediction),
     ("likelihood-vs-reference", check_likelihood_vs_reference),
     ("likelihood-vs-dense", check_likelihood_vs_dense),
-    ("likelihood-workspace-reuse", check_likelihood_workspace_reuse),
     ("lbfgsb-vs-minimize", check_lbfgsb_vs_minimize),
 )

@@ -31,18 +31,13 @@ class SourceEnsemble:
     """Base surrogates fitted offline on source-task histories."""
 
     models: tuple[gp.GpSurrogate, ...]
-    task_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
         models = tuple(self.models)
-        ids = tuple(self.task_ids) if self.task_ids else tuple(f"source-{i}" for i in range(len(models)))
-        if len(ids) != len(models):
-            raise ValidationError("task_ids must match the number of models")
         dims = {m.input_dim for m in models}
         if len(dims) > 1:
             raise ValidationError("all source surrogates must share one input dimension")
         object.__setattr__(self, "models", models)
-        object.__setattr__(self, "task_ids", ids)
 
     @property
     def k(self) -> int:

@@ -309,19 +309,20 @@ class TestRunStatic:
 
     def test_sources_exclude_target_task(self):
         tasks = [tiny_tabular(n, seed=i) for i, n in enumerate(("a", "b", "c"))]
-        for ti, task in enumerate(tasks):
+        for ti in range(len(tasks)):
             ensemble = build_static_sources(tasks, ti, n_s=10, base_seed=0)
-            assert task.name not in ensemble.task_ids
-            assert len(ensemble.task_ids) == len(tasks) - 1
-            # every source surrogate's training rows come from its own task's table
-            for sid, model in zip(ensemble.task_ids, ensemble.models):
-                source_task = next(t for t in tasks if t.name == sid)
+            others = [t for j, t in enumerate(tasks) if j != ti]
+            assert len(ensemble.models) == len(others)
+            # source k is fitted on rows of the k-th task other than the target
+            for source_task, model in zip(others, ensemble.models):
                 table = {
                     tuple(np.round(bench.space_mod.encode(source_task.space, c), 12)): y
                     for c, y in source_task.rows
                 }
-                for row in model.train_inputs:
-                    assert tuple(np.round(row, 12)) in table
+                keys = [tuple(np.round(row, 12)) for row in model.train_inputs]
+                assert all(key in table for key in keys)
+                ys = [table[key] for key in keys]
+                assert model.train_targets.tobytes() == gp.standardize(ys).z.tobytes()
 
     def test_single_task_rejected(self):
         with pytest.raises(ValidationError):
@@ -666,6 +667,25 @@ class TestReport:
         text = path.read_text()
         path.write_text(text[: len(text) - 20])  # the last line cut short
         with pytest.raises(ParseError, match="a__igp__seed0.jsonl: line 4: not a JSON record"):
+            ExperimentResult.load(tmp_path / "out")
+
+    def test_load_rejects_a_truncated_manifest(self, tmp_path):
+        tasks = [tiny_tabular("a", seed=0), tiny_tabular("b", seed=1)]
+        run_static(tasks, ["igp"], budget=4, seeds=[0], n_s=5).save(tmp_path / "out")
+        path = tmp_path / "out" / "manifest.json"
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        with pytest.raises(ParseError, match="manifest.json: not a JSON manifest"):
+            ExperimentResult.load(tmp_path / "out")
+
+    def test_load_rejects_a_manifest_missing_a_key(self, tmp_path):
+        tasks = [tiny_tabular("a", seed=0), tiny_tabular("b", seed=1)]
+        run_static(tasks, ["igp"], budget=4, seeds=[0], n_s=5).save(tmp_path / "out")
+        path = tmp_path / "out" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["n_s"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match="manifest.json: missing key 'n_s'"):
             ExperimentResult.load(tmp_path / "out")
 
     def test_save_load_round_trip(self, tmp_path):

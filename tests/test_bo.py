@@ -408,7 +408,7 @@ class TestTransferRun:
             gp.fit(xs, gp.standardize((xs[:, 0] - c) ** 2).z, seed=i)
             for i, c in enumerate((0.25, 0.35))
         )
-        return SourceEnsemble(models=models, task_ids=("near-a", "near-b"))
+        return SourceEnsemble(models=models)
 
     def test_p_target_nondecreasing_end_to_end(self):
         result = run(

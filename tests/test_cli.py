@@ -56,7 +56,6 @@ SELFTEST_NAMES = (
     "combined-prediction",
     "likelihood-vs-reference",
     "likelihood-vs-dense",
-    "likelihood-workspace-reuse",
     "lbfgsb-vs-minimize",
 )
 
@@ -227,6 +226,15 @@ class TestBenchSynthetic:
         assert main(["bench-synthetic", str(spec_path), "--out", str(tmp_path / "t")]) == 0
         task = bench.load_tabular(tmp_path / "t" / "quadratic-bowl-00.json")
         assert len(task.rows) == 20
+
+    def test_spec_that_is_not_an_object_fails_with_error_record(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text("[1, 2]")
+        assert main(["bench-synthetic", str(spec_path), "--out", str(tmp_path / "t")]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ParseError"
+        assert str(spec_path) in record["message"]
+        assert not (tmp_path / "t").exists()
 
     def test_tables_usable_as_tabular_experiment(self, tmp_path):
         spec = {

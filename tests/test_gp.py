@@ -1,7 +1,6 @@
 """Tests for target standardization and the GP surrogate."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,8 +224,9 @@ class TestLikelihoodGradient:
 
 class TestLikelihoodMatchesReference:
     """The likelihood against ``oracles.reference_neg_lml_and_grad``, the
-    same packed formula without the workspace: bit for bit at every d in
-    1..12."""
+    same packed formula without in-place steps: bit for bit at every d in
+    1..12, with its arguments unchanged and a second call's bits equal (see
+    ``oracles.lml_mismatch``), also where the factorization fails."""
 
     @given(data=st.data(), n=st.integers(2, 80), dim=st.integers(1, 12))
     @settings(max_examples=80, deadline=None)
@@ -237,6 +237,20 @@ class TestLikelihoodMatchesReference:
         x = rng.uniform(size=(n, dim))
         z = standardize(rng.normal(size=n)).z
         mismatch = oracles.lml_mismatch(theta, _lml_args(x, z))
+        assert mismatch is None, mismatch
+
+    @given(data=st.data(), n=st.integers(2, 60), dim=st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_failed_factorization(self, data, n, dim):
+        # Duplicated inputs and noise 1e-30 make the factorization fail.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        half = rng.uniform(size=((n + 1) // 2, dim))
+        x = np.concatenate([half, half])[:n]
+        args = _lml_args(x, standardize(rng.normal(size=n)).z)
+        failing = gp._log_bounds(dim)[1]
+        failing[-1] = math.log(1e-30)
+        assert _neg_lml_and_grad(failing, *args)[0] == gp._BAD_OBJECTIVE
+        mismatch = oracles.lml_mismatch(failing, args)
         assert mismatch is None, mismatch
 
     @pytest.mark.parametrize("dim", [2, 4, 9])
@@ -274,53 +288,6 @@ class TestLikelihoodMatchesDense:
             x[n // 2 :] = x[: n - n // 2]
         z = standardize(rng.normal(size=n)).z
         mismatch = oracles.dense_lml_mismatch(theta, x, z)
-        assert mismatch is None, mismatch
-
-
-class TestLikelihoodAllocations:
-    def test_no_per_call_pair_or_matrix_temporaries(self):
-        # Every (P,) and (n, n) array lives in the workspace: one evaluation
-        # after a warm-up allocates less than one (P,) vector.
-        n, dim = 200, 2
-        rng = np.random.default_rng(3)
-        x = rng.uniform(size=(n, dim))
-        args = _lml_args(x, standardize(np.sin(5.0 * x).sum(axis=1)).z)
-        theta = KernelParams.defaults(dim).to_log_vector()
-        _neg_lml_and_grad(theta, *args)
-        tracemalloc.start()
-        try:
-            value, _ = _neg_lml_and_grad(theta, *args)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert value != gp._BAD_OBJECTIVE
-        assert peak < n * (n - 1) // 2 * 8
-
-
-class TestLikelihoodWorkspaceReuse:
-    """Evaluations on one fit's workspace, in any order and across failed
-    factorizations, against fresh workspaces (see
-    ``oracles.workspace_reuse_mismatch``)."""
-
-    @given(
-        data=st.data(),
-        n=st.integers(2, 60),
-        dim=st.sampled_from([1, 2, 4]),
-        order=st.lists(st.integers(0, 3), min_size=2, max_size=8),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_random_orders(self, data, n, dim, order):
-        # Duplicated inputs and noise 1e-30 make point 3's factorization fail.
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        half = rng.uniform(size=((n + 1) // 2, dim))
-        x = np.concatenate([half, half])[:n]
-        z = standardize(np.sin(5.0 * x).sum(axis=1) + 0.1 * rng.normal(size=n)).z
-        lows, highs = gp._log_bounds(dim)
-        failing = highs.copy()
-        failing[-1] = math.log(1e-30)
-        assert _neg_lml_and_grad(failing, *_lml_args(x, z))[0] == gp._BAD_OBJECTIVE
-        points = [rng.uniform(lows, highs) for _ in range(3)] + [failing]
-        mismatch = oracles.workspace_reuse_mismatch(x, z, [points[i] for i in order])
         assert mismatch is None, mismatch
 
 

@@ -47,7 +47,7 @@ def fitted_pair_ensemble(seed=0, n_source=40):
     f = np.sin(5.0 * xs[:, 0])
     good = gp.fit(xs, gp.standardize(f).z, seed=1)
     bad = gp.fit(xs, gp.standardize(-f).z, seed=2)
-    return SourceEnsemble(models=(good, bad), task_ids=("good", "bad"))
+    return SourceEnsemble(models=(good, bad))
 
 
 def learn_w(sources, x, y):
