@@ -216,10 +216,7 @@ class SyntheticTask:
 
 def _branin_space() -> ConfigSpace:
     return ConfigSpace(
-        [
-            ParamSpec(name="x1", kind="continuous", low=BRANIN_BOUNDS[0][0], high=BRANIN_BOUNDS[0][1]),
-            ParamSpec(name="x2", kind="continuous", low=BRANIN_BOUNDS[1][0], high=BRANIN_BOUNDS[1][1]),
-        ]
+        [ParamSpec(f"x{i}", "continuous", lo, hi) for i, (lo, hi) in enumerate(BRANIN_BOUNDS, 1)]
     )
 
 
@@ -234,10 +231,7 @@ def _branin_extremes(translation: np.ndarray, scale: float):
     in_domain = []
     for mx, my in BRANIN_MINIMA:
         loc = np.array([mx, my]) + translation
-        if (
-            BRANIN_BOUNDS[0][0] <= loc[0] <= BRANIN_BOUNDS[0][1]
-            and BRANIN_BOUNDS[1][0] <= loc[1] <= BRANIN_BOUNDS[1][1]
-        ):
+        if all(lo <= v <= hi for v, (lo, hi) in zip(loc, BRANIN_BOUNDS)):
             in_domain.append(loc)
     g1 = np.linspace(BRANIN_BOUNDS[0][0], BRANIN_BOUNDS[0][1], 257)
     g2 = np.linspace(BRANIN_BOUNDS[1][0], BRANIN_BOUNDS[1][1], 257)
@@ -395,6 +389,8 @@ class ExperimentResult:
             raise ParseError(f"{manifest_path}: not a JSON manifest ({exc})") from exc
         except KeyError as exc:
             raise ParseError(f"{manifest_path}: missing key {exc}") from exc
+        except TypeError as exc:
+            raise ParseError(f"{manifest_path}: malformed manifest ({exc})") from exc
         for t in result.tasks:
             for method in result.methods:
                 for seed in result.seeds:
@@ -432,7 +428,7 @@ def _source_rows(task, n: int, seed: int):
 
 def _fit_source(space: ConfigSpace, configs, ys: np.ndarray, seed: int) -> gp.GpSurrogate:
     """A source surrogate: a GP on the encoded configs and standardized ys."""
-    return gp.fit(space_mod.encode_batch(space, configs), gp.standardize(ys).z, seed=seed)
+    return gp.fit(space_mod.encode_batch(space, configs), gp.standardize(ys), seed=seed)
 
 
 def _check_target(index, n_tasks: int) -> None:
@@ -600,16 +596,9 @@ def _dynamic_chain(tasks, method, seed, budget, n_s, n_cv, n_candidates, base_se
     models: list[gp.GpSurrogate] = []
     for ti, task in enumerate(tasks):
         sources = SourceEnsemble(models=tuple(models))
-        run_result = _run_job(
-            task,
-            sources,
-            method,
-            derived_seed(base_seed, _TAG_RUN, ti, seed),
-            derived_seed(base_seed, _TAG_NOISE, ti, seed),
-            budget,
-            n_cv,
-            n_candidates,
-        )
+        run_seed = derived_seed(base_seed, _TAG_RUN, ti, seed)
+        noise_seed = derived_seed(base_seed, _TAG_NOISE, ti, seed)
+        run_result = _run_job(task, sources, method, run_seed, noise_seed, budget, n_cv, n_candidates)
         out.append((task.name, run_result))
         head = run_result.records[:n_s]
         configs = [Configuration(r["config"]) for r in head]

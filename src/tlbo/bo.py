@@ -177,7 +177,7 @@ def _refresh_transfer_weights(state: OptimizerState):
     x, y = state.x, state.y
     a = transfer.source_means(state.sources, x)
     w = None
-    if state.sources.k >= 1:
+    if state.sources.models:
         w = transfer.learn_source_weights(a, y)
     if state.force_p is not None:
         p = state.force_p
@@ -262,7 +262,7 @@ def observe(state: OptimizerState, config: Configuration, y: float | None) -> Op
         state.target_gp = None
         return state
     try:
-        state.target_gp = gp.fit(state.x, gp.standardize(state.y).z, seed=fit_seed)
+        state.target_gp = gp.fit(state.x, gp.standardize(state.y), seed=fit_seed)
     except FitError:
         state.target_gp = None
     return state

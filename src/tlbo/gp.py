@@ -30,19 +30,24 @@ within 8 n eps cond_2(K) max(1, |dense|_inf) in every entry, with the same
 Cholesky failures (``oracles.dense_lml_mismatch``).
 
 Each start of the search runs L-BFGS-B through its own short loop over
-scipy's reverse-communication routine ``setulb`` (``_lbfgsb``) rather than
+scipy's reverse-communication routine ``setulb`` rather than
 ``scipy.optimize.minimize``, whose layers of wrappers and copies cost tens
-of microseconds per likelihood evaluation, a sizeable share of a refit; it
-hands ``setulb`` one gradient buffer rather than a copy on every pass. The
+of microseconds per likelihood evaluation, a sizeable share of a refit. The
 loop keeps everything of ``minimize(method="L-BFGS-B", jac=True)`` that
-changes a result: its settings (10 corrections, ``ftol`` 2.22e-9, ``gtol``
-1e-5, 20 line-search steps, 15000 iterations and evaluations), its
-evaluation at the start before the first call, and its memo, which never
-re-evaluates an unchanged point, so ``nfev`` counts distinct evaluations.
-``setulb`` is private to scipy, so ``oracles.check_lbfgsb_vs_minimize``
-(run by ``tlbo selftest``) and a property test hold the loop to the public
-``minimize`` bit for bit, in x, value and evaluation count; a scipy release
-that changes ``setulb`` fails them rather than silently moving the fits.
+changes a result: its settings (``_LBFGSB_*``), its evaluation at the start
+before the first call, and its memo, which never re-evaluates an unchanged
+point, so ``nfev`` counts distinct evaluations. ``setulb`` is private to
+scipy, so ``oracles.check_lbfgsb_vs_minimize`` (run by ``tlbo selftest``)
+and a property test hold the loop to the public ``minimize`` bit for bit,
+in x, value and evaluation count; a scipy release that changes ``setulb``
+fails them rather than silently moving the fits.
+
+``_load_lbfgsb`` executes ``setulb``'s compiled module, scipy's
+``optimize/_lbfgsb`` file, the one ``minimize`` calls, without running the
+``scipy.optimize`` package's ``__init__``, which would also load
+``sparse``, ``spatial``, ``fft`` and ``constants``. If a scipy release
+moves or renames the file, ``import tlbo`` fails with an ImportError naming
+the directory searched.
 
 The kernel and the predictive variance are built in place, in the order of
 the straightforward formulas, so they too keep every bit; the kernel's
@@ -52,13 +57,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
-from scipy.optimize import _lbfgsb
 
 from .errors import FitError, ValidationError
+
+
+def _load_lbfgsb():
+    """scipy's compiled L-BFGS-B module, executed from its file in scipy's
+    ``optimize`` directory without importing the ``scipy.optimize`` package."""
+    where = str(Path(scipy.__file__).parent / "optimize")
+    spec = PathFinder.find_spec("_lbfgsb", [where])
+    if spec is None:
+        raise ImportError(f"scipy's L-BFGS-B extension _lbfgsb not found in {where}")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_lbfgsb = _load_lbfgsb()
 
 SQRT5 = math.sqrt(5.0)
 VARIANCE_FLOOR = 1e-12
@@ -92,33 +115,20 @@ _LBFGSB_MAXITER = 15000
 _LBFGSB_MAXFUN = 15000
 
 
-@dataclass(frozen=True)
-class StandardizedTargets:
-    """Standardized performances: z = (y - mean) / std."""
+def standardize(y) -> np.ndarray:
+    """z = (y - mean) / std: zero mean and unit population variance.
 
-    z: np.ndarray
-    mean: float
-    std: float
-
-
-def standardize(y) -> StandardizedTargets:
-    """Remove the mean and scale to unit population variance.
-
-    Degenerate inputs (a single value, or all values equal) keep std fixed
-    at 1 and return all-zero z.
+    Degenerate inputs (a single value, or all values equal) return all-zero z.
     """
     arr = np.asarray(y, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError("standardize expects a non-empty 1-D array")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("standardize expects finite values")
-    mean = float(arr.mean())
-    if arr.size == 1 or np.all(arr == arr[0]):
-        return StandardizedTargets(z=np.zeros_like(arr), mean=mean, std=1.0)
-    std = float(arr.std())
+    std = 0.0 if np.all(arr == arr[0]) else float(arr.std())
     if std == 0.0:
-        return StandardizedTargets(z=np.zeros_like(arr), mean=mean, std=1.0)
-    return StandardizedTargets(z=(arr - mean) / std, mean=mean, std=std)
+        return np.zeros_like(arr)
+    return (arr - float(arr.mean())) / std
 
 
 @dataclass(frozen=True)

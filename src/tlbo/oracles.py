@@ -269,9 +269,11 @@ def check_encoding():
 
 
 def check_standardize():
-    st = gp.standardize([1.0, 2.0, 3.0])
-    _expect(abs(st.mean - 2.0) < 1e-12, f"mean {st.mean}, expected 2")
-    _expect(abs(st.std - np.sqrt(2.0 / 3.0)) < 1e-12, f"std {st.std}, expected sqrt(2/3)")
+    y = np.array([1.0, 2.0, 3.0])
+    z = gp.standardize(y)
+    _expect(abs(z.mean()) < 1e-12 and abs(z.std() - 1.0) < 1e-12, f"z {z}: mean {z.mean()}, std {z.std()}")
+    _expect(z.tobytes() == ((y - y.mean()) / y.std()).tobytes(), f"z {z}, expected (y - mean) / std")
+    _expect(not gp.standardize([4.0, 4.0]).any(), "z of equal values is not all zeros")
 
 
 def check_ranking_loss_values():
@@ -357,8 +359,8 @@ def check_combined_prediction():
 
     rng = np.random.default_rng(0)
     x = rng.uniform(size=(8, 1))
-    m1 = gp.fit(x, gp.standardize(rng.normal(size=8)).z, seed=0)
-    m2 = gp.fit(x, gp.standardize(rng.normal(size=8)).z, seed=1)
+    m1 = gp.fit(x, gp.standardize(rng.normal(size=8)), seed=0)
+    m2 = gp.fit(x, gp.standardize(rng.normal(size=8)), seed=1)
     q = rng.uniform(size=(5, 1))
     for idx, member in enumerate((m1, m2)):
         w = SimplexWeights(np.eye(2)[idx])
@@ -379,11 +381,11 @@ def check_likelihood_vs_reference():
         lows, highs = gp._log_bounds(dim)
         for n in (2, 9, 40, 75):
             theta = rng.uniform(lows, highs)
-            z = gp.standardize(rng.normal(size=n)).z
+            z = gp.standardize(rng.normal(size=n))
             mismatch = lml_mismatch(theta, gp._lml_args(rng.uniform(size=(n, dim)), z))
             _expect(mismatch is None, f"n={n}, d={dim}: {mismatch}")
         half = rng.uniform(size=(10, dim))
-        args = gp._lml_args(np.concatenate([half, half]), gp.standardize(rng.normal(size=20)).z)
+        args = gp._lml_args(np.concatenate([half, half]), gp.standardize(rng.normal(size=20)))
         highs[-1] = math.log(1e-30)  # with duplicated inputs, K is singular
         _expect(gp._neg_lml_and_grad(highs, *args)[0] == gp._BAD_OBJECTIVE, f"d={dim}: K factorized")
         mismatch = lml_mismatch(highs, args)
@@ -400,12 +402,12 @@ def check_likelihood_vs_dense():
         lows, highs = gp._log_bounds(dim)
         for n in (2, 9, 40, 75):
             x = rng.uniform(size=(n, dim))
-            z = gp.standardize(rng.normal(size=n)).z
+            z = gp.standardize(rng.normal(size=n))
             mismatch = dense_lml_mismatch(rng.uniform(lows, highs), x, z)
             _expect(mismatch is None, f"n={n}, d={dim}: {mismatch}")
         half = rng.uniform(size=(10, dim))
         x = np.concatenate([half, half])
-        z = gp.standardize(np.sin(5.0 * x).sum(axis=1)).z
+        z = gp.standardize(np.sin(5.0 * x).sum(axis=1))
         failing = highs.copy()
         failing[-1] = math.log(1e-30)
         for theta in (rng.uniform(lows, highs), failing):
@@ -426,7 +428,7 @@ def check_lbfgsb_vs_minimize():
         lows, highs = gp._log_bounds(dim)
         for n in (2, 9, 40, 75):
             x = rng.uniform(size=(n, dim))
-            z = gp.standardize(np.sin(5.0 * x).sum(axis=1) + 0.1 * rng.normal(size=n)).z
+            z = gp.standardize(np.sin(5.0 * x).sum(axis=1) + 0.1 * rng.normal(size=n))
             inside = rng.uniform(lows, highs)
             on_faces = np.where(rng.uniform(size=dim + 2) < 0.5, lows, highs)
             on_faces[0] = inside[0]
@@ -437,7 +439,7 @@ def check_lbfgsb_vs_minimize():
         lows[-1] = math.log(1e-30)  # noise bound widened below its floor
         half = rng.uniform(size=(10, dim))
         x = np.concatenate([half, half])
-        z = gp.standardize(np.sin(5.0 * x).sum(axis=1)).z
+        z = gp.standardize(np.sin(5.0 * x).sum(axis=1))
         failing = highs.copy()  # long length-scales, largest signal, ...
         failing[-1] = lows[-1]  # ... and noise 1e-30: K is singular
         midway = gp.KernelParams.defaults(dim).to_log_vector()  # descends into failing noise

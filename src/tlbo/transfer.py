@@ -39,10 +39,6 @@ class SourceEnsemble:
             raise ValidationError("all source surrogates must share one input dimension")
         object.__setattr__(self, "models", models)
 
-    @property
-    def k(self) -> int:
-        return len(self.models)
-
 
 def source_means(sources: SourceEnsemble, x: np.ndarray) -> np.ndarray:
     """The (n, K) matrix of source predictive means at the target inputs.
@@ -108,7 +104,7 @@ def assemble_phase2_matrix(
     tgt_col = np.empty(n)
     for train, held in _cv_folds(n, n_cv):
         w_fold = learn_source_weights(a[train], y[train])
-        partial_target = gp.condition(x[train], gp.standardize(y[train]).z, target_params)
+        partial_target = gp.condition(x[train], gp.standardize(y[train]), target_params)
         src_col[held] = a[held] @ w_fold.values
         tgt_col[held] = partial_target.predict(x[held])[0]
     return np.column_stack([src_col, tgt_col])

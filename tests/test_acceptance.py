@@ -163,7 +163,7 @@ class TestNondecreasingPriorAndInitialization:
             xs = rng.uniform(size=(20, 1))
             sources = SourceEnsemble(
                 models=tuple(
-                    gp.fit(xs, gp.standardize(rng.normal(size=20)).z, seed=i) for i in range(3)
+                    gp.fit(xs, gp.standardize(rng.normal(size=20)), seed=i) for i in range(3)
                 )
             )
             flat = bo.run(
@@ -185,7 +185,7 @@ class TestNegativeTransferLimit:
             xs = rng.uniform(size=(25, 1))
             sources = SourceEnsemble(
                 models=tuple(
-                    gp.fit(xs, gp.standardize(rng.normal(size=25)).z, seed=i) for i in range(2)
+                    gp.fit(xs, gp.standardize(rng.normal(size=25)), seed=i) for i in range(2)
                 )
             )
             trials = lambda result: [(r["config"], r["y"]) for r in result.records]
@@ -221,7 +221,7 @@ class TestCvAssembly:
             xs = rng.uniform(size=(20, 1))
             sources = SourceEnsemble(
                 models=tuple(
-                    gp.fit(xs, gp.standardize(rng.normal(size=20)).z, seed=i) for i in range(2)
+                    gp.fit(xs, gp.standardize(rng.normal(size=20)), seed=i) for i in range(2)
                 )
             )
             params = gp.KernelParams(
@@ -235,7 +235,7 @@ class TestCvAssembly:
                 assert np.all(train | held)
 
             honest = assemble_phase2_matrix(a, x, y, params, 5)
-            z = gp.standardize(y).z
+            z = gp.standardize(y)
             honest_resid = np.abs(honest[:, 1] - z).max()
             assert honest_resid > 1e-2  # held-out: cannot interpolate rough data
 
@@ -269,7 +269,7 @@ class TestScalabilityInstrumentation:
                 for i in range(k):
                     xs = rng.uniform(size=(50, 2))
                     fs = ((xs - rng.uniform(0.2, 0.8, size=2)) ** 2).sum(axis=1)
-                    models.append(gp.fit(xs, gp.standardize(fs).z, seed=i))
+                    models.append(gp.fit(xs, gp.standardize(fs), seed=i))
                 return SourceEnsemble(models=tuple(models))
 
             objective = lambda c: (c.values["x1"] - 0.4) ** 2 + (c.values["x2"] - 0.6) ** 2

@@ -322,7 +322,7 @@ class TestRunStatic:
                 keys = [tuple(np.round(row, 12)) for row in model.train_inputs]
                 assert all(key in table for key in keys)
                 ys = [table[key] for key in keys]
-                assert model.train_targets.tobytes() == gp.standardize(ys).z.tobytes()
+                assert model.train_targets.tobytes() == gp.standardize(ys).tobytes()
 
     def test_single_task_rejected(self):
         with pytest.raises(ValidationError):
@@ -448,7 +448,7 @@ class TestRunDynamic:
 
         monkeypatch.setattr(bench, "_run_job", recording)
         result = run_dynamic(tasks, ["igp"], budget=8, seeds=1, n_s=5)
-        assert [s.k for s in seen] == [0, 1]
+        assert [len(s.models) for s in seen] == [0, 1]
         head = result.runs[("a", "igp", 0)].records[:5]
         encoded = bench.space_mod.encode_batch(
             tasks[0].space, [Configuration(r["config"]) for r in head]
@@ -456,7 +456,7 @@ class TestRunDynamic:
         source = seen[1].models[0]
         assert source.train_inputs.tobytes() == encoded.tobytes()
         np.testing.assert_array_equal(
-            source.train_targets, bench.gp.standardize([r["y"] for r in head]).z
+            source.train_targets, bench.gp.standardize([r["y"] for r in head])
         )
 
     def test_single_task_top_counts(self):
@@ -686,6 +686,23 @@ class TestReport:
         del manifest["n_s"]
         path.write_text(json.dumps(manifest))
         with pytest.raises(ParseError, match="manifest.json: missing key 'n_s'"):
+            ExperimentResult.load(tmp_path / "out")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda manifest: [1],
+            lambda manifest: {**manifest, "tasks": [1]},
+            lambda manifest: {**manifest, "methods": 3},
+        ],
+        ids=["not-an-object", "task-not-an-object", "methods-not-a-list"],
+    )
+    def test_load_rejects_a_manifest_entry_of_the_wrong_type(self, tmp_path, edit):
+        tasks = [tiny_tabular("a", seed=0), tiny_tabular("b", seed=1)]
+        run_static(tasks, ["igp"], budget=4, seeds=[0], n_s=5).save(tmp_path / "out")
+        path = tmp_path / "out" / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ParseError, match="manifest.json: malformed manifest"):
             ExperimentResult.load(tmp_path / "out")
 
     def test_save_load_round_trip(self, tmp_path):

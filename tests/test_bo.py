@@ -405,7 +405,7 @@ class TestTransferRun:
         rng = np.random.default_rng(seed)
         xs = rng.uniform(size=(30, 1))
         models = tuple(
-            gp.fit(xs, gp.standardize((xs[:, 0] - c) ** 2).z, seed=i)
+            gp.fit(xs, gp.standardize((xs[:, 0] - c) ** 2), seed=i)
             for i, c in enumerate((0.25, 0.35))
         )
         return SourceEnsemble(models=models)
@@ -540,7 +540,7 @@ class TestTransferRun:
         state = self._observed_state(n=12)
         x = state.x
         history_rows = {row.tobytes() for row in x}
-        queries = {i: [] for i in range(state.sources.k)}
+        queries = {i: [] for i in range(len(state.sources.models))}
         for i, model in enumerate(state.sources.models):
 
             def recording(q, i=i, real=model.predict):

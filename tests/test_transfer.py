@@ -45,8 +45,8 @@ def fitted_pair_ensemble(seed=0, n_source=40):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(size=(n_source, 1))
     f = np.sin(5.0 * xs[:, 0])
-    good = gp.fit(xs, gp.standardize(f).z, seed=1)
-    bad = gp.fit(xs, gp.standardize(-f).z, seed=2)
+    good = gp.fit(xs, gp.standardize(f), seed=1)
+    bad = gp.fit(xs, gp.standardize(-f), seed=2)
     return SourceEnsemble(models=(good, bad))
 
 
@@ -163,12 +163,12 @@ class TestLearnPhase2Weights:
         xs = rng.uniform(size=(40, 1))
         noise_sources = SourceEnsemble(
             models=tuple(
-                gp.fit(xs, gp.standardize(rng.normal(size=40)).z, seed=i) for i in range(2)
+                gp.fit(xs, gp.standardize(rng.normal(size=40)), seed=i) for i in range(2)
             )
         )
         x = np.linspace(0.0, 1.0, 25)[:, None]
         y = np.sin(4.0 * x[:, 0])
-        params = gp.fit(x, gp.standardize(y).z, seed=0).params
+        params = gp.fit(x, gp.standardize(y), seed=0).params
         p = learn_p(noise_sources, x, y, params, n_cv=5)
         assert p.values[1] >= 0.5
         # 2-simplex grid oracle on the assembled matrix agrees with the solver
@@ -205,7 +205,7 @@ class TestCvAssembly:
     def test_holdout_predictions_are_not_interpolations(self):
         ens, x, y, params = self._setup()
         matrix = assemble_phase2_matrix(source_means(ens, x), x, y, params, 5)
-        z = gp.standardize(y).z
+        z = gp.standardize(y)
         # a leaky target column would reproduce z almost exactly
         assert np.abs(matrix[:, 1] - z).max() > 1e-2
 
@@ -220,7 +220,7 @@ class TestCvAssembly:
         leaked = assemble_phase2_matrix(source_means(ens, x), x, y, params, 5)
         # with every fold trained on all data, the target column interpolates
         # (up to per-fold restandardization, which full folds make exact)
-        z = gp.standardize(y).z
+        z = gp.standardize(y)
         assert np.abs(leaked[:, 1] - z).max() < 1e-2
 
     def test_fold_weights_differ_without_leaks(self, monkeypatch):
@@ -251,7 +251,7 @@ class TestCvAssembly:
         fs = (lambda t: np.sin(5.0 * t), lambda t: np.cos(7.0 * t))
         params = gp.KernelParams(lengthscales=np.array([0.2]), signal_variance=1.0, noise_variance=1e-4)
         ens = SourceEnsemble(
-            models=tuple(gp.condition(xs, gp.standardize(f(xs[:, 0])).z, params) for f in fs)
+            models=tuple(gp.condition(xs, gp.standardize(f(xs[:, 0])), params) for f in fs)
         )
         x = np.random.default_rng(0).uniform(size=(17, 1))
         y = fs[0](x[:, 0]) + fs[1](x[:, 0])
@@ -292,8 +292,8 @@ class TestCombinedPredict:
     def test_vertex_weights_reproduce_member_bitwise(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(size=(10, 1))
-        m1 = gp.fit(x, gp.standardize(rng.normal(size=10)).z, seed=0)
-        m2 = gp.fit(x, gp.standardize(rng.normal(size=10)).z, seed=1)
+        m1 = gp.fit(x, gp.standardize(rng.normal(size=10)), seed=0)
+        m2 = gp.fit(x, gp.standardize(rng.normal(size=10)), seed=1)
         q = rng.uniform(size=(6, 1))
         mean, var = combined_predict([m1, m2], SimplexWeights([1.0, 0.0]), q)
         ref_mean, ref_var = m1.predict(q)
@@ -329,10 +329,10 @@ def _tl_models():
     """
     rng = np.random.default_rng(11)
     x = rng.uniform(size=(12, 2))
-    models = [gp.fit(x, gp.standardize(rng.normal(size=12)).z, seed=i) for i in range(3)]
-    target = gp.fit(x, gp.standardize(rng.normal(size=12)).z, seed=5)
+    models = [gp.fit(x, gp.standardize(rng.normal(size=12)), seed=i) for i in range(3)]
+    target = gp.fit(x, gp.standardize(rng.normal(size=12)), seed=5)
     q = rng.uniform(size=(20, 2))
-    models += [gp.fit(x, gp.standardize(rng.normal(size=12)).z, seed=i) for i in (3, 4)]
+    models += [gp.fit(x, gp.standardize(rng.normal(size=12)), seed=i) for i in (3, 4)]
     return tuple(models), target, q
 
 
@@ -350,8 +350,8 @@ class TestTlPredict:
     def _pair(self, seed=8):
         rng = np.random.default_rng(seed)
         x = rng.uniform(size=(10, 1))
-        src = gp.fit(x, gp.standardize(rng.normal(size=10)).z, seed=0)
-        tgt = gp.fit(x, gp.standardize(rng.normal(size=10)).z, seed=1)
+        src = gp.fit(x, gp.standardize(rng.normal(size=10)), seed=0)
+        tgt = gp.fit(x, gp.standardize(rng.normal(size=10)), seed=1)
         return SourceEnsemble(models=(src,)), tgt
 
     def test_target_vertex_is_bitwise_target(self):
