@@ -44,7 +44,10 @@ _TAG_NOISE = 11
 def branin(x: np.ndarray) -> np.ndarray:
     """Branin function on (-5, 10) x (0, 15); three global minima of 5/(4 pi)."""
     x = np.asarray(x, dtype=float)
-    x1, x2 = x[..., 0], x[..., 1]
+    return _branin(x[..., 0], x[..., 1])
+
+
+def _branin(x1, x2):
     b = 5.1 / (4.0 * math.pi**2)
     c = 5.0 / math.pi
     t = 1.0 / (8.0 * math.pi)
@@ -228,19 +231,17 @@ def _bowl_space(dim: int) -> ConfigSpace:
 
 def _branin_extremes(translation: np.ndarray, scale: float):
     """Noiseless (min, max, argmin) of a translated, scaled branin on its box."""
-    in_domain = []
-    for mx, my in BRANIN_MINIMA:
-        loc = np.array([mx, my]) + translation
-        if all(lo <= v <= hi for v, (lo, hi) in zip(loc, BRANIN_BOUNDS)):
-            in_domain.append(loc)
+    lows, highs = np.array(BRANIN_BOUNDS).T
+    in_domain = [m for m in np.array(BRANIN_MINIMA) + translation if np.all((lows <= m) & (m <= highs))]
     g1 = np.linspace(BRANIN_BOUNDS[0][0], BRANIN_BOUNDS[0][1], 257)
     g2 = np.linspace(BRANIN_BOUNDS[1][0], BRANIN_BOUNDS[1][1], 257)
-    mesh = np.stack(np.meshgrid(g1, g2, indexing="ij"), axis=-1).reshape(-1, 2)
-    values = scale * branin(mesh - translation)
+    # The 257 x 257 grid's values, row i at g1[i] and column j at g2[j].
+    values = scale * _branin((g1 - translation[0])[:, None], (g2 - translation[1])[None, :])
     y_max = float(values.max())
     if in_domain:
         return scale * BRANIN_MIN_VALUE, y_max, in_domain[0]
-    return float(values.min()), y_max, mesh[int(values.argmin())]
+    i, j = divmod(int(values.argmin()), g2.size)
+    return float(values.min()), y_max, np.array([g1[i], g2[j]])
 
 
 def make_synthetic_family(spec: SyntheticFamilySpec) -> list[SyntheticTask]:
@@ -417,9 +418,7 @@ def _source_rows(task, n: int, seed: int):
     if isinstance(task, TabularTask):
         rng = np.random.default_rng(seed)
         order = rng.permutation(len(task.rows))[:n]
-        configs = [task.rows[i][0] for i in order]
-        ys = np.array([task.rows[i][1] for i in order])
-        return configs, ys
+        return [task.rows[i][0] for i in order], np.array([task.rows[i][1] for i in order])
     configs = space_mod.sample_uniform(task.space, n, seed)
     objective = task.make_objective(np.random.default_rng(derived_seed(seed, 1)))
     ys = np.array([objective(c) for c in configs])

@@ -22,13 +22,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import gp, space as space_mod, transfer
 from .errors import FitError, ParseError, ValidationError
 from .ranking import SimplexWeights
 from .space import ConfigSpace, Configuration
 from .transfer import SourceEnsemble
+
+_special_ufuncs = gp._scipy_extension("special", "_special_ufuncs")
 
 POLICIES = ("transbo", "igp", "random")
 N_INIT = 3
@@ -73,7 +74,7 @@ def expected_improvement(mean, variance, y_best):
         sigma = np.sqrt(var_arr[positive])
         u = improvement[positive] / sigma
         pdf = np.exp(-0.5 * u**2) / math.sqrt(2.0 * math.pi)
-        ei[positive] = improvement[positive] * ndtr(u) + sigma * pdf
+        ei[positive] = improvement[positive] * _special_ufuncs.ndtr(u) + sigma * pdf
     ei = np.maximum(ei, 0.0)
     return float(ei[0]) if scalar else ei
 

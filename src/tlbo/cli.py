@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench, bo, oracles, space as space_mod
+from . import bench, bo, space as space_mod
 from .errors import ParseError, ValidationError
 
 
@@ -137,6 +137,7 @@ def _check(name: str, fn) -> bool:
 
 def _selftest(args) -> int:
     """Run the oracle checks of ``tlbo.oracles``, the acceptance suite's own."""
+    from . import oracles  # loads scipy.optimize, which no other command needs
     ok = all([_check(name, fn) for name, fn in oracles.CHECKS])
     return 0 if ok else 1
 

@@ -42,12 +42,12 @@ and a property test hold the loop to the public ``minimize`` bit for bit,
 in x, value and evaluation count; a scipy release that changes ``setulb``
 fails them rather than silently moving the fits.
 
-``_load_lbfgsb`` executes ``setulb``'s compiled module, scipy's
-``optimize/_lbfgsb`` file, the one ``minimize`` calls, without running the
-``scipy.optimize`` package's ``__init__``, which would also load
-``sparse``, ``spatial``, ``fft`` and ``constants``. If a scipy release
-moves or renames the file, ``import tlbo`` fails with an ImportError naming
-the directory searched.
+``_scipy_extension`` executes each compiled scipy file the library calls,
+``optimize/_lbfgsb`` (``setulb``), ``linalg/_flapack`` (LAPACK, here and in
+the simplex solver) and ``special/_special_ufuncs`` (``ndtr``), from the
+file itself, so ``import tlbo`` runs no scipy ``__init__`` and loads no
+scipy module. If a scipy release moves one of the files, ``import tlbo``
+fails with an ImportError naming the directory searched.
 
 The kernel and the predictive variance are built in place, in the order of
 the straightforward formulas, so they too keep every bit; the kernel's
@@ -58,30 +58,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from pathlib import Path
 
 import numpy as np
-import scipy
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 
 from .errors import FitError, ValidationError
 
 
-def _load_lbfgsb():
-    """scipy's compiled L-BFGS-B module, executed from its file in scipy's
-    ``optimize`` directory without importing the ``scipy.optimize`` package."""
-    where = str(Path(scipy.__file__).parent / "optimize")
-    spec = PathFinder.find_spec("_lbfgsb", [where])
+def _scipy_extension(subpackage: str, name: str):
+    """scipy's compiled module ``name``, executed from its file in scipy's
+    ``subpackage`` directory without importing scipy or the subpackage."""
+    where = str(Path(find_spec("scipy").origin).parent / subpackage)
+    spec = PathFinder.find_spec(name, [where])
     if spec is None:
-        raise ImportError(f"scipy's L-BFGS-B extension _lbfgsb not found in {where}")
+        raise ImportError(f"scipy's extension {name} not found in {where}")
     module = module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-_lbfgsb = _load_lbfgsb()
+_lbfgsb = _scipy_extension("optimize", "_lbfgsb")
+_flapack = _scipy_extension("linalg", "_flapack")
 
 SQRT5 = math.sqrt(5.0)
 VARIANCE_FLOOR = 1e-12
@@ -244,12 +242,12 @@ def _neg_lml_and_grad(theta: np.ndarray, sq_diffs: np.ndarray, z: np.ndarray, ro
     kn_flat = kn.T.reshape(-1)
     kn_flat[pos] = kf
     kn_flat[:: n + 1] = sv + nv
-    chol, info = dpotrf(kn, lower=1, clean=0, overwrite_a=1)
+    chol, info = _flapack.dpotrf(kn, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         return _BAD_OBJECTIVE, np.zeros(dim + 2)
-    alpha, _ = dpotrs(chol, z, lower=1)
+    alpha, _ = _flapack.dpotrs(chol, z, lower=1)
     lml = -0.5 * float(z @ alpha) - float(np.log(chol.diagonal()).sum()) - 0.5 * n * math.log(2.0 * math.pi)
-    _, info = dpotri(chol, lower=1, overwrite_c=1)  # K^-1's lower triangle, in kn
+    _, info = _flapack.dpotri(chol, lower=1, overwrite_c=1)  # K^-1's lower triangle, in kn
     if info != 0:
         return _BAD_OBJECTIVE, np.zeros(dim + 2)
 
@@ -333,7 +331,7 @@ class GpSurrogate:
         # v = L^-1 ks^T, as solve_triangular computes it: LAPACK gets L^T (the
         # F-ordered view of the C-ordered L) with trans set, and solves in
         # place in ks's memory through its F-ordered (n, m) view.
-        v, _ = dtrtrs(self._chol.T, ks.T, lower=0, trans=1, overwrite_b=1)
+        v, _ = _flapack.dtrtrs(self._chol.T, ks.T, lower=0, trans=1, overwrite_b=1)
         var = np.maximum(self.params.signal_variance - np.square(v, out=v).sum(axis=0), VARIANCE_FLOOR)
         if single:
             return float(mean[0]), float(var[0])
@@ -350,7 +348,10 @@ def _factorize(x: np.ndarray, z: np.ndarray, params: KernelParams):
             chol = np.linalg.cholesky(kf + (params.noise_variance + jitter) * eye)
         except np.linalg.LinAlgError:
             continue
-        return chol, cho_solve((chol, True), z), jitter
+        alpha, info = _flapack.dpotrs(chol, z, lower=1)
+        if info != 0:
+            raise FitError(f"dpotrs rejected argument {-info}")
+        return chol, alpha, jitter
     raise FitError("kernel matrix is not positive definite even after jitter escalation")
 
 

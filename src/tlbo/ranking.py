@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
 from .errors import SolverError, ValidationError
+from .gp import _flapack
 
 PG_TOL = 1e-6
 # Of 20000 random problems with K <= 10 and per-column scales 10^U(-3, 2),
@@ -181,7 +181,7 @@ def _newton_point(h: np.ndarray, g: np.ndarray, x: np.ndarray, z: np.ndarray) ->
     for _ in range(4 * k):
         sel = np.flatnonzero(rows)
         idx = sel[:-1]
-        _, _, sol, info = dgesv(kkt[sel][:, sel], rhs[sel])
+        _, _, sol, info = _flapack.dgesv(kkt[sel][:, sel], rhs[sel])
         if info != 0:
             return z  # a singular face system: keep the last feasible point
         y, mu = sol[:-1], sol[-1]

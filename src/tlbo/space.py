@@ -224,17 +224,15 @@ def space_to_dict(space: ConfigSpace) -> dict:
 def space_from_dict(data: dict) -> ConfigSpace:
     if not isinstance(data, dict) or "params" not in data:
         raise ValidationError("space definition must be an object with a 'params' list")
-    specs = []
-    for entry in data["params"]:
-        specs.append(
-            ParamSpec(
-                name=entry.get("name", ""),
-                kind=entry.get("kind", ""),
-                low=entry.get("low"),
-                high=entry.get("high"),
-                categories=tuple(entry.get("categories", ())),
-                default=entry.get("default"),
-            )
+    return ConfigSpace(
+        ParamSpec(
+            name=entry.get("name", ""),
+            kind=entry.get("kind", ""),
+            low=entry.get("low"),
+            high=entry.get("high"),
+            categories=tuple(entry.get("categories", ())),
+            default=entry.get("default"),
         )
-    return ConfigSpace(specs)
+        for entry in data["params"]
+    )
 

@@ -167,6 +167,31 @@ class TestSyntheticFamily:
             loc = np.array([math.pi, 2.275]) + task.translation
             assert task.noiseless(loc[None, :])[0] == pytest.approx(task.y_min, rel=1e-6)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t1=st.floats(-9.0, 9.0),
+        t2=st.floats(-9.0, 9.0),
+        scale=st.floats(0.05, 20.0),
+    )
+    def test_branin_extremes_match_the_mesh_formula(self, t1, t2, scale):
+        """The broadcast grid gives the bits of the flattened 257 x 257 mesh:
+        min, max and argmin point, also where no minimum stays in the box."""
+        translation = np.array([t1, t2])
+        g1 = np.linspace(-5.0, 10.0, 257)
+        g2 = np.linspace(0.0, 15.0, 257)
+        mesh = np.stack(np.meshgrid(g1, g2, indexing="ij"), axis=-1).reshape(-1, 2)
+        values = scale * branin(mesh - translation)
+        y_min, y_max, optimum = bench._branin_extremes(translation, scale)
+        assert y_max == float(values.max())
+        shifted = [np.array(m) + translation for m in bench.BRANIN_MINIMA]
+        inside = [m for m in shifted if -5.0 <= m[0] <= 10.0 and 0.0 <= m[1] <= 15.0]
+        if inside:
+            assert y_min == scale * bench.BRANIN_MIN_VALUE
+            np.testing.assert_array_equal(optimum, inside[0])
+        else:
+            assert y_min == float(values.min())
+            np.testing.assert_array_equal(optimum, mesh[int(values.argmin())])
+
     def test_noise_scales_with_output_range(self):
         spec = SyntheticFamilySpec(base="branin", n_tasks=2, noise_scale=0.01, seed=1)
         for task in make_synthetic_family(spec):

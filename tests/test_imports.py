@@ -1,9 +1,11 @@
-"""What the library loads: neither ``scipy.stats`` nor ``scipy.optimize``
-comes into a whole static experiment and its report. ``scipy.stats`` is the
-heaviest scipy subpackage to import (it pulls in ``integrate``,
-``interpolate`` and ``ndimage``); the ``scipy.optimize`` package pulls in
-``sparse``, ``spatial``, ``fft`` and ``constants``. The library needs none
-of it: ``gp`` loads the one compiled L-BFGS-B file it calls on its own."""
+"""What the library loads: no scipy module at all, through a whole static
+experiment and its report, nor through the CLI up to ``report``. Loading a
+scipy subpackage runs its ``__init__``: ``scipy.optimize`` pulls in
+``sparse``, ``spatial``, ``fft`` and ``constants``, and ``scipy.linalg`` and
+``scipy.special`` together are over a hundred modules. The library needs
+three compiled files, which ``gp._scipy_extension`` loads on their own:
+``optimize/_lbfgsb``, ``linalg/_flapack`` and ``special/_special_ufuncs``.
+The self-test's ``oracles`` is the one module that imports scipy."""
 
 import os
 import re
@@ -27,9 +29,23 @@ tasks = bench.make_synthetic_family(bench.SyntheticFamilySpec(base="branin", n_t
 result = bench.run_static(tasks, ["transbo", "random"], budget=4, seeds=1, n_s=8, n_candidates=50)
 with tempfile.TemporaryDirectory() as out:
     assert bench.report(result, out)
-for package in ("scipy.stats", "scipy.optimize"):
-    loaded = sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
-    assert not loaded, loaded
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+
+CLI_SCRIPT = """
+import sys, tempfile
+from pathlib import Path
+import tlbo.cli
+from tlbo import bench
+
+tasks = bench.make_synthetic_family(bench.SyntheticFamilySpec(base="branin", n_tasks=2, seed=0))
+result = bench.run_static(tasks, ["igp"], budget=3, seeds=1, n_s=4, n_candidates=20)
+with tempfile.TemporaryDirectory() as tmp:
+    result.save(Path(tmp) / "result")
+    assert tlbo.cli.main(["report", str(Path(tmp) / "result"), str(Path(tmp) / "report")]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
 """
 
 
@@ -42,25 +58,52 @@ def _run(script):
 
 
 def test_static_run_and_report_do_not_load_scipy_stats():
-    """Nor ``scipy.optimize``: the script checks both packages."""
+    """Nor any other scipy module: the script checks for ``scipy`` and every
+    ``scipy.*`` name."""
     _run(SCRIPT)
+
+
+def test_cli_and_report_do_not_load_scipy():
+    """``tlbo.cli`` imports ``oracles``, and with it ``scipy.optimize``, only
+    inside the self-test command."""
+    _run(CLI_SCRIPT)
+
+
+def _same_file(attribute, module):
+    """Runs a script that checks that the library's module ``attribute`` is
+    the file that importing scipy's ``module`` afterwards loads."""
+    _run(
+        "import importlib, sys\n"
+        "from tlbo import bo, gp\n"
+        "assert 'scipy' not in sys.modules\n"
+        f"ours, theirs = {attribute}.__file__, importlib.import_module({module!r}).__file__\n"
+        "assert ours == theirs, (ours, theirs)\n"
+    )
 
 
 def test_lbfgsb_is_the_file_scipy_optimize_loads():
     """The L-BFGS-B module ``gp`` calls is the file that ``minimize``, and so
     the bitwise ``lbfgsb-vs-minimize`` oracle, runs, when ``scipy.optimize``
     is imported after ``gp``."""
-    _run(
-        "import sys\n"
-        "from tlbo import gp\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
-        "import scipy.optimize._lbfgsb\n"
-        "assert gp._lbfgsb.__file__ == scipy.optimize._lbfgsb.__file__, "
-        "(gp._lbfgsb.__file__, scipy.optimize._lbfgsb.__file__)\n"
-    )
+    _same_file("gp._lbfgsb", "scipy.optimize._lbfgsb")
+
+
+def test_flapack_is_the_file_scipy_linalg_loads():
+    """The LAPACK of ``gp`` and the simplex solver is the file behind
+    ``scipy.linalg``, which the likelihood oracles call."""
+    _same_file("gp._flapack", "scipy.linalg._flapack")
+
+
+def test_special_ufuncs_is_the_file_scipy_special_loads():
+    """``bo``'s ``ndtr`` comes from the file behind ``scipy.special.ndtr``."""
+    _same_file("bo._special_ufuncs", "scipy.special._special_ufuncs")
 
 
 def test_missing_lbfgsb_file_names_the_directory_searched(tmp_path, monkeypatch):
-    monkeypatch.setattr(gp, "scipy", SimpleNamespace(__file__=str(tmp_path / "__init__.py")))
-    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "optimize"))):
-        gp._load_lbfgsb()
+    """With scipy found at a directory that lacks the file, the loader raises
+    an ImportError naming the file and the directory searched, for each of
+    the three files the library loads."""
+    monkeypatch.setattr(gp, "find_spec", lambda _: SimpleNamespace(origin=str(tmp_path / "__init__.py")))
+    for subpackage, name in (("optimize", "_lbfgsb"), ("linalg", "_flapack"), ("special", "_special_ufuncs")):
+        with pytest.raises(ImportError, match=re.escape(f"{name} not found in {tmp_path / subpackage}")):
+            gp._scipy_extension(subpackage, name)
