@@ -1,7 +1,9 @@
 """Benchmark harness: tabular tasks, synthetic transfer families, the static
 (leave-one-out) and dynamic (sequential-arrival) protocols, and metrics.
 
-Tabular tasks are finite pre-evaluated grids; runs on them suggest only
+Tabular tasks are finite pre-evaluated grids, each stored once as arrays (a
+``space.ConfigTable`` of raw columns, encoded grid and sorted row index, and
+the outcomes ``y``) that every run on the task shares; runs suggest only
 unevaluated rows, and range extremes for the distance-to-minimum metric come
 from the full table. Synthetic families perturb a base function (translation
 and output scale per task) so task relatedness is controllable.
@@ -20,7 +22,7 @@ import numpy as np
 from . import bo, gp, space as space_mod
 from .bo import RunResult, derived_seed
 from .errors import ParseError, ValidationError
-from .space import ConfigSpace, Configuration, ParamSpec
+from .space import ConfigSpace, ConfigTable, Configuration, ParamSpec
 from .transfer import SourceEnsemble
 
 BRANIN_BOUNDS = ((-5.0, 10.0), (0.0, 15.0))
@@ -60,44 +62,44 @@ def quadratic_bowl(x: np.ndarray) -> np.ndarray:
     return (x**2).sum(axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabularTask:
     """A finite pre-evaluated benchmark: distinct configurations with stored
-    outcomes. ``from_rows`` rejects a repeated configuration before any
-    source is fitted on the table; ``load_tabular`` drops repeats first."""
+    outcomes, kept once as arrays, ``table`` and ``y``, that every run on
+    the task shares. ``from_rows`` validates the rows and rejects a repeated
+    configuration before any source is fitted on the table; ``load_tabular``
+    drops repeats first. ``rows`` builds its configurations on each call."""
 
     name: str
     space: ConfigSpace
-    rows: tuple[tuple[Configuration, float], ...]
+    table: ConfigTable
+    y: np.ndarray
     y_min: float
     y_max: float
 
     @classmethod
     def from_rows(cls, name, space, rows) -> "TabularTask":
-        rows = tuple(rows)
-        if not rows:
-            raise ValidationError("a tabular task needs at least one row")
-        seen = set()
-        for config, _ in rows:
-            key = bo._config_key(config)
-            if key in seen:
-                raise ValidationError(f"tabular task {name!r} repeats the configuration {dict(key)}")
-            seen.add(key)
-        ys = [y for _, y in rows]
-        return cls(name=name, space=space, rows=rows, y_min=min(ys), y_max=max(ys))
+        rows = list(rows)
+        label = f"tabular task {name!r}"
+        table = ConfigTable.from_configs(space, [config for config, _ in rows], label)
+        y = np.array([y for _, y in rows], dtype=float)
+        if not np.isfinite(y).all():
+            raise ValidationError(f"{label}: row {np.argmin(np.isfinite(y))}: y must be a finite number")
+        return cls(name=name, space=space, table=table, y=y, y_min=float(y.min()), y_max=float(y.max()))
 
-    def grid(self) -> list[Configuration]:
-        return [c for c, _ in self.rows]
+    @property
+    def rows(self) -> tuple[tuple[Configuration, float], ...]:
+        return tuple((self.table.config(i), float(y)) for i, y in enumerate(self.y))
 
     def lookup(self) -> dict:
         return {bo._config_key(c): y for c, y in self.rows}
 
 
-def load_tabular(path, strict: bool = False) -> TabularTask:
+def load_tabular(path) -> TabularTask:
     """Load a tabular task file: {"space": {...}, "rows": [{"config", "y"}]}.
 
-    Duplicate configurations keep the first row; in strict mode a duplicate
-    with a differing outcome is rejected instead.
+    Every row is checked, and errors name the file's row, counted from 1;
+    duplicate configurations then keep the first row.
     """
     path = Path(path)
     try:
@@ -116,29 +118,21 @@ def load_tabular(path, strict: bool = False) -> TabularTask:
         raise ParseError(f"{path}: 'rows' must be a non-empty array")
 
     rows: list[tuple[Configuration, float]] = []
-    seen: dict = {}
     for i, entry in enumerate(rows_data, start=1):
-        if not isinstance(entry, dict) or "config" not in entry or "y" not in entry:
+        if not isinstance(entry, dict) or not isinstance(entry.get("config"), dict) or "y" not in entry:
             raise ParseError(f"{path}: row {i}: expected an object with 'config' and 'y'")
-        try:
-            config = Configuration(dict(entry["config"]))
-            space.validate(config)
-        except (ValidationError, TypeError) as exc:
-            raise ParseError(f"{path}: row {i}: {exc}") from exc
         y = entry["y"]
         if isinstance(y, bool) or not isinstance(y, (int, float)) or not math.isfinite(float(y)):
             raise ParseError(f"{path}: row {i}: 'y' must be a finite number")
-        y = float(y)
-        key = bo._config_key(config)
-        if key in seen:
-            if strict and seen[key] != y:
-                raise ParseError(
-                    f"{path}: row {i}: duplicate configuration with differing outcome"
-                )
-            continue
-        seen[key] = y
-        rows.append((config, y))
-    return TabularTask.from_rows(name=data.get("name", path.stem), space=space, rows=rows)
+        rows.append((Configuration(entry["config"]), float(y)))
+    try:
+        space_mod._columns(space, [config for config, _ in rows], str(path))
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from exc
+    first: dict = {}
+    for config, y in rows:
+        first.setdefault(bo._config_key(config), (config, y))
+    return TabularTask.from_rows(name=data.get("name", path.stem), space=space, rows=list(first.values()))
 
 
 def save_tabular(task: TabularTask, path) -> None:
@@ -410,24 +404,23 @@ class ExperimentResult:
 
 
 def _source_rows(task, n: int, seed: int):
-    """Observation rows used to fit one source surrogate.
+    """Encoded inputs and outcomes used to fit one source surrogate.
 
-    Tabular tasks subsample the first n rows of a seeded shuffle; synthetic
-    tasks evaluate n seeded uniform draws with observation noise.
+    Tabular tasks slice the first n rows of a seeded shuffle out of their
+    arrays; synthetic tasks evaluate n seeded uniform draws with observation
+    noise.
     """
     if isinstance(task, TabularTask):
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(len(task.rows))[:n]
-        return [task.rows[i][0] for i in order], np.array([task.rows[i][1] for i in order])
+        order = np.random.default_rng(seed).permutation(len(task.y))[:n]
+        return task.table.encoded[order], task.y[order]
     configs = space_mod.sample_uniform(task.space, n, seed)
     objective = task.make_objective(np.random.default_rng(derived_seed(seed, 1)))
-    ys = np.array([objective(c) for c in configs])
-    return configs, ys
+    return space_mod.encode_batch(task.space, configs), np.array([objective(c) for c in configs])
 
 
-def _fit_source(space: ConfigSpace, configs, ys: np.ndarray, seed: int) -> gp.GpSurrogate:
-    """A source surrogate: a GP on the encoded configs and standardized ys."""
-    return gp.fit(space_mod.encode_batch(space, configs), gp.standardize(ys), seed=seed)
+def _fit_source(x: np.ndarray, ys: np.ndarray, seed: int) -> gp.GpSurrogate:
+    """A source surrogate: a GP on encoded inputs and standardized ys."""
+    return gp.fit(x, gp.standardize(ys), seed=seed)
 
 
 def _check_target(index, n_tasks: int) -> None:
@@ -445,17 +438,17 @@ def build_static_sources(
     for j, task in enumerate(tasks):
         if j == target_index:
             continue
-        configs, ys = _source_rows(task, n_s, derived_seed(base_seed, _TAG_SOURCE_ROWS, j))
+        x, ys = _source_rows(task, n_s, derived_seed(base_seed, _TAG_SOURCE_ROWS, j))
         fit_seed = derived_seed(base_seed, _TAG_SOURCE_FIT, j)
-        models.append(_fit_source(task.space, configs, -ys if flip_source_outputs else ys, fit_seed))
+        models.append(_fit_source(x, -ys if flip_source_outputs else ys, fit_seed))
     return SourceEnsemble(models=tuple(models))
 
 
 def _task_objective(task, noise_seed: int):
-    """(objective, candidate_grid) pair for running one task."""
+    """(objective, candidate_grid) pair for running one task; a tabular
+    task's grid is its shared table."""
     if isinstance(task, TabularTask):
-        lookup = task.lookup()
-        return (lambda config: lookup[bo._config_key(config)]), task.grid()
+        return (lambda config: task.y[task.table.index(config)]), task.table
     return task.make_objective(np.random.default_rng(noise_seed)), None
 
 
@@ -600,10 +593,9 @@ def _dynamic_chain(tasks, method, seed, budget, n_s, n_cv, n_candidates, base_se
         run_result = _run_job(task, sources, method, run_seed, noise_seed, budget, n_cv, n_candidates)
         out.append((task.name, run_result))
         head = run_result.records[:n_s]
-        configs = [Configuration(r["config"]) for r in head]
-        ys = np.array([r["y"] for r in head])
+        x = space_mod.encode_batch(task.space, [Configuration(r["config"]) for r in head])
         fit_seed = derived_seed(base_seed, _TAG_SOURCE_FIT, ti, seed)
-        models.append(_fit_source(task.space, configs, ys, fit_seed))
+        models.append(_fit_source(x, np.array([r["y"] for r in head]), fit_seed))
     return out
 
 

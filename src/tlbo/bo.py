@@ -15,6 +15,7 @@ reproducible and policy-independent.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import time
@@ -26,7 +27,7 @@ import numpy as np
 from . import gp, space as space_mod, transfer
 from .errors import FitError, ParseError, ValidationError
 from .ranking import SimplexWeights
-from .space import ConfigSpace, Configuration
+from .space import ConfigSpace, ConfigTable, Configuration
 from .transfer import SourceEnsemble
 
 _special_ufuncs = gp._scipy_extension("special", "_special_ufuncs")
@@ -80,18 +81,17 @@ def expected_improvement(mean, variance, y_best):
 
 
 class _TabularPool:
-    """Finite candidate grid of distinct configurations; suggestions draw
-    from unevaluated rows only, which ``unused`` marks."""
+    """Finite candidate grid, a ``ConfigTable`` of ``space`` that the pool
+    shares and never changes; a list of configurations becomes one here.
+    Suggestions draw from unevaluated rows only, which ``unused`` marks."""
 
-    def __init__(self, space: ConfigSpace, configs: list[Configuration]):
-        if not configs:
-            raise ValidationError("tabular candidate grid must be non-empty")
-        self.configs = list(configs)
-        self.encoded = space_mod.encode_batch(space, self.configs)
-        self._index = {_config_key(c): i for i, c in enumerate(self.configs)}
-        if len(self._index) != len(self.configs):
-            raise ValidationError("tabular candidate grid repeats a configuration")
-        self.unused = np.ones(len(self.configs), dtype=bool)
+    def __init__(self, space: ConfigSpace, grid: ConfigTable | list[Configuration]):
+        if not isinstance(grid, ConfigTable):
+            grid = ConfigTable.from_configs(space, grid, "tabular candidate grid")
+        elif grid.space != space:
+            raise ValidationError("the candidate grid belongs to another space")
+        self.grid = grid
+        self.unused = np.ones(len(grid), dtype=bool)
 
     def remaining(self) -> np.ndarray:
         """Indices of the unevaluated rows, ascending; never empty."""
@@ -101,9 +101,8 @@ class _TabularPool:
         return remaining
 
     def mark(self, config: Configuration) -> None:
-        idx = self._index.get(_config_key(config))
-        if idx is not None:
-            self.unused[idx] = False
+        with contextlib.suppress(KeyError):
+            self.unused[self.grid.index(config)] = False
 
 
 def _config_key(config: Configuration):
@@ -148,8 +147,8 @@ def _candidate_pool(state: OptimizerState, iteration: int):
     """
     if state.pool is not None:
         remaining = state.pool.remaining()
-        enc = state.pool.encoded[remaining]
-        return enc, lambda i: state.pool.configs[int(remaining[i])]
+        enc = state.pool.grid.encoded[remaining]
+        return enc, lambda i: state.pool.grid.config(int(remaining[i]))
     rng = _stream_rng(state.seed, _STREAM_POOL, iteration)
     cols = space_mod._sample_arrays(state.space, state.n_candidates, rng)
     enc = space_mod._encode_arrays(state.space, cols, state.n_candidates)
@@ -159,7 +158,7 @@ def _candidate_pool(state: OptimizerState, iteration: int):
 def _random_suggestion(state: OptimizerState, iteration: int) -> Configuration:
     rng = _stream_rng(state.seed, _STREAM_POOL, iteration)
     if state.pool is not None:
-        return state.pool.configs[int(rng.choice(state.pool.remaining()))]
+        return state.pool.grid.config(int(rng.choice(state.pool.remaining())))
     cols = space_mod._sample_arrays(state.space, 1, rng)
     return space_mod._config_from_arrays(state.space, cols, 0)
 
@@ -309,8 +308,8 @@ class RunResult:
 def _initial_design(state: OptimizerState) -> list[Configuration]:
     rng = _stream_rng(state.seed, _STREAM_INIT)
     if state.pool is not None:
-        picks = rng.choice(len(state.pool.configs), size=N_INIT, replace=False)
-        return [state.pool.configs[int(i)] for i in picks]
+        picks = rng.choice(len(state.pool.grid), size=N_INIT, replace=False)
+        return [state.pool.grid.config(int(i)) for i in picks]
     cols = space_mod._sample_arrays(state.space, N_INIT, rng)
     return [space_mod._config_from_arrays(state.space, cols, i) for i in range(N_INIT)]
 
@@ -330,7 +329,7 @@ def run(
     seed: int = 0,
     n_cv: int = transfer.N_CV_DEFAULT,
     n_candidates: int = N_CANDIDATES,
-    candidate_grid: list[Configuration] | None = None,
+    candidate_grid: ConfigTable | list[Configuration] | None = None,
     force_p: tuple[float, float] | None = None,
 ) -> RunResult:
     """Run one sequential optimization with the given policy.
@@ -348,9 +347,11 @@ def run(
     (``GpSurrogate.fit_start``; ``None`` when no refit ran or it failed).
     ``fit_jitter`` is the diagonal jitter the refit's Cholesky settled on
     (``GpSurrogate.fit_jitter``; ``None`` when no refit ran or it failed).
-    ``force_p``, for ``transbo`` only, fixes ``p`` = (p_source, p_target)
-    in every suggestion. Every argument is checked before the first
-    objective call.
+    ``candidate_grid``, a ``ConfigTable`` of ``space`` or a list of distinct
+    configurations converted to one, limits suggestions to its unevaluated
+    rows. ``force_p``, for ``transbo`` only, fixes ``p`` = (p_source,
+    p_target) in every suggestion. Every argument is checked before the
+    first objective call.
     """
     if policy not in POLICIES:
         raise ValidationError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -371,7 +372,7 @@ def run(
     if sources is None:
         sources = SourceEnsemble(models=())
     pool = _TabularPool(space, candidate_grid) if candidate_grid is not None else None
-    if pool is not None and len(pool.configs) < budget:
+    if pool is not None and len(pool.grid) < budget:
         raise ValidationError("budget exceeds the number of rows in the candidate grid")
 
     state = OptimizerState(

@@ -14,14 +14,7 @@ class FitError(TlboError, RuntimeError):
 
 
 class SolverError(TlboError, RuntimeError):
-    """Raised when the simplex solver encounters non-finite values.
-
-    Carries the last feasible iterate so callers can inspect it.
-    """
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """Raised when the simplex solver encounters non-finite values."""
 
 
 class ParseError(TlboError, ValueError):

@@ -244,7 +244,7 @@ def minimize_on_simplex(pm: PredictionMatrix) -> SimplexWeights:
     start = np.eye(pm.k)[np.argmin(g)]
     for _ in range(MAX_ITER):
         if not (np.isfinite(f) and np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
-            raise SolverError("non-finite loss or derivatives during simplex descent", last_iterate=x)
+            raise SolverError("non-finite loss or derivatives during simplex descent")
         pg_step = project_to_simplex(x - g) - x
         if np.linalg.norm(pg_step) <= PG_TOL:
             break

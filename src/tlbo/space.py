@@ -8,6 +8,8 @@ no forbidden clauses.
 """
 from __future__ import annotations
 
+import bisect
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -59,28 +61,12 @@ class ParamSpec:
             object.__setattr__(self, "low", low)
             object.__setattr__(self, "high", high)
         if self.default is not None:
-            self.check_value(self.default)
+            ConfigSpace([self]).validate(Configuration({self.name: self.default}))
 
     @property
     def width(self) -> int:
         """Number of encoded coordinates this parameter occupies."""
         return len(self.categories) if self.kind == "categorical" else 1
-
-    def check_value(self, value) -> None:
-        """Raise ValidationError if ``value`` is outside this parameter's domain."""
-        if self.kind == "categorical":
-            if value not in self.categories:
-                raise ValidationError(f"parameter {self.name!r}: {value!r} is not a known category")
-            return
-        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-            raise ValidationError(f"parameter {self.name!r}: {value!r} is not numeric")
-        v = float(value)
-        if not math.isfinite(v) or v < self.low or v > self.high:
-            raise ValidationError(
-                f"parameter {self.name!r}: value {value!r} outside [{self.low}, {self.high}]"
-            )
-        if self.kind == "integer" and v != int(v):
-            raise ValidationError(f"parameter {self.name!r}: {value!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -107,14 +93,7 @@ class ConfigSpace:
 
     def validate(self, config: "Configuration") -> None:
         """Check that ``config`` carries exactly this space's parameters, in bounds."""
-        missing = set(self.names) - set(config.values)
-        extra = set(config.values) - set(self.names)
-        if missing:
-            raise ValidationError(f"configuration missing parameter(s): {sorted(missing)}")
-        if extra:
-            raise ValidationError(f"configuration has unknown parameter(s): {sorted(extra)}")
-        for p in self.params:
-            p.check_value(config.values[p.name])
+        _columns(self, [config])
 
 
 @dataclass(frozen=True)
@@ -184,26 +163,101 @@ def _encode_arrays(space: ConfigSpace, cols: dict[str, np.ndarray], n: int) -> n
     return out
 
 
+def _columns(space: ConfigSpace, configs, label: str | None = None) -> dict[str, np.ndarray]:
+    """Raw columns of ``configs`` in the layout of ``_sample_arrays``, once
+    each carries exactly the space's names with values in their domains
+    (bools are not numbers). With a ``label``, a ``ValidationError`` names it
+    and the first failing row of the first failing check, counted from 1."""
+    where = lambda i: f"{label}: row {i + 1}: " if label else ""
+    names = set(space.names)
+    for i, c in enumerate(configs):
+        if c.values.keys() != names:
+            missing, extra = sorted(names - c.values.keys()), sorted(c.values.keys() - names)
+            why = f"missing parameter(s): {missing}" if missing else f"has unknown parameter(s): {extra}"
+            raise ValidationError(f"{where(i)}configuration {why}")
+    numeric = (int, float, np.integer, np.floating)
+    cols: dict[str, np.ndarray] = {}
+    for p in space.params:
+        values = [c.values[p.name] for c in configs]
+
+        def fail(bad, why):
+            i = int(np.argmax(bad))
+            raise ValidationError(f"{where(i)}parameter {p.name!r}: {values[i]!r} {why}")
+
+        if p.kind == "categorical":
+            try:
+                cols[p.name] = np.array([p.categories.index(v) for v in values], dtype=np.intp)
+            except ValueError:
+                fail([v not in p.categories for v in values], "is not a known category")
+            continue
+        if any(issubclass(t, bool) or not issubclass(t, numeric) for t in set(map(type, values))):
+            fail([isinstance(v, bool) or not isinstance(v, numeric) for v in values], "is not numeric")
+        col = np.array(values, dtype=float)
+        if not (col.min() >= p.low and col.max() <= p.high):  # also false with a NaN
+            fail(~((col >= p.low) & (col <= p.high)), f"outside [{p.low}, {p.high}]")
+        if p.kind == "integer" and not (col == np.trunc(col)).all():
+            fail(col != np.trunc(col), "is not an integer")
+        cols[p.name] = col.astype(np.int64) if p.kind == "integer" else col
+    return cols
+
+
+@dataclass(frozen=True, eq=False)
+class ConfigTable:
+    """Distinct configurations of a space, stored once as arrays: the raw
+    ``columns`` of ``_columns``, their (n, D) ``encoded`` matrix, and
+    ``order``, the rows sorted by raw values, which ``index`` bisects. Only
+    ``config`` builds a ``Configuration``."""
+
+    space: ConfigSpace
+    columns: dict[str, np.ndarray]
+    encoded: np.ndarray
+    order: np.ndarray
+
+    @classmethod
+    def from_configs(cls, space: ConfigSpace, configs, label: str = "configuration table") -> "ConfigTable":
+        """Accept what ``space.validate`` accepts, with no two rows of equal raw
+        values (as ``bo._config_key`` compares them; two distinct values may
+        share an encoding). Errors name ``label`` and the row, from 1."""
+        configs = list(configs)
+        if not configs:
+            raise ValidationError(f"{label} needs at least one row")
+        cols = _columns(space, configs, label)
+        order = np.lexsort([cols[name] for name in reversed(space.names)])
+        repeat = np.logical_and.reduce([col[order[1:]] == col[order[:-1]] for col in cols.values()])
+        if repeat.any():
+            i = int(order[1:][repeat].min())
+            raise ValidationError(f"{label} repeats the configuration {configs[i].values} at row {i + 1}")
+        return cls(space, cols, _encode_arrays(space, cols, len(configs)), order)
+
+    def __len__(self) -> int:
+        return self.order.size
+
+    def config(self, i: int) -> Configuration:
+        return _config_from_arrays(self.space, self.columns, i)
+
+    def index(self, config: Configuration) -> int:
+        """The row whose raw values equal ``config``'s, as ``bo._config_key``
+        compares them; ``KeyError`` if none."""
+        values, row = config.values, lambda i: tuple(col[i] for col in self.columns.values())
+        with contextlib.suppress(TypeError, ValueError):  # an unknown category or a non-number
+            if values.keys() == self.columns.keys():
+                raw = lambda p, v: p.categories.index(v) if p.kind == "categorical" else v
+                key = tuple(raw(p, values[p.name]) for p in self.space.params)
+                at = bisect.bisect_left(self.order, key, key=row)
+                if at < len(self) and row(self.order[at]) == key:
+                    return int(self.order[at])
+        raise KeyError(f"{config.values} is not a row of the table")
+
+
 def encode(space: ConfigSpace, config: Configuration) -> np.ndarray:
     """Encode a configuration into a vector in [0, 1]^encoded_dim."""
-    space.validate(config)
     return encode_batch(space, [config])[0]
 
 
 def encode_batch(space: ConfigSpace, configs: list[Configuration]) -> np.ndarray:
     """Encode many configurations at once; returns an (n, encoded_dim) matrix.
-
-    Values are assumed valid; use :func:`encode` for validated single points.
-    """
-    n = len(configs)
-    cols: dict[str, np.ndarray] = {}
-    for p in space.params:
-        if p.kind == "categorical":
-            index = {c: k for k, c in enumerate(p.categories)}
-            cols[p.name] = np.array([index[c.values[p.name]] for c in configs], dtype=int)
-        else:
-            cols[p.name] = np.array([c.values[p.name] for c in configs], dtype=float)
-    return _encode_arrays(space, cols, n)
+    A configuration that fails ``space.validate`` raises its error."""
+    return _encode_arrays(space, _columns(space, configs), len(configs))
 
 
 def space_to_dict(space: ConfigSpace) -> dict:

@@ -1,7 +1,9 @@
 """Tests for benchmark tasks, metrics, protocols, and reporting."""
 
+import gc
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from tlbo.bench import (
     top_counts,
 )
 from tlbo.errors import ParseError, ValidationError
-from tlbo.space import ConfigSpace, Configuration, ParamSpec
+from tlbo.space import ConfigSpace, Configuration, ParamSpec, sample_uniform
 
 
 def write_task_file(tmp_path, rows, name="toy"):
@@ -85,14 +87,6 @@ class TestLoadTabular:
         task = load_tabular(path)
         assert len(task.rows) == 1 and task.rows[0][1] == 0.2
 
-    def test_strict_mode_rejects_conflicting_duplicates(self, tmp_path):
-        path = write_task_file(
-            tmp_path,
-            [{"config": {"x": 0.5}, "y": 0.2}, {"config": {"x": 0.5}, "y": 0.9}],
-        )
-        with pytest.raises(ParseError):
-            load_tabular(path, strict=True)
-
     def test_nonfinite_y_rejected(self, tmp_path):
         path = write_task_file(tmp_path, [{"config": {"x": 0.5}, "y": "oops"}])
         with pytest.raises(ParseError, match="row 1"):
@@ -119,6 +113,139 @@ class TestFromRows:
             tasks.append(TabularTask.from_rows("b", space, [(c, float(i)) for i, c in enumerate(configs)]))
             run_static(tasks, ["transbo"], budget=4, seeds=[0], n_s=5)
         assert fits == []
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"n": 3}, r"row 3: configuration missing parameter\(s\): \['lr'\]"),
+            ({"lr": 0.1, "n": 3, "extra": 1}, r"row 3: configuration has unknown parameter\(s\): \['extra'"),
+            ({"lr": 3.0, "n": 3}, r"row 3: parameter 'lr': 3.0 outside"),
+            ({"lr": math.nan, "n": 3}, r"row 3: parameter 'lr': nan outside"),
+            ({"lr": 0.1, "n": 3.5}, r"row 3: parameter 'n': 3.5 is not an integer"),
+            ({"lr": 0.1, "n": True}, r"row 3: parameter 'n': True is not numeric"),
+            ({"lr": "0.1", "n": 3}, r"row 3: parameter 'lr': '0.1' is not numeric"),
+            ({"lr": 0.1, "n": 3, "algo": "d"}, r"row 3: parameter 'algo': 'd' is not a known category"),
+        ],
+    )
+    def test_invalid_row_rejected_naming_task_and_row_before_any_fit(self, monkeypatch, bad, message):
+        # The table of the third row would otherwise reach run_static, whose
+        # tabular lookup died with a bare KeyError after the source fits.
+        fits = []
+        monkeypatch.setattr(bench, "_fit_source", lambda *args: fits.append(1))
+        space = mixed_table_space()
+        good = [{"lr": 0.1, "n": 2, "algo": "a"}, {"lr": 0.2, "n": 4, "algo": "b"}]
+        bad = {"algo": "c", **bad}
+        rows = [(Configuration(v), float(i)) for i, v in enumerate(good + [bad])]
+        with pytest.raises(ValidationError, match=r"tabular task 'b': " + message):
+            tasks = [tiny_tabular("a"), TabularTask.from_rows("b", space, rows)]
+            run_static(tasks, ["igp"], budget=3, seeds=1)
+        assert fits == []
+
+    @given(
+        rows=st.lists(
+            st.fixed_dictionaries(
+                {
+                    "lr": st.one_of(
+                        st.floats(0.001, 3.0),
+                        st.integers(0, 3),
+                        st.sampled_from([0.5, 1, 1.0, True, "0.5", math.inf, math.nan]),
+                    ),
+                    "n": st.one_of(st.integers(0, 10), st.floats(1.0, 9.0), st.sampled_from([2.0, 5.0])),
+                    "algo": st.sampled_from(["a", "b", "c", "d", 1]),
+                },
+                optional={"extra": st.just(0)},
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_accepts_exactly_what_an_independent_row_check_accepts(self, rows):
+        """Oracle: a row check written value by value, independent of the
+        library's columnar one, and ``bo._config_key`` for repeats."""
+        space = mixed_table_space()
+        configs = [Configuration(v) for v in rows]
+        keys = [bo._config_key(c) for c in configs]
+        valid = all(reference_row_ok(space, c) for c in configs) and len(set(keys)) == len(keys)
+        try:
+            task = TabularTask.from_rows("t", space, [(c, 1.0) for c in configs])
+        except ValidationError:
+            assert not valid
+        else:
+            assert valid
+            assert [bo._config_key(c) for c, _ in task.rows] == keys
+
+    def test_a_repeat_means_equal_raw_values_not_an_equal_encoding(self):
+        space = ConfigSpace([ParamSpec("x", "continuous", 0.0, 1e300), ParamSpec("n", "integer", 0, 5)])
+        # 0.0 and 5e-324 are distinct values whose encodings both round to 0.0.
+        distinct = [Configuration({"x": 0.0, "n": 1}), Configuration({"x": 5e-324, "n": 1})]
+        task = TabularTask.from_rows("t", space, [(c, float(i)) for i, c in enumerate(distinct)])
+        np.testing.assert_array_equal(task.table.encoded[0], task.table.encoded[1])
+        assert [task.table.index(c) for c in distinct] == [0, 1]
+        repeats = [({"x": 0.0, "n": 1}, {"x": -0.0, "n": 1}), ({"x": 1.0, "n": 3}, {"x": 1, "n": 3.0})]
+        for first, again in repeats:
+            assert bo._config_key(Configuration(first)) == bo._config_key(Configuration(again))
+            other = Configuration({"x": 2.0, "n": 0})
+            rows = [(Configuration(first), 1.0), (other, 2.0), (Configuration(again), 3.0)]
+            with pytest.raises(ValidationError, match="'t' repeats the configuration .* at row 3"):
+                TabularTask.from_rows("t", space, rows)
+
+    def test_table_holds_at_most_128_bytes_per_row(self):
+        # A 2000-row 4-D table once its input rows are dropped: its columns,
+        # encoded grid, row index and y take 80 B/row; a tuple of
+        # Configuration objects took about 450.
+        space = ConfigSpace([ParamSpec(f"x{d}", "continuous", -5.0, 5.0) for d in range(4)])
+        TabularTask.from_rows("warm-up", space, [(c, 0.0) for c in sample_uniform(space, 5, seed=1)])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            task = TabularTask.from_rows("t", space, [(c, 1.0) for c in sample_uniform(space, 2000, seed=0)])
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(task.rows) == 2000
+        assert held / 2000 <= 128
+
+    def test_value_types_survive_rows_save_and_load(self, tmp_path):
+        space = mixed_table_space()
+        values = [{"lr": 0.5, "n": 3, "algo": "b"}, {"lr": 1, "n": 7.0, "algo": "c"}]
+        task = TabularTask.from_rows("typed", space, [(Configuration(v), 0.5) for v in values])
+        save_tabular(task, tmp_path / "typed.json")
+        for table in (task, load_tabular(tmp_path / "typed.json")):
+            assert [c.values for c, _ in table.rows] == [
+                {"lr": 0.5, "n": 3, "algo": "b"},
+                {"lr": 1.0, "n": 7, "algo": "c"},
+            ]
+            for config, y in table.rows:
+                assert [type(config.values[k]) for k in ("lr", "n", "algo")] == [float, int, str]
+                assert type(y) is float
+
+
+def mixed_table_space() -> ConfigSpace:
+    return ConfigSpace(
+        [
+            ParamSpec(name="lr", kind="continuous-log", low=0.01, high=2.0),
+            ParamSpec(name="n", kind="integer", low=2, high=8),
+            ParamSpec(name="algo", kind="categorical", categories=("a", "b", "c")),
+        ]
+    )
+
+
+def reference_row_ok(space: ConfigSpace, config: Configuration) -> bool:
+    if set(config.values) != {p.name for p in space.params}:
+        return False
+    for p in space.params:
+        v = config.values[p.name]
+        if p.kind == "categorical":
+            if v not in p.categories:
+                return False
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            return False
+        elif not (math.isfinite(v) and p.low <= v <= p.high) or (p.kind == "integer" and v != int(v)):
+            return False
+    return True
 
 
 class TestSyntheticFamily:

@@ -240,6 +240,24 @@ class TestRun:
             run(one_d_space(), objective, policy=policy, budget=6, seed=0, force_p=force_p)
         assert calls == []
 
+    def test_configuration_list_and_prebuilt_table_give_identical_records(self):
+        space = ConfigSpace(
+            [ParamSpec("x", "continuous", 0.0, 1.0), ParamSpec("c", "categorical", categories=("u", "v"))]
+        )
+        grid = [Configuration({"x": float(v), "c": c}) for v in np.linspace(0.0, 1.0, 40) for c in "uv"]
+        objective = lambda config: quadratic(config) + (config.values["c"] == "v")
+        table = space_mod.ConfigTable.from_configs(space, grid)
+        strip = lambda result: [{**r, "suggest_wallclock_ms": None} for r in result.records]
+        for policy in bo.POLICIES:
+            kwargs = dict(policy=policy, budget=8, seed=5)
+            from_list = run(space, objective, candidate_grid=grid, **kwargs)
+            assert strip(from_list) == strip(run(space, objective, candidate_grid=table, **kwargs))
+
+    def test_table_of_another_space_rejected(self):
+        table = space_mod.ConfigTable.from_configs(one_d_space(0.0, 2.0), [Configuration({"x": 0.5})])
+        with pytest.raises(ValidationError, match="another space"):
+            bo._TabularPool(one_d_space(), table)
+
     def test_exhausted_grid_rejected(self):
         grid = [Configuration({"x": v}) for v in (0.1, 0.4, 0.6)]
         pool = bo._TabularPool(one_d_space(), grid)

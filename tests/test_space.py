@@ -8,6 +8,7 @@ import pytest
 from tlbo.errors import ValidationError
 from tlbo.space import (
     ConfigSpace,
+    ConfigTable,
     Configuration,
     ParamSpec,
     encode,
@@ -168,3 +169,40 @@ class TestSerialization:
     def test_bad_payload_rejected(self):
         with pytest.raises(ValidationError):
             space_from_dict({"nope": []})
+
+
+class TestConfigTable:
+    def test_rows_index_and_encoding_match_the_configurations(self):
+        space = mixed_space()
+        configs = sample_uniform(space, 300, seed=4)
+        table = ConfigTable.from_configs(space, configs)
+        assert len(table) == 300
+        assert [table.config(i) for i in range(300)] == configs
+        assert [table.index(c) for c in configs] == list(range(300))
+        assert table.encoded.tobytes() == encode_batch(space, configs).tobytes()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"lr": 0.1, "depth": 3, "ratio": 0.5, "algo": "z"},
+            {"lr": 0.1, "depth": 3, "ratio": "0.5", "algo": "a"},
+            {"lr": 0.1, "depth": 3, "algo": "a"},
+            {"lr": 0.1, "depth": 3, "ratio": 0.5, "algo": "a", "extra": 1},
+            {"lr": 0.1, "depth": 3, "ratio": 0.25, "algo": "a"},
+        ],
+    )
+    def test_index_of_a_configuration_that_is_no_row_raises_key_error(self, values):
+        row = Configuration({"lr": 0.1, "depth": 3, "ratio": 0.5, "algo": "a"})
+        table = ConfigTable.from_configs(mixed_space(), [row])
+        with pytest.raises(KeyError):
+            table.index(Configuration(values))
+
+    def test_equal_raw_values_find_the_row(self):
+        space = mixed_space()
+        row = Configuration({"lr": 1.0, "depth": 3, "ratio": 0.0, "algo": "b"})
+        table = ConfigTable.from_configs(space, [row])
+        assert table.index(Configuration({"lr": 1, "depth": 3.0, "ratio": -0.0, "algo": "b"})) == 0
+
+    def test_encode_batch_rejects_an_invalid_configuration(self):
+        with pytest.raises(ValidationError, match="depth"):
+            encode_batch(mixed_space(), [Configuration({"lr": 0.1, "depth": 9, "ratio": 0.5, "algo": "a"})])
