@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -349,15 +348,8 @@ class ExperimentResult:
     def save(self, out_dir) -> None:
         out = Path(out_dir)
         (out / "runs").mkdir(parents=True, exist_ok=True)
-        manifest = {
-            "protocol": self.protocol,
-            "budget": self.budget,
-            "n_s": self.n_s,
-            "n_cv": self.n_cv,
-            "methods": self.methods,
-            "seeds": self.seeds,
-            "tasks": [{"name": t.name, "y_min": t.y_min, "y_max": t.y_max} for t in self.tasks],
-        }
+        keys = ("protocol", "budget", "n_s", "n_cv", "methods", "seeds")
+        manifest = {key: getattr(self, key) for key in keys} | {"tasks": [vars(t) for t in self.tasks]}
         with open(out / "manifest.json", "w") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2)
         for (task, method, seed), result in self.runs.items():
@@ -372,10 +364,7 @@ class ExperimentResult:
         try:
             manifest = json.loads(manifest_path.read_text())
             result = cls(
-                protocol=manifest["protocol"],
-                budget=manifest["budget"],
-                n_s=manifest["n_s"],
-                n_cv=manifest["n_cv"],
+                **{key: manifest[key] for key in ("protocol", "budget", "n_s", "n_cv")},
                 methods=list(manifest["methods"]),
                 seeds=list(manifest["seeds"]),
                 tasks=[TaskMeta(t["name"], t["y_min"], t["y_max"]) for t in manifest["tasks"]],
@@ -509,6 +498,8 @@ def _map_jobs(fn, args_list, workers: int) -> list:
     """
     if workers <= 1:
         return [fn(*args) for args in args_list]
+    from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *args) for args in args_list]
         return [future.result() for future in futures]

@@ -203,11 +203,7 @@ def suggest(
     standardized target of the target GP; ties break toward the lowest
     candidate index. On a missing target surrogate (fit failure),
     falls back to a random suggestion; ``run`` flags that trial's record.
-
-    Under ``transbo``, each call re-learns the phase-1 source weights ``w``
-    (kept for the records). Once ``p_target`` has reached 1, phase 2 is no
-    longer re-learned, since the non-decreasing prior makes its result
-    irrelevant; the suggestion then comes from the target GP alone.
+    Under ``transbo`` the weights come from ``_refresh_transfer_weights``.
     """
     iteration = state.y.size
     if iteration < N_INIT:
@@ -341,12 +337,9 @@ def run(
     trial ever succeeds), and ``incumbent_y`` is the best value of the trials
     that did not fail (``None`` until one succeeds). ``fallback`` marks a
     random suggestion forced by a missing target surrogate: a failed fit, or
-    no success yet. ``fit_nfev`` counts the likelihood evaluations of the
-    refit in that trial's ``observe`` (0 when no refit ran or it failed),
-    and ``fit_start`` is the index of the refit's winning start
-    (``GpSurrogate.fit_start``; ``None`` when no refit ran or it failed).
-    ``fit_jitter`` is the diagonal jitter the refit's Cholesky settled on
-    (``GpSurrogate.fit_jitter``; ``None`` when no refit ran or it failed).
+    no success yet. ``fit_nfev``, ``fit_start`` and ``fit_jitter`` are those
+    fields of the ``GpSurrogate`` that refit in that trial's ``observe`` (0,
+    ``None`` and ``None`` when no refit ran or it failed).
     ``candidate_grid``, a ``ConfigTable`` of ``space`` or a list of distinct
     configurations converted to one, limits suggestions to its unevaluated
     rows. ``force_p``, for ``transbo`` only, fixes ``p`` = (p_source,

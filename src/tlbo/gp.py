@@ -20,27 +20,19 @@ scipy's finiteness checks. The gradient needs g = alpha alpha^T - K^-1 only
 on the pairs and the diagonal. An evaluation makes its own arrays and writes
 into none of its arguments.
 
-What is held to what: the implementation to the same packed formula written
-plainly, ``oracles.reference_neg_lml_and_grad``, bit for bit at every d
-(every operation keeps the grouping, and every sum the order, of that
-formula), with its arguments unchanged and a second call's bits equal, also
-where K does not factorize (``oracles.lml_mismatch``); and to the dense
-formula over the whole (n, n) matrix, ``oracles.dense_neg_lml_and_grad``,
-within 8 n eps cond_2(K) max(1, |dense|_inf) in every entry, with the same
-Cholesky failures (``oracles.dense_lml_mismatch``).
+The implementation is held to the same packed formula written plainly, bit
+for bit at every d, as every operation keeps that formula's grouping and
+every sum its order (``oracles.lml_mismatch``), and to the dense formula over
+the whole (n, n) matrix within a rounding bound (``oracles.dense_lml_mismatch``).
 
 Each start of the search runs L-BFGS-B through its own short loop over
-scipy's reverse-communication routine ``setulb`` rather than
-``scipy.optimize.minimize``, whose layers of wrappers and copies cost tens
-of microseconds per likelihood evaluation, a sizeable share of a refit. The
-loop keeps everything of ``minimize(method="L-BFGS-B", jac=True)`` that
-changes a result: its settings (``_LBFGSB_*``), its evaluation at the start
-before the first call, and its memo, which never re-evaluates an unchanged
-point, so ``nfev`` counts distinct evaluations. ``setulb`` is private to
-scipy, so ``oracles.check_lbfgsb_vs_minimize`` (run by ``tlbo selftest``)
-and a property test hold the loop to the public ``minimize`` bit for bit,
-in x, value and evaluation count; a scipy release that changes ``setulb``
-fails them rather than silently moving the fits.
+scipy's private reverse-communication routine ``setulb``, since the wrappers
+and copies of ``scipy.optimize.minimize`` cost tens of microseconds per
+likelihood evaluation. The loop keeps everything of ``minimize`` that changes
+a result (see ``_lbfgsb_minimize``), and ``oracles.check_lbfgsb_vs_minimize``
+(run by ``tlbo selftest``) and a property test hold it to the public
+``minimize`` bit for bit, so a scipy release that changes ``setulb`` fails
+them rather than silently moving the fits.
 
 ``_scipy_extension`` executes each compiled scipy file the library calls,
 ``optimize/_lbfgsb`` (``setulb``), ``linalg/_flapack`` (LAPACK, here and in
@@ -50,8 +42,15 @@ scipy module. If a scipy release moves one of the files, ``import tlbo``
 fails with an ImportError naming the directory searched.
 
 The kernel and the predictive variance are built in place, in the order of
-the straightforward formulas, so they too keep every bit; the kernel's
-element-wise steps run block by block over its rows.
+the straightforward formulas, so they too keep every bit. ``predict`` scores
+its m query rows in blocks of ``_predict_rows(n)``, a multiple of 128 rows
+near ``_PREDICT_BLOCK // n``, so its arrays stay in cache at any m. The last
+block takes the rest, and a 1-row rest joins the block before it: BLAS takes
+the rows of ``ks @ alpha`` in groups of 4 and the rest by another path, and
+one row by a third, so these blocks keep every bit of one product and one
+solve over all m rows, where a balanced split does not (see
+``oracles.check_predict_blocks``; from n ~ 190, this build's kernel product
+computes a block's last rows another way, so a property test stops at 180).
 """
 from __future__ import annotations
 
@@ -98,9 +97,9 @@ N_RESTARTS = 4
 
 _BAD_OBJECTIVE = 1e25
 
-# Elements per block of rows in _matern52's element-wise steps: two buffers
-# of 64 KB, small enough to stay in cache.
-_KERNEL_BLOCK = 8192
+# Elements of the cross-kernel per block of query rows in predict: 128 KB,
+# so that its element-wise steps and the triangular solve stay in cache.
+_PREDICT_BLOCK = 16384
 
 # The settings of scipy.optimize.minimize(method="L-BFGS-B"): corrections
 # kept, factr = ftol / eps, the projected-gradient tolerance, line-search
@@ -170,35 +169,24 @@ def _matern52(x1: np.ndarray, x2: np.ndarray, params: KernelParams) -> np.ndarra
     """Matern-5/2 cross-kernel matrix, without the noise term.
 
     The value is sv * (1 + sqrt5 r + 5/3 d2) * exp(-sqrt5 r), taken in that
-    order, one operation at a time. The only (m, n) array is the cross
-    product's, which becomes the result: the rest runs over blocks of rows
-    in two small buffers that stay in cache. Blocking the cross product
-    itself could change its bits, so it is one product.
+    order, one operation at a time, in the cross product's memory, which
+    becomes the result; ``predict`` keeps it in cache by passing blocks of
+    rows.
     """
     scaled1 = x1 / params.lengthscales
     scaled2 = x2 / params.lengthscales
     k = 2.0 * scaled1 @ scaled2.T
-    sq1 = (scaled1**2).sum(axis=1)[:, None]
-    sq2 = (scaled2**2).sum(axis=1)[None, :]
-    m, n = k.shape
-    rows = max(1, min(m, _KERNEL_BLOCK // n))
-    sqrt5_r_buf, linear_buf = np.empty((2, rows, n))
-    for i in range(0, m, rows):
-        block = k[i : i + rows]
-        sqrt5_r = sqrt5_r_buf[: block.shape[0]]
-        linear = linear_buf[: block.shape[0]]
-        np.subtract(sq1[i : i + rows], block, out=block)
-        block += sq2
-        np.maximum(block, 0.0, out=block)  # d2
-        np.sqrt(block, out=sqrt5_r)
-        sqrt5_r *= SQRT5
-        block *= 5.0 / 3.0
-        np.add(sqrt5_r, 1.0, out=linear)
-        block += linear
-        block *= params.signal_variance
-        # exp(-sqrt5 r): negation is exact, so this is exp(-SQRT5 * r) bit for bit.
-        np.negative(sqrt5_r, out=sqrt5_r)
-        block *= np.exp(sqrt5_r, out=sqrt5_r)
+    np.subtract((scaled1**2).sum(axis=1)[:, None], k, out=k)
+    k += (scaled2**2).sum(axis=1)[None, :]
+    np.maximum(k, 0.0, out=k)  # d2
+    sqrt5_r = np.sqrt(k)
+    sqrt5_r *= SQRT5
+    k *= 5.0 / 3.0
+    k += sqrt5_r + 1.0
+    k *= params.signal_variance
+    # exp(-sqrt5 r): negation is exact, so this is exp(-SQRT5 * r) bit for bit.
+    np.negative(sqrt5_r, out=sqrt5_r)
+    k *= np.exp(sqrt5_r, out=sqrt5_r)
     return k
 
 
@@ -326,16 +314,28 @@ class GpSurrogate:
             )
         if not np.all(np.isfinite(arr)):
             raise ValidationError("query points must be finite")
-        ks = _matern52(arr, self.train_inputs, self.params)
-        mean = ks @ self._alpha
-        # v = L^-1 ks^T, as solve_triangular computes it: LAPACK gets L^T (the
-        # F-ordered view of the C-ordered L) with trans set, and solves in
-        # place in ks's memory through its F-ordered (n, m) view.
-        v, _ = _flapack.dtrtrs(self._chol.T, ks.T, lower=0, trans=1, overwrite_b=1)
-        var = np.maximum(self.params.signal_variance - np.square(v, out=v).sum(axis=0), VARIANCE_FLOOR)
+        m = arr.shape[0]
+        mean, var = np.empty(m), np.empty(m)
+        # No block starts at m - 1: a 1-row rest joins the block before it.
+        edges = [*range(0, max(m - 1, 1), _predict_rows(self.train_inputs.shape[0])), m]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            ks = _matern52(arr[lo:hi], self.train_inputs, self.params)
+            mean[lo:hi] = ks @ self._alpha
+            # v = L^-1 ks^T, as solve_triangular computes it: LAPACK gets L^T
+            # (the F-ordered view of the C-ordered L) with trans set, and
+            # solves in place in ks's memory through its F-ordered view.
+            v, _ = _flapack.dtrtrs(self._chol.T, ks.T, lower=0, trans=1, overwrite_b=1)
+            explained = np.square(v, out=v).sum(axis=0)
+            del ks, v  # frees this block's (rows, n) kernel before the next one's is built
+            var[lo:hi] = np.maximum(self.params.signal_variance - explained, VARIANCE_FLOOR)
         if single:
             return float(mean[0]), float(var[0])
         return mean, var
+
+
+def _predict_rows(n: int) -> int:
+    """Query rows per block of ``predict`` at n training rows."""
+    return 128 * max(1, _PREDICT_BLOCK // (128 * n))
 
 
 def _factorize(x: np.ndarray, z: np.ndarray, params: KernelParams):

@@ -8,10 +8,11 @@ instances. The reference helpers are reused by the unit tests.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 from scipy.optimize import minimize
 
 from . import bench, bo, gp, space as space_mod, transfer
@@ -193,6 +194,18 @@ def lbfgsb_mismatch(x, z, theta0, lows, highs) -> str | None:
     )
 
 
+def predict_mismatch(model: gp.GpSurrogate, x: np.ndarray) -> str | None:
+    """How ``model.predict(x)``, which scores ``x`` in blocks of rows, differs
+    in any bit from one ``gp._matern52``, ``ks @ alpha`` and ``dtrtrs`` over
+    all rows of ``x``; ``None`` when it does not."""
+    ks = gp._matern52(x, model.train_inputs, model.params)
+    v, _ = dtrtrs(model._chol.T, ks.T, lower=0, trans=1)
+    want = ks @ model._alpha, np.maximum(model.params.signal_variance - (v**2).sum(axis=0), gp.VARIANCE_FLOOR)
+    got = model.predict(x)
+    bad = [name for name, g, w in zip(("mean", "variance"), got, want) if g.tobytes() != w.tobytes()]
+    return f"{x.shape[0]} rows: {' and '.join(bad)} differ" if bad else None
+
+
 def ei_by_quadrature(mean: float, sigma: float, y_best: float) -> float:
     """Expected improvement below ``y_best`` of N(mean, sigma^2), by the
     trapezoid rule over mean +- 10 sigma."""
@@ -246,16 +259,6 @@ def kkt_violation(pm: PredictionMatrix, w: np.ndarray) -> str | None:
     return None
 
 
-class ConstantModel:
-    """A surrogate that predicts the same mean and variance everywhere."""
-
-    def __init__(self, mean: float, variance: float):
-        self.mean, self.variance = mean, variance
-
-    def predict(self, x):
-        return self.mean, self.variance
-
-
 def check_encoding():
     s = space_mod.ConfigSpace(
         [
@@ -264,7 +267,7 @@ def check_encoding():
             space_mod.ParamSpec(name="c", kind="continuous-log", low=0.01, high=2.0),
         ]
     )
-    vec = space_mod.encode(s, space_mod.Configuration({"a": 5.0, "b": "y", "c": np.sqrt(0.02)}))
+    vec = space_mod.encode_batch(s, [space_mod.Configuration({"a": 5.0, "b": "y", "c": np.sqrt(0.02)})])[0]
     _expect(np.allclose(vec, [0.5, 0.0, 1.0, 0.0, 0.5], atol=1e-12), f"encoded {vec}")
 
 
@@ -352,9 +355,8 @@ def check_average_rank_ties():
 def check_combined_prediction():
     """Exact hand values, and vertex weights that pass a fitted GP through
     bitwise."""
-    mean, var = transfer.combined_predict(
-        [ConstantModel(1.0, 4.0), ConstantModel(3.0, 4.0)], SimplexWeights([0.5, 0.5]), np.zeros(1)
-    )
+    constant = [SimpleNamespace(predict=lambda x, mean=mean: (mean, 4.0)) for mean in (1.0, 3.0)]
+    mean, var = transfer.combined_predict(constant, SimplexWeights([0.5, 0.5]), np.zeros(1))
     _expect(mean == 2.0 and var == 2.0, f"combined ({mean}, {var}), expected (2, 2)")
 
     rng = np.random.default_rng(0)
@@ -450,6 +452,18 @@ def check_lbfgsb_vs_minimize():
         _expect(value == gp._BAD_OBJECTIVE, f"d={dim}: the failing start factorized, value {value}")
 
 
+def check_predict_blocks():
+    """Blocked prediction against the one-shot formulas, bit for bit, at the
+    workloads' 75 training rows (128 rows per block): every rest from 1 to 128
+    after one block, k blocks and one row, and 5000 or 5001 candidates."""
+    rng = np.random.default_rng(7)
+    x = rng.uniform(size=(75, 2))
+    model = gp.condition(x, gp.standardize(rng.normal(size=75)), gp.KernelParams([0.3, 0.7], 1.5, 1e-4))
+    for m in [*range(129, 257), 1, 2, 128, 385, 5000, 5001]:
+        mismatch = predict_mismatch(model, rng.uniform(size=(m, 2)))
+        _expect(mismatch is None, mismatch)
+
+
 CHECKS = (
     ("encoding", check_encoding),
     ("standardize", check_standardize),
@@ -463,4 +477,5 @@ CHECKS = (
     ("likelihood-vs-reference", check_likelihood_vs_reference),
     ("likelihood-vs-dense", check_likelihood_vs_dense),
     ("lbfgsb-vs-minimize", check_lbfgsb_vs_minimize),
+    ("predict-blocks", check_predict_blocks),
 )

@@ -41,15 +41,20 @@ class ParamSpec:
             cats = tuple(self.categories)
             if not cats:
                 raise ValidationError(f"parameter {self.name!r}: empty category list")
-            if len(set(cats)) != len(cats):
+            try:
+                repeated = len(set(cats)) != len(cats)
+            except TypeError:
+                raise ValidationError(f"parameter {self.name!r}: categories must be hashable") from None
+            if repeated:
                 raise ValidationError(f"parameter {self.name!r}: duplicate categories")
             object.__setattr__(self, "categories", cats)
             object.__setattr__(self, "low", None)
             object.__setattr__(self, "high", None)
         else:
-            if self.low is None or self.high is None:
-                raise ValidationError(f"parameter {self.name!r}: numeric kinds need low/high bounds")
-            low, high = float(self.low), float(self.high)
+            try:  # also a missing bound, as float(None) raises TypeError
+                low, high = float(self.low), float(self.high)
+            except (TypeError, ValueError):
+                raise ValidationError(f"parameter {self.name!r}: low and high must be numbers") from None
             if not (math.isfinite(low) and math.isfinite(high)):
                 raise ValidationError(f"parameter {self.name!r}: bounds must be finite")
             if not low < high:
@@ -249,11 +254,6 @@ class ConfigTable:
         raise KeyError(f"{config.values} is not a row of the table")
 
 
-def encode(space: ConfigSpace, config: Configuration) -> np.ndarray:
-    """Encode a configuration into a vector in [0, 1]^encoded_dim."""
-    return encode_batch(space, [config])[0]
-
-
 def encode_batch(space: ConfigSpace, configs: list[Configuration]) -> np.ndarray:
     """Encode many configurations at once; returns an (n, encoded_dim) matrix.
     A configuration that fails ``space.validate`` raises its error."""
@@ -276,8 +276,9 @@ def space_to_dict(space: ConfigSpace) -> dict:
 
 
 def space_from_dict(data: dict) -> ConfigSpace:
-    if not isinstance(data, dict) or "params" not in data:
-        raise ValidationError("space definition must be an object with a 'params' list")
+    params = data.get("params") if isinstance(data, dict) else None
+    if not isinstance(params, list) or not all(isinstance(entry, dict) for entry in params):
+        raise ValidationError("space definition must be an object with a 'params' list of objects")
     return ConfigSpace(
         ParamSpec(
             name=entry.get("name", ""),
@@ -287,6 +288,6 @@ def space_from_dict(data: dict) -> ConfigSpace:
             categories=tuple(entry.get("categories", ())),
             default=entry.get("default"),
         )
-        for entry in data["params"]
+        for entry in params
     )
 

@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -52,7 +53,25 @@ def tiny_tabular(name, n=40, seed=0, shift=0.0):
     return TabularTask.from_rows(name, space, rows)
 
 
+MALFORMED_SPACES = {
+    "unhashable-category": {"params": [{"name": "c", "kind": "categorical", "categories": [[1, 2], "a"]}]},
+    "entry-not-an-object": {"params": [1]},
+    "text-bound": {"params": [{"name": "x", "kind": "continuous", "low": "a", "high": 1.0}]},
+    "list-bound": {"params": [{"name": "x", "kind": "continuous", "low": [0], "high": 1.0}]},
+    "params-not-a-list": {"params": 3},
+}
+
+
 class TestLoadTabular:
+    @pytest.mark.parametrize("space", MALFORMED_SPACES.values(), ids=MALFORMED_SPACES.keys())
+    def test_malformed_space_raises_validation_and_parse_errors(self, tmp_path, space):
+        with pytest.raises(ValidationError):
+            bench.space_mod.space_from_dict(space)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"space": space, "rows": [{"config": {"x": 0.5}, "y": 0.1}]}))
+        with pytest.raises(ParseError, match=re.escape(f"{path}: bad space definition")):
+            load_tabular(path)
+
     def test_extremes_computed(self, tmp_path):
         path = write_task_file(
             tmp_path,
@@ -468,7 +487,7 @@ class TestRunStatic:
             # source k is fitted on rows of the k-th task other than the target
             for source_task, model in zip(others, ensemble.models):
                 table = {
-                    tuple(np.round(bench.space_mod.encode(source_task.space, c), 12)): y
+                    tuple(np.round(bench.space_mod.encode_batch(source_task.space, [c])[0], 12)): y
                     for c, y in source_task.rows
                 }
                 keys = [tuple(np.round(row, 12)) for row in model.train_inputs]

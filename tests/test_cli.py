@@ -57,6 +57,7 @@ SELFTEST_NAMES = (
     "likelihood-vs-reference",
     "likelihood-vs-dense",
     "lbfgsb-vs-minimize",
+    "predict-blocks",
 )
 
 

@@ -49,6 +49,19 @@ assert not loaded, loaded
 """
 
 
+LAZY_SCRIPT = """
+import sys
+import tlbo
+from tlbo import bench
+
+tasks = bench.make_synthetic_family(bench.SyntheticFamilySpec(base="branin", n_tasks=3, seed=0))
+result = bench.run_static(tasks, ["transbo"], budget=8, seeds=1, n_s=8, n_candidates=50, targets=[0])
+assert all(r["p_target"] is not None for run in result.runs.values() for r in run.records[5:])
+loaded = sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith(("numpy.ma.", "multiprocessing")))
+assert not loaded, loaded
+"""
+
+
 def _run(script):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
@@ -67,6 +80,14 @@ def test_cli_and_report_do_not_load_scipy():
     """``tlbo.cli`` imports ``oracles``, and with it ``scipy.optimize``, only
     inside the self-test command."""
     _run(CLI_SCRIPT)
+
+
+def test_static_transbo_run_loads_neither_numpy_ma_nor_multiprocessing():
+    """``import tlbo`` and a serial ``transbo`` run with phase-2 solves: the
+    phase-2 fallback's constant-history test does not call ``np.unique``,
+    which imports ``numpy.ma``, and ``bench`` imports its process pool, and
+    with it ``multiprocessing``, only for ``workers`` > 1."""
+    _run(LAZY_SCRIPT)
 
 
 def _same_file(attribute, module):

@@ -11,7 +11,6 @@ from tlbo.space import (
     ConfigTable,
     Configuration,
     ParamSpec,
-    encode,
     encode_batch,
     sample_uniform,
     space_from_dict,
@@ -129,22 +128,22 @@ class TestSampleUniform:
 class TestEncode:
     def test_continuous_midpoint(self):
         space = ConfigSpace([ParamSpec(name="x", kind="continuous", low=0, high=10)])
-        np.testing.assert_allclose(encode(space, Configuration({"x": 5.0})), [0.5])
+        np.testing.assert_allclose(encode_batch(space, [Configuration({"x": 5.0})])[0], [0.5])
 
     def test_categorical_one_hot(self):
         space = ConfigSpace([ParamSpec(name="c", kind="categorical", categories=("a", "b", "c"))])
-        np.testing.assert_array_equal(encode(space, Configuration({"c": "b"})), [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(encode_batch(space, [Configuration({"c": "b"})])[0], [0.0, 1.0, 0.0])
 
     def test_log_geometric_midpoint(self):
         # sqrt(0.01 * 2) is the geometric midpoint of [0.01, 2]
         space = ConfigSpace([ParamSpec(name="x", kind="continuous-log", low=0.01, high=2.0)])
-        vec = encode(space, Configuration({"x": math.sqrt(0.02)}))
+        vec = encode_batch(space, [Configuration({"x": math.sqrt(0.02)})])[0]
         np.testing.assert_allclose(vec, [0.5], atol=1e-12)
 
     def test_out_of_bounds_names_parameter(self):
         space = ConfigSpace([ParamSpec(name="x", kind="continuous", low=0, high=1)])
         with pytest.raises(ValidationError, match="x"):
-            encode(space, Configuration({"x": 1.5}))
+            encode_batch(space, [Configuration({"x": 1.5})])[0]
 
     def test_all_coordinates_in_unit_interval(self):
         space = mixed_space()
@@ -157,7 +156,7 @@ class TestEncode:
         configs = sample_uniform(space, 20, seed=9)
         batch = encode_batch(space, configs)
         for i, config in enumerate(configs):
-            np.testing.assert_array_equal(batch[i], encode(space, config))
+            np.testing.assert_array_equal(batch[i], encode_batch(space, [config])[0])
 
 
 class TestSerialization:
