@@ -61,6 +61,11 @@ def quadratic_bowl(x: np.ndarray) -> np.ndarray:
     return (x**2).sum(axis=-1)
 
 
+def _is_outcome(y) -> bool:
+    """Whether ``y`` can be a table's outcome: a finite number, not a bool."""
+    return isinstance(y, (int, float, np.integer, np.floating)) and not isinstance(y, bool) and math.isfinite(y)
+
+
 @dataclass(frozen=True, eq=False)
 class TabularTask:
     """A finite pre-evaluated benchmark: distinct configurations with stored
@@ -81,9 +86,10 @@ class TabularTask:
         rows = list(rows)
         label = f"tabular task {name!r}"
         table = ConfigTable.from_configs(space, [config for config, _ in rows], label)
+        bad = next((i for i, (_, y) in enumerate(rows, start=1) if not _is_outcome(y)), None)
+        if bad is not None:
+            raise ValidationError(f"{label}: row {bad}: y must be a finite number")
         y = np.array([y for _, y in rows], dtype=float)
-        if not np.isfinite(y).all():
-            raise ValidationError(f"{label}: row {np.argmin(np.isfinite(y))}: y must be a finite number")
         return cls(name=name, space=space, table=table, y=y, y_min=float(y.min()), y_max=float(y.max()))
 
     @property
@@ -120,10 +126,9 @@ def load_tabular(path) -> TabularTask:
     for i, entry in enumerate(rows_data, start=1):
         if not isinstance(entry, dict) or not isinstance(entry.get("config"), dict) or "y" not in entry:
             raise ParseError(f"{path}: row {i}: expected an object with 'config' and 'y'")
-        y = entry["y"]
-        if isinstance(y, bool) or not isinstance(y, (int, float)) or not math.isfinite(float(y)):
+        if not _is_outcome(entry["y"]):
             raise ParseError(f"{path}: row {i}: 'y' must be a finite number")
-        rows.append((Configuration(entry["config"]), float(y)))
+        rows.append((Configuration(entry["config"]), float(entry["y"])))
     try:
         space_mod._columns(space, [config for config, _ in rows], str(path))
     except ValidationError as exc:
@@ -210,16 +215,9 @@ class SyntheticTask:
         return objective
 
 
-def _branin_space() -> ConfigSpace:
-    return ConfigSpace(
-        [ParamSpec(f"x{i}", "continuous", lo, hi) for i, (lo, hi) in enumerate(BRANIN_BOUNDS, 1)]
-    )
-
-
-def _bowl_space(dim: int) -> ConfigSpace:
-    return ConfigSpace(
-        [ParamSpec(name=f"x{d + 1}", kind="continuous", low=-BOWL_BOUND, high=BOWL_BOUND) for d in range(dim)]
-    )
+def _box_space(bounds) -> ConfigSpace:
+    """Continuous parameters x1, x2, ..., one per (low, high) of ``bounds``."""
+    return ConfigSpace([ParamSpec(f"x{i}", "continuous", lo, hi) for i, (lo, hi) in enumerate(bounds, 1)])
 
 
 def _branin_extremes(translation: np.ndarray, scale: float):
@@ -240,16 +238,14 @@ def _branin_extremes(translation: np.ndarray, scale: float):
 def make_synthetic_family(spec: SyntheticFamilySpec) -> list[SyntheticTask]:
     """Materialize a family of related tasks, deterministically per seed."""
     rng = np.random.default_rng(spec.seed)
+    space = _box_space(BRANIN_BOUNDS if spec.base == "branin" else [(-BOWL_BOUND, BOWL_BOUND)] * spec.dim)
     tasks = []
     for i in range(spec.n_tasks):
-        dim = 2 if spec.base == "branin" else spec.dim
-        translation = rng.uniform(-spec.translation_range, spec.translation_range, size=dim)
+        translation = rng.uniform(-spec.translation_range, spec.translation_range, size=spec.dim)
         scale = float(rng.uniform(*spec.scale_range))
         if spec.base == "branin":
-            space = _branin_space()
             y_min, y_max, optimum = _branin_extremes(translation, scale)
         else:
-            space = _bowl_space(dim)
             y_min = 0.0
             y_max = float(scale * sum(max((-BOWL_BOUND - t) ** 2, (BOWL_BOUND - t) ** 2) for t in translation))
             optimum = translation.copy()

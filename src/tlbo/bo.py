@@ -55,29 +55,24 @@ def _stream_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def expected_improvement(mean, variance, y_best):
-    """Closed-form expected improvement for a Gaussian posterior, minimizing.
+    """Closed-form expected improvement for Gaussian posteriors, minimizing:
+    the (m,) EI of the (m,) ``mean`` and ``variance`` arrays below ``y_best``.
 
     With sigma > 0 and u = (y_best - mean) / sigma:
     EI = (y_best - mean) * Phi(u) + sigma * phi(u). At sigma = 0 it
     degenerates to max(y_best - mean, 0).
     """
-    mean_arr = np.asarray(mean, dtype=float)
-    var_arr = np.asarray(variance, dtype=float)
-    scalar = mean_arr.ndim == 0
-    mean_arr = np.atleast_1d(mean_arr)
-    var_arr = np.atleast_1d(var_arr)
-    if np.any(var_arr < 0):
+    if np.any(variance < 0):
         raise ValidationError("variance must be nonnegative")
-    improvement = y_best - mean_arr
+    improvement = y_best - mean
     ei = np.maximum(improvement, 0.0)
-    positive = var_arr > 0
+    positive = variance > 0
     if np.any(positive):
-        sigma = np.sqrt(var_arr[positive])
+        sigma = np.sqrt(variance[positive])
         u = improvement[positive] / sigma
         pdf = np.exp(-0.5 * u**2) / math.sqrt(2.0 * math.pi)
         ei[positive] = improvement[positive] * _special_ufuncs.ndtr(u) + sigma * pdf
-    ei = np.maximum(ei, 0.0)
-    return float(ei[0]) if scalar else ei
+    return np.maximum(ei, 0.0)
 
 
 class _TabularPool:
@@ -343,8 +338,8 @@ def run(
     ``candidate_grid``, a ``ConfigTable`` of ``space`` or a list of distinct
     configurations converted to one, limits suggestions to its unevaluated
     rows. ``force_p``, for ``transbo`` only, fixes ``p`` = (p_source,
-    p_target) in every suggestion. Every argument is checked before the
-    first objective call.
+    p_target) in every suggestion; p_source > 0 needs sources. Every
+    argument is checked before the first objective call.
     """
     if policy not in POLICIES:
         raise ValidationError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -356,14 +351,16 @@ def run(
         raise ValidationError("cross-validation needs at least 2 folds")
     if n_candidates < 1:
         raise ValidationError("the EI candidate pool needs at least one candidate")
+    if sources is None:
+        sources = SourceEnsemble(models=())
     if force_p is not None:
         if policy != "transbo":
             raise ValidationError(f"force_p applies to the transbo policy only, not {policy!r}")
         force_p = SimplexWeights(force_p)
         if force_p.dim != 2:
             raise ValidationError("force_p must hold two weights, (p_source, p_target)")
-    if sources is None:
-        sources = SourceEnsemble(models=())
+        if force_p.values[0] > 0 and not sources.models:
+            raise ValidationError("force_p gives weight to the sources, but there are none")
     pool = _TabularPool(space, candidate_grid) if candidate_grid is not None else None
     if pool is not None and len(pool.grid) < budget:
         raise ValidationError("budget exceeds the number of rows in the candidate grid")

@@ -299,15 +299,16 @@ class GpSurrogate:
         return self.train_inputs.shape[1]
 
     def predict(self, x):
-        """Latent posterior (mean, variance) at one point or a batch.
+        """Latent posterior (mean, variance) at the (m, d) query rows ``x``,
+        as two (m,) arrays.
 
-        A 1-D input returns scalars; a 2-D (m, d) input returns (m,) arrays.
-        Variance is floored at a small positive constant. Non-finite queries
-        are rejected.
+        Variance is floored at a small positive constant. Queries that are
+        not 2-D, do not match the input dimension or are not finite are
+        rejected.
         """
         arr = np.asarray(x, dtype=float)
-        single = arr.ndim == 1
-        arr = np.atleast_2d(arr)
+        if arr.ndim != 2:
+            raise ValidationError(f"queries must be a 2-D (m, d) array, not {arr.ndim}-D")
         if arr.shape[1] != self.input_dim:
             raise ValidationError(
                 f"query dimension {arr.shape[1]} does not match surrogate dimension {self.input_dim}"
@@ -328,8 +329,6 @@ class GpSurrogate:
             explained = np.square(v, out=v).sum(axis=0)
             del ks, v  # frees this block's (rows, n) kernel before the next one's is built
             var[lo:hi] = np.maximum(self.params.signal_variance - explained, VARIANCE_FLOOR)
-        if single:
-            return float(mean[0]), float(var[0])
         return mean, var
 
 

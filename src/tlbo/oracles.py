@@ -342,10 +342,10 @@ def check_expected_improvement_quadrature():
         sigma = float(rng.uniform(0.05, 3.0))
         y_best = float(rng.uniform(-2, 2))
         quad = ei_by_quadrature(mean, sigma, y_best)
-        closed = bo.expected_improvement(mean, sigma**2, y_best)
+        closed = bo.expected_improvement(np.array([mean]), np.array([sigma**2]), y_best)[0]
         _expect(abs(closed - quad) <= 1e-6, f"EI({mean}, {sigma}, {y_best}): {closed} vs {quad}")
-    _expect(bo.expected_improvement(0.3, 0.0, 0.5) == 0.2, "EI(0.3, 0, 0.5) != 0.2")
-    _expect(bo.expected_improvement(0.7, 0.0, 0.5) == 0.0, "EI(0.7, 0, 0.5) != 0")
+    plain = bo.expected_improvement(np.array([0.3, 0.7]), np.zeros(2), 0.5)
+    _expect(plain.tolist() == [0.2, 0.0], f"EI([0.3, 0.7], 0, 0.5) = {plain}, not [0.2, 0]")
 
 
 def check_average_rank_ties():
@@ -355,9 +355,9 @@ def check_average_rank_ties():
 def check_combined_prediction():
     """Exact hand values, and vertex weights that pass a fitted GP through
     bitwise."""
-    constant = [SimpleNamespace(predict=lambda x, mean=mean: (mean, 4.0)) for mean in (1.0, 3.0)]
-    mean, var = transfer.combined_predict(constant, SimplexWeights([0.5, 0.5]), np.zeros(1))
-    _expect(mean == 2.0 and var == 2.0, f"combined ({mean}, {var}), expected (2, 2)")
+    constant = [SimpleNamespace(predict=lambda x, m=m: (np.full(1, m), np.full(1, 4.0))) for m in (1.0, 3.0)]
+    mean, var = transfer.combined_predict(constant, SimplexWeights([0.5, 0.5]), np.zeros((1, 1)))
+    _expect(mean[0] == 2.0 and var[0] == 2.0, f"combined ({mean}, {var}), expected (2, 2)")
 
     rng = np.random.default_rng(0)
     x = rng.uniform(size=(8, 1))

@@ -33,8 +33,8 @@ class ParamSpec:
     default: Any = None
 
     def __post_init__(self):
-        if not self.name:
-            raise ValidationError("parameter name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValidationError(f"parameter name {self.name!r} is not a non-empty string")
         if self.kind not in KINDS:
             raise ValidationError(f"unknown kind {self.kind!r} for parameter {self.name!r}")
         if self.kind == "categorical":
@@ -279,6 +279,9 @@ def space_from_dict(data: dict) -> ConfigSpace:
     params = data.get("params") if isinstance(data, dict) else None
     if not isinstance(params, list) or not all(isinstance(entry, dict) for entry in params):
         raise ValidationError("space definition must be an object with a 'params' list of objects")
+    for entry in params:
+        if not isinstance(entry.get("categories", ()), (list, tuple)):
+            raise ValidationError(f"parameter {entry.get('name')!r}: 'categories' must be a list")
     return ConfigSpace(
         ParamSpec(
             name=entry.get("name", ""),

@@ -53,7 +53,6 @@ def source_means(sources: SourceEnsemble, x: np.ndarray) -> np.ndarray:
     row appended; growing it row by row would move the weights in the last
     bits.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     means = [m.predict(x)[0] for m in sources.models]
     return np.column_stack(means) if means else np.empty((x.shape[0], 0))
 
@@ -97,8 +96,6 @@ def assemble_phase2_matrix(
     observations reusing the full-history kernel hyperparameters
     ``target_params``.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
     n = y.size
     src_col = np.empty(n)
     tgt_col = np.empty(n)
@@ -136,7 +133,6 @@ def learn_phase2_weights(
         raise ValidationError("cross-validation needs at least 2 folds")
     if a.shape[1] == 0:
         return SimplexWeights([0.0, 1.0])
-    y = np.asarray(y, dtype=float)
     if y.size < n_cv or (y == y[0]).all():  # not np.unique, which imports numpy.ma
         return SimplexWeights([1.0, 0.0])
     pm = PredictionMatrix(assemble_phase2_matrix(a, x, y, target_params, n_cv), y)
@@ -158,8 +154,8 @@ def apply_nondecreasing_prior(p_now: SimplexWeights, p_prev_target: float) -> Si
 
 
 def combined_predict(models, weights: SimplexWeights, x):
-    """Linear combination of GP posteriors: mean = sum w_b mu_b,
-    variance = sum w_b^2 sigma_b^2.
+    """Linear combination of GP posteriors at the (m, d) query rows ``x``:
+    mean = sum w_b mu_b, variance = sum w_b^2 sigma_b^2, as (m,) arrays.
 
     A weight of exactly one short-circuits to that member's prediction, so
     vertex weights reproduce the member model bitwise.
@@ -177,32 +173,27 @@ def combined_predict(models, weights: SimplexWeights, x):
     mean = var = 0.0
     for i in active:
         m_i, v_i = models[i].predict(x)
-        mean = mean + wv[i] * np.asarray(m_i, dtype=float)
-        var = var + wv[i] ** 2 * np.asarray(v_i, dtype=float)
-    if np.asarray(x).ndim == 1:
-        return float(mean), float(var)
+        mean = mean + wv[i] * m_i
+        var = var + wv[i] ** 2 * v_i
     return mean, var
 
 
 def tl_predict(
     sources: SourceEnsemble,
     x,
-    target: gp.GpSurrogate | None,
+    target: gp.GpSurrogate,
     w: SimplexWeights | None,
     p: SimplexWeights,
 ):
-    """Transfer-surrogate prediction: one linear combination of the K source
-    surrogates and the target surrogate with weights
-    [p_source * w_1, ..., p_source * w_K, p_target] ([p_target] when K = 0).
+    """Transfer-surrogate prediction at the (m, d) query rows ``x``: one
+    linear combination of the K source surrogates and the target surrogate
+    with weights [p_source * w_1, ..., p_source * w_K, p_target]
+    ([p_target] when K = 0).
 
     Vertex values of p pass the corresponding component through bitwise (see
     ``combined_predict``). Inconsistent inputs, such as ``p_source > 0``
-    without sources or ``p_target > 0`` without a target, give weights off
-    the simplex and are rejected.
+    without sources, give weights off the simplex and are rejected.
     """
     source_w = np.zeros(0) if w is None else float(p.values[0]) * w.values
-    if target is None:
-        # Without a target only the sources carry weight; p_target > 0 is off the simplex.
-        return combined_predict(sources.models, SimplexWeights(source_w), x)
     weights = SimplexWeights(np.append(source_w, float(p.values[1])))
     return combined_predict((*sources.models, target), weights, x)

@@ -59,6 +59,9 @@ MALFORMED_SPACES = {
     "text-bound": {"params": [{"name": "x", "kind": "continuous", "low": "a", "high": 1.0}]},
     "list-bound": {"params": [{"name": "x", "kind": "continuous", "low": [0], "high": 1.0}]},
     "params-not-a-list": {"params": 3},
+    "number-categories": {"params": [{"name": "c", "kind": "categorical", "categories": 3}]},
+    "text-categories": {"params": [{"name": "c", "kind": "categorical", "categories": "abc"}]},
+    "number-name": {"params": [{"name": 5, "kind": "continuous", "low": 0.0, "high": 1.0}]},
 }
 
 
@@ -134,19 +137,22 @@ class TestFromRows:
         assert fits == []
 
     @pytest.mark.parametrize(
-        "bad, message",
+        "bad, message, y",
         [
-            ({"n": 3}, r"row 3: configuration missing parameter\(s\): \['lr'\]"),
-            ({"lr": 0.1, "n": 3, "extra": 1}, r"row 3: configuration has unknown parameter\(s\): \['extra'"),
-            ({"lr": 3.0, "n": 3}, r"row 3: parameter 'lr': 3.0 outside"),
-            ({"lr": math.nan, "n": 3}, r"row 3: parameter 'lr': nan outside"),
-            ({"lr": 0.1, "n": 3.5}, r"row 3: parameter 'n': 3.5 is not an integer"),
-            ({"lr": 0.1, "n": True}, r"row 3: parameter 'n': True is not numeric"),
-            ({"lr": "0.1", "n": 3}, r"row 3: parameter 'lr': '0.1' is not numeric"),
-            ({"lr": 0.1, "n": 3, "algo": "d"}, r"row 3: parameter 'algo': 'd' is not a known category"),
+            ({"n": 3}, r"row 3: configuration missing parameter\(s\): \['lr'\]", 2.0),
+            ({"lr": 0.1, "n": 3, "extra": 1}, r"row 3: configuration has unknown parameter\(s\): \['extra'", 2.0),
+            ({"lr": 3.0, "n": 3}, r"row 3: parameter 'lr': 3.0 outside", 2.0),
+            ({"lr": math.nan, "n": 3}, r"row 3: parameter 'lr': nan outside", 2.0),
+            ({"lr": 0.1, "n": 3.5}, r"row 3: parameter 'n': 3.5 is not an integer", 2.0),
+            ({"lr": 0.1, "n": True}, r"row 3: parameter 'n': True is not numeric", 2.0),
+            ({"lr": "0.1", "n": 3}, r"row 3: parameter 'lr': '0.1' is not numeric", 2.0),
+            ({"lr": 0.1, "n": 3, "algo": "d"}, r"row 3: parameter 'algo': 'd' is not a known category", 2.0),
+            ({"lr": 0.1, "n": 3}, r"row 3: y must be a finite number", math.nan),
+            ({"lr": 0.1, "n": 3}, r"row 3: y must be a finite number", True),
+            ({"lr": 0.1, "n": 3}, r"row 3: y must be a finite number", "2"),
         ],
     )
-    def test_invalid_row_rejected_naming_task_and_row_before_any_fit(self, monkeypatch, bad, message):
+    def test_invalid_row_rejected_naming_task_and_row_before_any_fit(self, monkeypatch, bad, message, y):
         # The table of the third row would otherwise reach run_static, whose
         # tabular lookup died with a bare KeyError after the source fits.
         fits = []
@@ -154,7 +160,7 @@ class TestFromRows:
         space = mixed_table_space()
         good = [{"lr": 0.1, "n": 2, "algo": "a"}, {"lr": 0.2, "n": 4, "algo": "b"}]
         bad = {"algo": "c", **bad}
-        rows = [(Configuration(v), float(i)) for i, v in enumerate(good + [bad])]
+        rows = [(Configuration(v), float(i)) for i, v in enumerate(good)] + [(Configuration(bad), y)]
         with pytest.raises(ValidationError, match=r"tabular task 'b': " + message):
             tasks = [tiny_tabular("a"), TabularTask.from_rows("b", space, rows)]
             run_static(tasks, ["igp"], budget=3, seeds=1)

@@ -39,12 +39,11 @@ def trials(result: RunResult) -> list[tuple[dict, float]]:
 
 class TestExpectedImprovement:
     def test_zero_variance_is_plain_improvement(self):
-        assert expected_improvement(0.3, 0.0, 0.5) == 0.2
-        assert expected_improvement(0.7, 0.0, 0.5) == 0.0
+        assert expected_improvement(np.array([0.3, 0.7]), np.zeros(2), 0.5).tolist() == [0.2, 0.0]
 
     def test_at_the_incumbent_mean(self):
         # EI(mean = y_best, sigma = 1) = 1 / sqrt(2 pi)
-        assert expected_improvement(0.0, 1.0, 0.0) == pytest.approx(0.3989422804014327)
+        assert expected_improvement(np.zeros(1), np.ones(1), 0.0)[0] == pytest.approx(0.3989422804014327)
 
     def test_matches_quadrature(self):
         rng = np.random.default_rng(0)
@@ -53,11 +52,12 @@ class TestExpectedImprovement:
             sigma = float(rng.uniform(0.05, 3.0))
             y_best = float(rng.uniform(-2, 2))
             quad = ei_by_quadrature(mean, sigma, y_best)
-            assert expected_improvement(mean, sigma**2, y_best) == pytest.approx(quad, abs=1e-6)
+            ei = expected_improvement(np.array([mean]), np.array([sigma**2]), y_best)
+            assert ei[0] == pytest.approx(quad, abs=1e-6)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValidationError):
-            expected_improvement(0.0, -1e-3, 0.0)
+            expected_improvement(np.zeros(2), np.array([1.0, -1e-3]), 0.0)
 
     def test_increasing_in_sigma_when_mean_above_best(self):
         sigmas = np.arange(0.1, 5.0, 0.1)
@@ -227,6 +227,7 @@ class TestRun:
             ("transbo", (0.2, 0.3, 0.5)),
             ("igp", (0.0, 1.0)),
             ("random", (0.0, 1.0)),
+            ("transbo", (0.5, 0.5)),  # no sources to weigh
         ],
     )
     def test_bad_force_p_rejected_before_any_trial(self, policy, force_p):

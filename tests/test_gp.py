@@ -67,9 +67,9 @@ class TestStandardize:
 class TestFit:
     def test_single_point_keeps_prior_far_away(self):
         m = fit(np.array([[0.5]]), np.array([0.0]), seed=0)
-        mean, var = m.predict(np.array([30.0]))
-        assert abs(mean) < 1e-6
-        assert var == pytest.approx(m.params.signal_variance, rel=0.05)
+        mean, var = m.predict(np.array([[30.0]]))
+        assert abs(mean[0]) < 1e-6
+        assert var[0] == pytest.approx(m.params.signal_variance, rel=0.05)
 
     def test_interpolates_smooth_function(self):
         rng = np.random.default_rng(1)
@@ -152,8 +152,8 @@ class TestPredict:
         x = np.linspace(0, 1, 8)[:, None]
         params = KernelParams(lengthscales=np.array([1.0]), signal_variance=2.5, noise_variance=1e-6)
         m = condition(x, np.sin(x[:, 0]), params)
-        _, var = m.predict(np.array([20.0]))  # >= 10 length-scales from all data
-        assert var == pytest.approx(2.5, rel=0.05)
+        _, var = m.predict(np.array([[20.0]]))  # >= 10 length-scales from all data
+        assert var[0] == pytest.approx(2.5, rel=0.05)
 
     def test_symmetric_data_gives_symmetric_posterior(self):
         x = np.linspace(0.0, 1.0, 9)[:, None]
@@ -184,8 +184,14 @@ class TestPredict:
 
     def test_dimension_mismatch_rejected(self):
         m = fit(np.zeros((1, 2)), np.zeros(1))
-        with pytest.raises(ValidationError):
-            m.predict(np.zeros(3))
+        with pytest.raises(ValidationError, match="query dimension 3"):
+            m.predict(np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("shape", [(), (2,), (1, 1, 2)])
+    def test_query_that_is_not_2d_rejected(self, shape):
+        m = fit(np.zeros((1, 2)), np.zeros(1))
+        with pytest.raises(ValidationError, match="2-D"):
+            m.predict(np.zeros(shape))
 
     def test_nonfinite_query_rejected(self):
         m = fit(np.zeros((2, 1)), np.zeros(2))

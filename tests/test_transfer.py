@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tlbo import gp, transfer
+from tlbo import bench, bo, gp, transfer
 from tlbo.errors import ValidationError
 from tlbo.oracles import simplex_grid_min
 from tlbo.ranking import PredictionMatrix, SimplexWeights, ranking_loss
@@ -33,11 +33,8 @@ class StubModel:
         self.input_dim = 1
 
     def predict(self, x):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 1:
-            return self.slope * float(arr[0]) + self.offset, self.variance
-        mean = self.slope * arr[:, 0] + self.offset
-        return mean, np.full(arr.shape[0], self.variance)
+        mean = self.slope * x[:, 0] + self.offset
+        return mean, np.full(x.shape[0], self.variance)
 
 
 def fitted_pair_ensemble(seed=0, n_source=40):
@@ -304,20 +301,20 @@ class TestCombinedPredict:
         mean, var = combined_predict(
             [StubModel(0.0, offset=1.0, variance=4.0), StubModel(0.0, offset=3.0, variance=4.0)],
             SimplexWeights([0.5, 0.5]),
-            np.zeros(1),
+            np.zeros((1, 1)),
         )
-        assert mean == 2.0 and var == 2.0
+        assert mean.tolist() == [2.0] and var.tolist() == [2.0]
 
     def test_identical_members_shrink_variance(self):
         k = 4
         members = [StubModel(0.0, offset=1.5, variance=2.0)] * k
-        mean, var = combined_predict(members, SimplexWeights.uniform(k), np.zeros(1))
-        assert mean == pytest.approx(1.5)
-        assert var == pytest.approx(2.0 / k)
+        mean, var = combined_predict(members, SimplexWeights.uniform(k), np.zeros((1, 1)))
+        assert mean[0] == pytest.approx(1.5)
+        assert var[0] == pytest.approx(2.0 / k)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            combined_predict([StubModel(1.0)], SimplexWeights([0.5, 0.5]), np.zeros(1))
+            combined_predict([StubModel(1.0)], SimplexWeights([0.5, 0.5]), np.zeros((1, 1)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -395,11 +392,32 @@ class TestTlPredict:
         np.testing.assert_array_equal(var, ref_var)
 
     def test_invariant_validation(self):
-        sources, target = self._pair()
+        _, target = self._pair()
         q = np.zeros((3, 1))
         # no sources, yet p puts weight on them: the weights [0.0] are off the simplex
         with pytest.raises(ValidationError):
             tl_predict(SourceEnsemble(models=()), q, target, None, SimplexWeights([1.0, 0.0]))
-        # no target, yet p puts weight on it
-        with pytest.raises(ValidationError):
-            tl_predict(sources, q, None, SimplexWeights([1.0]), SimplexWeights([0.5, 0.5]))
+
+
+class TestPhase1KnownAnswer:
+    def test_planted_copy_of_the_target_carries_most_of_w(self):
+        # Branin family 3, target 0. Source 0 is a GP fitted on 50 noisy rows
+        # of the target itself (the rows and fit seeds build_static_sources
+        # would give task 0); the other five tasks follow as flipped sources.
+        # Phase 1 must give the copy most of w, more than half, from trial 6
+        # on. Calibrated once on these five runs: from trial 6 on the copy's
+        # weight never fell below 0.811, while trials 3-5 went as low as 0.291.
+        tasks = bench.make_synthetic_family(bench.SyntheticFamilySpec(base="branin", n_tasks=6, seed=3))
+        target = tasks[0]
+        flipped = bench.build_static_sources(tasks, 0, 50, flip_source_outputs=True)
+        x, ys = bench._source_rows(target, 50, bo.derived_seed(0, bench._TAG_SOURCE_ROWS, 0))
+        planted = bench._fit_source(x, ys, bo.derived_seed(0, bench._TAG_SOURCE_FIT, 0))
+        sources = SourceEnsemble(models=(planted, *flipped.models))
+        for seed in range(5):
+            noise = np.random.default_rng(bo.derived_seed(0, bench._TAG_NOISE, 0, seed))
+            result = bo.run(
+                target.space, target.make_objective(noise), sources=sources, policy="transbo",
+                budget=20, seed=bo.derived_seed(0, bench._TAG_RUN, 0, seed),
+            )
+            planted_w = [r["w"][0] for r in result.records[6:]]
+            assert min(planted_w) > 0.5, f"BO seed {seed}: the copy's weight from trial 6 on: {planted_w}"
