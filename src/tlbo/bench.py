@@ -62,8 +62,11 @@ def quadratic_bowl(x: np.ndarray) -> np.ndarray:
 
 
 def _is_outcome(y) -> bool:
-    """Whether ``y`` can be a table's outcome: a finite number, not a bool."""
-    return isinstance(y, (int, float, np.integer, np.floating)) and not isinstance(y, bool) and math.isfinite(y)
+    """Whether ``y`` can be a table's outcome: a number, not a bool, whose float is finite."""
+    try:
+        return isinstance(y, (int, float, np.integer, np.floating)) and not isinstance(y, bool) and math.isfinite(y)
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,16 +224,25 @@ def _box_space(bounds) -> ConfigSpace:
 
 
 def _branin_extremes(translation: np.ndarray, scale: float):
-    """Noiseless (min, max, argmin) of a translated, scaled branin on its box."""
+    """Noiseless (min, max, argmin) of a translated, scaled branin on its box.
+
+    The max is the 257 x 257 grid's, read off its two x2 edge columns: along
+    a row, u_j = ((x2_j - b x1^2) + c x1) - 6 never decreases, as rounding a
+    sum with a fixed term keeps order, so |u_j| <= max(|u_0|, |u_256|), and
+    u^2, the row's fixed ``+ 10(1 - t) cos(x1) + 10`` and ``scale *`` (scale
+    > 0) keep order too. The min is analytic when a translated minimum lies
+    in the box; otherwise it and its argmin are the full grid's.
+    """
     lows, highs = np.array(BRANIN_BOUNDS).T
     in_domain = [m for m in np.array(BRANIN_MINIMA) + translation if np.all((lows <= m) & (m <= highs))]
     g1 = np.linspace(BRANIN_BOUNDS[0][0], BRANIN_BOUNDS[0][1], 257)
     g2 = np.linspace(BRANIN_BOUNDS[1][0], BRANIN_BOUNDS[1][1], 257)
-    # The 257 x 257 grid's values, row i at g1[i] and column j at g2[j].
-    values = scale * _branin((g1 - translation[0])[:, None], (g2 - translation[1])[None, :])
-    y_max = float(values.max())
+    # The grid's values, row i at g1[i] and column j at g2[j].
+    x1 = (g1 - translation[0])[:, None]
+    y_max = float((scale * _branin(x1, (g2[[0, -1]] - translation[1])[None, :])).max())
     if in_domain:
         return scale * BRANIN_MIN_VALUE, y_max, in_domain[0]
+    values = scale * _branin(x1, (g2 - translation[1])[None, :])
     i, j = divmod(int(values.argmin()), g2.size)
     return float(values.min()), y_max, np.array([g1[i], g2[j]])
 

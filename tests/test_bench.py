@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
@@ -63,6 +63,48 @@ MALFORMED_SPACES = {
     "text-categories": {"params": [{"name": "c", "kind": "categorical", "categories": "abc"}]},
     "number-name": {"params": [{"name": 5, "kind": "continuous", "low": 0.0, "high": 1.0}]},
 }
+
+
+# (outcome, whether a table accepts it): only a number, not a bool, whose
+# float is finite; an int at or beyond 2**1024 has no float.
+OUTCOMES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: (v, True)),
+    st.integers(-(2**1000), 2**1000).map(lambda v: (v, True)),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(lambda v: (np.float32(v), True)),
+    st.integers(-(2**63), 2**63 - 1).map(lambda v: (np.int64(v), True)),
+    st.integers(2**1024, 2**1100).map(lambda v: (v, False)),
+    st.integers(-(2**1100), -(2**1024)).map(lambda v: (v, False)),
+    st.sampled_from(
+        [True, False, np.True_, math.nan, math.inf, -math.inf, np.float64(math.nan), np.float32(-math.inf)]
+    ).map(lambda v: (v, False)),
+)
+
+
+class TestOutcomeCheck:
+    @given(outcome=OUTCOMES)
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_load_tabular_raises_parse_error_naming_file_and_row(self, tmp_path, outcome):
+        y, valid = outcome
+        # JSON holds numpy scalars as the Python numbers they equal.
+        y = y.item() if isinstance(y, np.generic) else y
+        path = write_task_file(tmp_path, [{"config": {"x": 0.1}, "y": 0.2}, {"config": {"x": 0.5}, "y": y}])
+        if valid:
+            assert load_tabular(path).rows[1][1] == float(y)
+        else:
+            with pytest.raises(ParseError, match=re.escape(f"{path}: row 2: 'y' must be a finite number")):
+                load_tabular(path)
+
+    @given(outcome=OUTCOMES)
+    @settings(max_examples=200, deadline=None)
+    def test_from_rows_raises_validation_error_naming_row(self, outcome):
+        y, valid = outcome
+        space = ConfigSpace([ParamSpec(name="x", kind="continuous", low=0.0, high=1.0)])
+        rows = [(Configuration({"x": 0.1}), 0.2), (Configuration({"x": 0.5}), y)]
+        if valid:
+            assert TabularTask.from_rows("t", space, rows).y[1] == float(y)
+        else:
+            with pytest.raises(ValidationError, match="tabular task 't': row 2: y must be a finite number"):
+                TabularTask.from_rows("t", space, rows)
 
 
 class TestLoadTabular:
@@ -273,6 +315,20 @@ def reference_row_ok(space: ConfigSpace, config: Configuration) -> bool:
     return True
 
 
+def full_grid_branin_extremes(translation, scale):
+    """(min, max, argmin) with the max of the whole 257 x 257 grid."""
+    lows, highs = np.array(bench.BRANIN_BOUNDS).T
+    in_domain = [m for m in np.array(bench.BRANIN_MINIMA) + translation if np.all((lows <= m) & (m <= highs))]
+    g1 = np.linspace(bench.BRANIN_BOUNDS[0][0], bench.BRANIN_BOUNDS[0][1], 257)
+    g2 = np.linspace(bench.BRANIN_BOUNDS[1][0], bench.BRANIN_BOUNDS[1][1], 257)
+    values = scale * bench._branin((g1 - translation[0])[:, None], (g2 - translation[1])[None, :])
+    y_max = float(values.max())
+    if in_domain:
+        return scale * bench.BRANIN_MIN_VALUE, y_max, in_domain[0]
+    i, j = divmod(int(values.argmin()), g2.size)
+    return float(values.min()), y_max, np.array([g1[i], g2[j]])
+
+
 class TestSyntheticFamily:
     def test_zero_perturbation_reproduces_base(self):
         spec = SyntheticFamilySpec(
@@ -343,6 +399,36 @@ class TestSyntheticFamily:
         else:
             assert y_min == float(values.min())
             np.testing.assert_array_equal(optimum, mesh[int(values.argmin())])
+
+    def test_branin_extremes_keep_the_full_grid_bits(self):
+        """Oracle: the whole 257 x 257 grid, as ``_branin_extremes`` built it
+        before its max came from the two x2 edge columns. Both kinds of
+        minimum must be drawn: in the box, and out of it (grid fallback)."""
+        kinds = set()
+
+        @settings(max_examples=300, deadline=None)
+        @given(t1=st.floats(-8.0, 8.0), t2=st.floats(-8.0, 8.0), scale=st.floats(0.1, 10.0))
+        def check(t1, t2, scale):
+            translation = np.array([t1, t2])
+            expected = full_grid_branin_extremes(translation, scale)
+            y_min, y_max, optimum = bench._branin_extremes(translation, scale)
+            assert (y_min, y_max) == expected[:2]
+            np.testing.assert_array_equal(optimum, expected[2])
+            kinds.add(y_min == scale * bench.BRANIN_MIN_VALUE)
+
+        check()
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize("translation_range", [2.0, 8.0])
+    def test_branin_families_keep_the_full_grid_bits(self, monkeypatch, translation_range):
+        specs = [SyntheticFamilySpec(base="branin", translation_range=translation_range, seed=s) for s in range(5)]
+        fields = ("name", "translation", "scale", "noise_sigma", "y_min", "y_max", "optimum")
+        fast = [make_synthetic_family(spec) for spec in specs]
+        monkeypatch.setattr(bench, "_branin_extremes", full_grid_branin_extremes)
+        for spec, tasks in zip(specs, fast):
+            for task, expected in zip(tasks, make_synthetic_family(spec), strict=True):
+                for name in fields:
+                    np.testing.assert_array_equal(getattr(task, name), getattr(expected, name), err_msg=name)
 
     def test_noise_scales_with_output_range(self):
         spec = SyntheticFamilySpec(base="branin", n_tasks=2, noise_scale=0.01, seed=1)
