@@ -474,7 +474,10 @@ def _experiment(protocol, tasks, methods, budget, seeds, n_s, n_cv, base_seed) -
     """The empty result of one experiment on ``tasks`` (the targets), after
     the checks both protocols share; ``seeds`` is a count or a list."""
     methods = list(methods)
-    seeds = list(range(seeds)) if isinstance(seeds, int) else [int(s) for s in seeds]
+    is_int = lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    if not (is_int(seeds) or isinstance(seeds, (list, tuple)) and all(map(is_int, seeds))):
+        raise ValidationError(f"seeds must be an integer or a list of integers; got {seeds!r}")
+    seeds = list(range(seeds)) if is_int(seeds) else [int(s) for s in seeds]
     if not tasks:
         raise ValidationError("an experiment needs at least one target task")
     if budget < bo.N_INIT:

@@ -75,31 +75,6 @@ def expected_improvement(mean, variance, y_best):
     return np.maximum(ei, 0.0)
 
 
-class _TabularPool:
-    """Finite candidate grid, a ``ConfigTable`` of ``space`` that the pool
-    shares and never changes; a list of configurations becomes one here.
-    Suggestions draw from unevaluated rows only, which ``unused`` marks."""
-
-    def __init__(self, space: ConfigSpace, grid: ConfigTable | list[Configuration]):
-        if not isinstance(grid, ConfigTable):
-            grid = ConfigTable.from_configs(space, grid, "tabular candidate grid")
-        elif grid.space != space:
-            raise ValidationError("the candidate grid belongs to another space")
-        self.grid = grid
-        self.unused = np.ones(len(grid), dtype=bool)
-
-    def remaining(self) -> np.ndarray:
-        """Indices of the unevaluated rows, ascending; never empty."""
-        remaining = np.flatnonzero(self.unused)
-        if remaining.size == 0:
-            raise ValidationError("no unevaluated rows remain in the candidate grid")
-        return remaining
-
-    def mark(self, config: Configuration) -> None:
-        with contextlib.suppress(KeyError):
-            self.unused[self.grid.index(config)] = False
-
-
 def _config_key(config: Configuration):
     return tuple(sorted(config.values.items()))
 
@@ -112,6 +87,9 @@ class OptimizerState:
     the trials so far, row i for iteration i, and ``failed`` (n,) marks the
     rows whose ``y`` is imputed; only ``observe`` grows them. Neither are
     ``target_gp`` and ``prev_p_target``, which ``observe`` and ``suggest`` set.
+    ``grid``, a ``ConfigTable`` of ``space`` that the state shares and never
+    changes, limits suggestions to its rows still marked in ``unused``;
+    ``observe`` clears a row's mark when it records that row.
     """
 
     space: ConfigSpace
@@ -120,18 +98,30 @@ class OptimizerState:
     seed: int
     n_cv: int = transfer.N_CV_DEFAULT
     n_candidates: int = N_CANDIDATES
-    pool: _TabularPool | None = None
+    grid: ConfigTable | None = None
     force_p: SimplexWeights | None = None
     prev_p_target: float = field(init=False, default=0.0)
     target_gp: gp.GpSurrogate | None = field(init=False, default=None)
     x: np.ndarray = field(init=False)
     y: np.ndarray = field(init=False)
     failed: np.ndarray = field(init=False)
+    unused: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
+        if self.grid is not None and not (isinstance(self.grid, ConfigTable) and self.grid.space == self.space):
+            raise ValidationError("the candidate grid must be a ConfigTable of the run's space")
         self.x = np.empty((0, self.space.encoded_dim))
         self.y = np.empty(0)
         self.failed = np.empty(0, dtype=bool)
+        self.unused = None if self.grid is None else np.ones(len(self.grid), dtype=bool)
+
+
+def _remaining(state: OptimizerState) -> np.ndarray:
+    """Indices of the grid's unevaluated rows, ascending; never empty."""
+    remaining = np.flatnonzero(state.unused)
+    if remaining.size == 0:
+        raise ValidationError("no unevaluated rows remain in the candidate grid")
+    return remaining
 
 
 def _candidate_pool(state: OptimizerState, iteration: int):
@@ -140,10 +130,9 @@ def _candidate_pool(state: OptimizerState, iteration: int):
     Continuous spaces draw a fresh seeded pool that depends only on
     (seed, iteration); tabular runs use all unevaluated rows.
     """
-    if state.pool is not None:
-        remaining = state.pool.remaining()
-        enc = state.pool.grid.encoded[remaining]
-        return enc, lambda i: state.pool.grid.config(int(remaining[i]))
+    if state.grid is not None:
+        remaining = _remaining(state)
+        return state.grid.encoded[remaining], lambda i: state.grid.config(int(remaining[i]))
     rng = _stream_rng(state.seed, _STREAM_POOL, iteration)
     cols = space_mod._sample_arrays(state.space, state.n_candidates, rng)
     enc = space_mod._encode_arrays(state.space, cols, state.n_candidates)
@@ -152,8 +141,8 @@ def _candidate_pool(state: OptimizerState, iteration: int):
 
 def _random_suggestion(state: OptimizerState, iteration: int) -> Configuration:
     rng = _stream_rng(state.seed, _STREAM_POOL, iteration)
-    if state.pool is not None:
-        return state.pool.grid.config(int(rng.choice(state.pool.remaining())))
+    if state.grid is not None:
+        return state.grid.config(int(rng.choice(_remaining(state))))
     cols = space_mod._sample_arrays(state.space, 1, rng)
     return space_mod._config_from_arrays(state.space, cols, 0)
 
@@ -247,8 +236,9 @@ def observe(state: OptimizerState, config: Configuration, y: float | None) -> Op
     state.failed = np.append(state.failed, failed)
     if not failed and no_success_yet:
         state.y[state.failed] = _impute_failure(state.y[-1:])
-    if state.pool is not None:
-        state.pool.mark(config)
+    if state.grid is not None:
+        with contextlib.suppress(KeyError):
+            state.unused[state.grid.index(config)] = False
     if state.failed.all():
         state.target_gp = None
         return state
@@ -298,9 +288,9 @@ class RunResult:
 
 def _initial_design(state: OptimizerState) -> list[Configuration]:
     rng = _stream_rng(state.seed, _STREAM_INIT)
-    if state.pool is not None:
-        picks = rng.choice(len(state.pool.grid), size=N_INIT, replace=False)
-        return [state.pool.grid.config(int(i)) for i in picks]
+    if state.grid is not None:
+        picks = rng.choice(len(state.grid), size=N_INIT, replace=False)
+        return [state.grid.config(int(i)) for i in picks]
     cols = space_mod._sample_arrays(state.space, N_INIT, rng)
     return [space_mod._config_from_arrays(state.space, cols, i) for i in range(N_INIT)]
 
@@ -320,7 +310,7 @@ def run(
     seed: int = 0,
     n_cv: int = transfer.N_CV_DEFAULT,
     n_candidates: int = N_CANDIDATES,
-    candidate_grid: ConfigTable | list[Configuration] | None = None,
+    candidate_grid: ConfigTable | None = None,
     force_p: tuple[float, float] | None = None,
 ) -> RunResult:
     """Run one sequential optimization with the given policy.
@@ -335,11 +325,11 @@ def run(
     no success yet. ``fit_nfev``, ``fit_start`` and ``fit_jitter`` are those
     fields of the ``GpSurrogate`` that refit in that trial's ``observe`` (0,
     ``None`` and ``None`` when no refit ran or it failed).
-    ``candidate_grid``, a ``ConfigTable`` of ``space`` or a list of distinct
-    configurations converted to one, limits suggestions to its unevaluated
-    rows. ``force_p``, for ``transbo`` only, fixes ``p`` = (p_source,
-    p_target) in every suggestion; p_source > 0 needs sources. Every
-    argument is checked before the first objective call.
+    ``candidate_grid``, a ``ConfigTable`` of ``space`` (build one with
+    ``space.ConfigTable.from_configs(space, configs)``), limits suggestions to
+    its unevaluated rows. ``force_p``, for ``transbo`` only, fixes ``p`` =
+    (p_source, p_target) in every suggestion; p_source > 0 needs sources.
+    Every argument is checked before the first objective call.
     """
     if policy not in POLICIES:
         raise ValidationError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -361,10 +351,6 @@ def run(
             raise ValidationError("force_p must hold two weights, (p_source, p_target)")
         if force_p.values[0] > 0 and not sources.models:
             raise ValidationError("force_p gives weight to the sources, but there are none")
-    pool = _TabularPool(space, candidate_grid) if candidate_grid is not None else None
-    if pool is not None and len(pool.grid) < budget:
-        raise ValidationError("budget exceeds the number of rows in the candidate grid")
-
     state = OptimizerState(
         space=space,
         sources=sources,
@@ -372,9 +358,11 @@ def run(
         seed=seed,
         n_cv=n_cv,
         n_candidates=n_candidates,
-        pool=pool,
+        grid=candidate_grid,
         force_p=force_p,
     )
+    if state.grid is not None and len(state.grid) < budget:
+        raise ValidationError("budget exceeds the number of rows in the candidate grid")
     init_configs = _initial_design(state)
     records: list[dict] = []
     incumbent = None

@@ -48,6 +48,13 @@ def _build_tasks(tasks_cfg):
     raise ParseError(f"unknown task kind {kind!r}")
 
 
+def _pop_typed(cfg: dict, key: str, default, kind: type):
+    """``cfg.pop(key, default)``, which must be of ``kind``, int or bool (a JSON bool is no int)."""
+    if type(value := cfg.pop(key, default)) is not kind:
+        raise ValidationError(f"config key {key!r} must be of JSON type {kind.__name__}; got {value!r}")
+    return value
+
+
 def _cmd_run(args, protocol: str) -> int:
     """Run one protocol from a config; every key is read once, by ``pop``, so
     the keys left over are the ones this verb does not read."""
@@ -59,18 +66,18 @@ def _cmd_run(args, protocol: str) -> int:
     tasks_cfg = cfg.pop("tasks", None)
     kwargs = dict(
         methods=cfg.pop("methods", ["transbo"]),
-        budget=int(cfg.pop("budget", 30)),
+        budget=_pop_typed(cfg, "budget", 30, int),
         seeds=cfg.pop("seeds", 1),
-        n_s=int(cfg.pop("N_S", 50)),
-        n_cv=int(cfg.pop("n_cv", 5)),
-        n_candidates=int(cfg.pop("n_candidates", bo.N_CANDIDATES)),
-        base_seed=int(cfg.pop("base_seed", 0)),
-        workers=int(cfg.pop("workers", 1)),
+        n_s=_pop_typed(cfg, "N_S", 50, int),
+        n_cv=_pop_typed(cfg, "n_cv", 5, int),
+        n_candidates=_pop_typed(cfg, "n_candidates", bo.N_CANDIDATES, int),
+        base_seed=_pop_typed(cfg, "base_seed", 0, int),
+        workers=_pop_typed(cfg, "workers", 1, int),
     )
     if protocol == "static":
         kwargs.update(
             targets=cfg.pop("targets", None),
-            flip_source_outputs=bool(cfg.pop("flip_sources", False)),
+            flip_source_outputs=_pop_typed(cfg, "flip_sources", False, bool),
         )
     if cfg:
         raise ValidationError(f"run-{protocol} does not read the config key(s) {sorted(cfg)}")
@@ -86,7 +93,7 @@ def _cmd_run(args, protocol: str) -> int:
 
 def _cmd_bench_synthetic(args) -> int:
     spec_data = _load_json(args.spec)
-    grid_size = int(spec_data.pop("grid_size", 2000))
+    grid_size = _pop_typed(spec_data, "grid_size", 2000, int)
     spec = bench.SyntheticFamilySpec(**spec_data)
     tasks = bench.make_synthetic_family(spec)
     out = Path(args.out)

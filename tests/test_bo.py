@@ -1,12 +1,16 @@
 """Tests for EI acquisition and the sequential optimization loop."""
 
+import contextlib
+import functools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 from scipy.optimize import minimize
 
 from tlbo import bench, bo, gp, space as space_mod, transfer
@@ -20,7 +24,7 @@ from tlbo.bo import (
 )
 from tlbo.errors import FitError, ValidationError
 from tlbo.oracles import ei_by_quadrature, reference_neg_lml_and_grad
-from tlbo.space import ConfigSpace, Configuration, ParamSpec, sample_uniform
+from tlbo.space import ConfigSpace, ConfigTable, Configuration, ParamSpec, sample_uniform
 from tlbo.transfer import SourceEnsemble, apply_nondecreasing_prior
 
 
@@ -147,7 +151,7 @@ class TestObserve:
 class TestSuggest:
     def test_tabular_single_remaining_candidate(self):
         space = one_d_space()
-        grid = [Configuration({"x": v}) for v in (0.1, 0.4, 0.6, 0.9)]
+        grid = ConfigTable.from_configs(space, [Configuration({"x": v}) for v in (0.1, 0.4, 0.6, 0.9)])
         for policy in ("transbo", "igp", "random"):
             result = run(
                 space,
@@ -241,33 +245,40 @@ class TestRun:
             run(one_d_space(), objective, policy=policy, budget=6, seed=0, force_p=force_p)
         assert calls == []
 
-    def test_configuration_list_and_prebuilt_table_give_identical_records(self):
-        space = ConfigSpace(
-            [ParamSpec("x", "continuous", 0.0, 1.0), ParamSpec("c", "categorical", categories=("u", "v"))]
-        )
-        grid = [Configuration({"x": float(v), "c": c}) for v in np.linspace(0.0, 1.0, 40) for c in "uv"]
-        objective = lambda config: quadratic(config) + (config.values["c"] == "v")
-        table = space_mod.ConfigTable.from_configs(space, grid)
-        strip = lambda result: [{**r, "suggest_wallclock_ms": None} for r in result.records]
-        for policy in bo.POLICIES:
-            kwargs = dict(policy=policy, budget=8, seed=5)
-            from_list = run(space, objective, candidate_grid=grid, **kwargs)
-            assert strip(from_list) == strip(run(space, objective, candidate_grid=table, **kwargs))
+    @pytest.mark.parametrize("policy", bo.POLICIES)
+    def test_grid_not_a_table_of_the_space_rejected_before_any_evaluation(self, policy):
+        calls = []
+
+        def objective(config):
+            calls.append(config)
+            return quadratic(config)
+
+        configs = [Configuration({"x": v}) for v in (0.1, 0.5, 0.9, 0.3)]
+        for grid in (configs, ConfigTable.from_configs(one_d_space(0.0, 2.0), configs)):
+            with pytest.raises(ValidationError, match="must be a ConfigTable of the run's space"):
+                run(one_d_space(), objective, policy=policy, budget=4, seed=0, candidate_grid=grid)
+        assert calls == []
 
     def test_table_of_another_space_rejected(self):
-        table = space_mod.ConfigTable.from_configs(one_d_space(0.0, 2.0), [Configuration({"x": 0.5})])
-        with pytest.raises(ValidationError, match="another space"):
-            bo._TabularPool(one_d_space(), table)
+        table = ConfigTable.from_configs(one_d_space(0.0, 2.0), [Configuration({"x": 0.5})])
+        with pytest.raises(ValidationError, match="run's space"):
+            OptimizerState(space=one_d_space(), sources=SourceEnsemble(models=()), policy="igp", seed=0, grid=table)
 
     def test_exhausted_grid_rejected(self):
-        grid = [Configuration({"x": v}) for v in (0.1, 0.4, 0.6)]
-        pool = bo._TabularPool(one_d_space(), grid)
-        for config in grid[:2]:
-            pool.mark(config)
-        np.testing.assert_array_equal(pool.remaining(), [2])
-        pool.mark(grid[2])
-        with pytest.raises(ValidationError):
-            pool.remaining()
+        configs = [Configuration({"x": v}) for v in (0.1, 0.4, 0.6)]
+        state = OptimizerState(
+            space=one_d_space(),
+            sources=SourceEnsemble(models=()),
+            policy="igp",
+            seed=0,
+            grid=ConfigTable.from_configs(one_d_space(), configs),
+        )
+        for config in configs[:2]:
+            observe(state, config, quadratic(config))
+        assert state.unused.tolist() == [False, False, True]
+        observe(state, configs[2], quadratic(configs[2]))
+        with pytest.raises(ValidationError, match="no unevaluated rows remain"):
+            suggest(state)
 
     def test_budget_three_is_pure_initialization(self):
         result = run(one_d_space(), quadratic, policy="transbo", budget=3, seed=2)
@@ -282,15 +293,15 @@ class TestRun:
 
     def test_random_tabular_evaluates_distinct_rows(self):
         space = one_d_space()
-        grid = [Configuration({"x": v}) for v in np.linspace(0.0, 1.0, 1000)]
-        lookup = {bo._config_key(c): quadratic(c) for c in grid}
+        configs = [Configuration({"x": v}) for v in np.linspace(0.0, 1.0, 1000)]
+        lookup = {bo._config_key(c): quadratic(c) for c in configs}
         result = run(
             space,
             lambda c: lookup[bo._config_key(c)],
             policy="random",
             budget=50,
             seed=9,
-            candidate_grid=grid,
+            candidate_grid=ConfigTable.from_configs(space, configs),
         )
         keys = {bo._config_key(Configuration(config)) for config, _ in trials(result)}
         assert len(keys) == 50
@@ -383,24 +394,9 @@ class TestRun:
             run(one_d_space(), quadratic, policy="annealing", budget=5, seed=0)
 
     def test_grid_smaller_than_budget_rejected(self):
-        grid = [Configuration({"x": 0.5})]
-        with pytest.raises(ValidationError):
+        grid = ConfigTable.from_configs(one_d_space(), [Configuration({"x": 0.5})])
+        with pytest.raises(ValidationError, match="budget exceeds"):
             run(one_d_space(), quadratic, budget=5, seed=0, candidate_grid=grid)
-
-    @pytest.mark.parametrize("policy", bo.POLICIES)
-    def test_grid_with_a_repeated_configuration_rejected_before_any_evaluation(self, policy):
-        # A repeated row could never be marked used, so it was suggested
-        # again and again: 3 distinct x in 6 trials under random, seed 0.
-        calls = []
-
-        def objective(config):
-            calls.append(config)
-            return quadratic(config)
-
-        grid = [Configuration({"x": v}) for v in (0.1, 0.5, 0.9)] * 2
-        with pytest.raises(ValidationError, match="repeats"):
-            run(one_d_space(), objective, policy=policy, budget=6, seed=0, candidate_grid=grid)
-        assert calls == []
 
     def test_surrogate_fit_failure_falls_back_to_random(self, monkeypatch):
         from tlbo.errors import FitError
@@ -717,3 +713,178 @@ class TestRunRecords:
                 "fit_jitter",
             }
             assert record["error"] is None and record["fallback"] is False
+
+
+def _mixed_space() -> ConfigSpace:
+    return ConfigSpace([ParamSpec("x", "continuous", 0.0, 1.0), ParamSpec("c", "categorical", categories=("a", "b"))])
+
+
+@functools.cache
+def _machine_sources() -> SourceEnsemble:
+    """Two source GPs on ``_mixed_space``, fitted once for every machine run."""
+    configs = sample_uniform(_mixed_space(), 8, seed=0)
+    x = space_mod.encode_batch(_mixed_space(), configs)
+    ys = [np.array([quadratic(c) + (c.values["c"] == "b") for c in configs]), x[:, 0]]
+    return SourceEnsemble(models=tuple(gp.fit(x, gp.standardize(y), seed=k) for k, y in enumerate(ys)))
+
+
+_real_gp_fit = gp.fit
+
+
+def _listed(weights):
+    return None if weights is None else weights.values.tolist()
+
+
+class _Driver:
+    """One ``OptimizerState`` and a switch that makes its next ``gp.fit``
+    raise ``FitError``; ``step`` runs one logged step of the machine below."""
+
+    def __init__(self, policy: str, grid: ConfigTable | None):
+        sources = _machine_sources() if policy == "transbo" else SourceEnsemble(models=())
+        self.state = OptimizerState(_mixed_space(), sources, policy, seed=3, n_candidates=64, grid=grid)
+        self.break_next_fit = False
+        self.last_fit_failed = False
+
+    def _fit(self, *args, **kwargs):
+        self.last_fit_failed = True
+        if self.break_next_fit:
+            self.break_next_fit = False
+            raise FitError("engineered failure")
+        model = _real_gp_fit(*args, **kwargs)
+        self.last_fit_failed = False
+        return model
+
+    def step(self, step: tuple):
+        """``("observe", config, y)``, ``("break",)`` or ``("suggest",)``; a
+        suggestion returns ``(config values, w, p)`` or its error message."""
+        if step[0] == "observe":
+            with mock.patch.object(gp, "fit", self._fit):
+                observe(self.state, step[1], step[2])
+        elif step[0] == "break":
+            self.break_next_fit = True
+        else:
+            try:
+                config, w, p = suggest(self.state)
+            except ValidationError as exc:
+                return str(exc)
+            return config.values, _listed(w), _listed(p)
+
+
+_OUTCOMES = st.one_of(st.none(), st.just(1.0), st.integers(-40, 40).map(lambda v: v / 4))
+
+
+class _OptimizerStateMachine(RuleBasedStateMachine):
+    """Observations (successes, failures, repeated and off-grid configurations,
+    constant y), broken fits and suggestions on one ``OptimizerState``,
+    checked against the trials it was given after every step; the steps are
+    replayed on a fresh state at the end. Subclasses set ``grid``."""
+
+    grid: ConfigTable | None = None
+
+    def __init__(self):
+        super().__init__()
+        self.driver = None
+        self.trials, self.log, self.suggestions = [], [], []
+        self.p_target = self.prev_p_target = 0.0
+
+    def _step(self, *step):
+        self.log.append(step)
+        if step[0] == "observe":
+            self.trials.append(step[1:])
+        out = self.driver.step(step)
+        if step[0] == "suggest":
+            self.suggestions.append(out)
+        return out
+
+    @initialize(policy=st.sampled_from(bo.POLICIES), ys=st.lists(_OUTCOMES, min_size=bo.N_INIT, max_size=bo.N_INIT))
+    def start(self, policy, ys):
+        """A fresh state and ``N_INIT`` observations of new configurations."""
+        self.policy = policy
+        self.driver = _Driver(policy, self.grid)
+        for i, y in enumerate(ys):
+            self.observe_new(i, y)
+
+    @precondition(lambda self: self.grid is None or self.driver.state.unused.any())
+    @rule(i=st.integers(0, 10**6), y=_OUTCOMES)
+    def observe_new(self, i, y):
+        if self.grid is None:
+            config = Configuration({"x": (i % 997) / 997, "c": "ab"[i % 2]})
+        else:
+            remaining = np.flatnonzero(self.driver.state.unused)
+            config = self.grid.config(int(remaining[i % remaining.size]))
+        self._step("observe", config, y)
+
+    @precondition(lambda self: self.trials)
+    @rule(i=st.integers(0, 10**6), y=_OUTCOMES)
+    def observe_repeat(self, i, y):
+        self._step("observe", self.trials[i % len(self.trials)][0], y)
+
+    @rule(c=st.sampled_from("ab"), y=_OUTCOMES)
+    def observe_off_grid(self, c, y):
+        self._step("observe", Configuration({"x": 0.1, "c": c}), y)
+
+    @rule()
+    def break_next_fit(self):
+        self._step("break")
+
+    @rule()
+    def suggest_next(self):
+        state = self.driver.state
+        out = self._step("suggest")
+        if self.grid is not None and not state.unused.any():
+            assert "no unevaluated rows remain" in out
+        else:
+            values, w, p = out
+            if self.grid is not None:
+                assert state.unused[self.grid.index(Configuration(values))]
+            assert (p is not None) == (self.policy == "transbo" and state.target_gp is not None)
+            if p is not None:
+                assert len(p) == 2 and len(w) == 2
+                for weights in (p, w):
+                    assert min(weights) >= 0 and abs(sum(weights) - 1) <= 1e-8
+                assert p[1] >= self.p_target
+                self.p_target = p[1]
+
+    @invariant()
+    def state_matches_the_trials(self):
+        if self.driver is None:
+            return
+        state, n = self.driver.state, len(self.trials)
+        assert state.x.shape == (n, state.space.encoded_dim) and state.y.shape == (n,) and state.failed.shape == (n,)
+        assert state.failed.tolist() == [y is None for _, y in self.trials]
+        successes = [y for _, y in self.trials if y is not None]
+        assert state.y[~state.failed].tolist() == successes
+        assert (state.y[state.failed] == 0.0).all() if not successes else (state.y[state.failed] > min(successes)).all()
+        assert (state.target_gp is None) == (state.failed.all() or self.driver.last_fit_failed)
+        if state.target_gp is not None:
+            z = state.target_gp.train_targets
+            assert z.min() == z[~state.failed].min() and (z[state.failed] > z.min()).all()
+        assert state.prev_p_target >= self.prev_p_target
+        self.prev_p_target = state.prev_p_target
+        if self.grid is None:
+            assert state.unused is None
+        else:
+            unused = np.ones(len(self.grid), dtype=bool)
+            for config, _ in self.trials:
+                with contextlib.suppress(KeyError):  # an off-grid configuration
+                    unused[self.grid.index(config)] = False
+            assert state.unused.tolist() == unused.tolist()
+
+    def teardown(self):
+        if self.driver is not None:
+            replay = _Driver(self.policy, self.grid)
+            outs = [replay.step(step) for step in self.log]
+            assert [out for step, out in zip(self.log, outs) if step[0] == "suggest"] == self.suggestions
+
+
+class _TabularMachine(_OptimizerStateMachine):
+    grid = ConfigTable.from_configs(
+        _mixed_space(), [Configuration({"x": x, "c": c}) for x in (0.0, 0.5, 1.0) for c in "ab"]
+    )
+
+
+_MACHINE_SETTINGS = settings(max_examples=25, stateful_step_count=15, deadline=None)
+TestOptimizerStateOnAGrid = _TabularMachine.TestCase
+TestOptimizerStateOnAGrid.settings = _MACHINE_SETTINGS
+TestOptimizerStateOnASpace = _OptimizerStateMachine.TestCase
+TestOptimizerStateOnASpace.settings = _MACHINE_SETTINGS

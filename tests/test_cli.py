@@ -154,6 +154,42 @@ class TestRunStaticCli:
         assert record["error"] == "ValidationError"
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("budget", 3.9),
+            ("budget", "30"),
+            ("budget", True),
+            ("N_S", 15.0),
+            ("n_cv", None),
+            ("n_candidates", "400"),
+            ("base_seed", False),
+            ("workers", 1.5),
+            ("flip_sources", "false"),
+            ("flip_sources", 0),
+            ("seeds", "12"),
+            ("seeds", 2.5),
+            ("seeds", True),
+            ("seeds", [0, "1"]),
+            ("seeds", [0, 1.0]),
+        ],
+    )
+    def test_value_of_the_wrong_json_type_rejected(self, tmp_path, capsys, monkeypatch, key, value):
+        def refuse(*args, **kwargs):
+            raise RuntimeError(f"the protocol ran with {key}={value!r}")
+
+        monkeypatch.setattr(bench, "build_static_sources", refuse)
+        monkeypatch.setattr(bench, "_map_jobs", refuse)
+        cfg = family_cfg(out_dir=tmp_path / "res")
+        cfg[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run-static", str(cfg_path)]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert repr(key) in record["message"] or record["message"].startswith(f"{key} ")
+        assert not (tmp_path / "res").exists()
+
     def test_single_fold_fails_with_error_record(self, tmp_path, capsys):
         cfg = family_cfg(out_dir=tmp_path / "res", methods=("transbo",), budget=4, seeds=1)
         cfg["n_cv"] = 1
@@ -227,6 +263,15 @@ class TestBenchSynthetic:
         assert main(["bench-synthetic", str(spec_path), "--out", str(tmp_path / "t")]) == 0
         task = bench.load_tabular(tmp_path / "t" / "quadratic-bowl-00.json")
         assert len(task.rows) == 20
+
+    @pytest.mark.parametrize("grid_size", [20.5, "20", True])
+    def test_grid_size_of_the_wrong_json_type_rejected(self, tmp_path, capsys, grid_size):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"base": "quadratic-bowl", "n_tasks": 1, "grid_size": grid_size}))
+        assert main(["bench-synthetic", str(spec_path), "--out", str(tmp_path / "t")]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError" and "'grid_size'" in record["message"]
+        assert not (tmp_path / "t").exists()
 
     def test_spec_that_is_not_an_object_fails_with_error_record(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
