@@ -61,6 +61,11 @@ def quadratic_bowl(x: np.ndarray) -> np.ndarray:
     return (x**2).sum(axis=-1)
 
 
+def _is_int(v) -> bool:
+    """Whether ``v`` is an integer, a bool not counted."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _is_outcome(y) -> bool:
     """Whether ``y`` can be a table's outcome: a number, not a bool, whose float is finite."""
     try:
@@ -167,6 +172,20 @@ class SyntheticFamilySpec:
     dim: int = 2
 
     def __post_init__(self):
+        is_number = lambda v: _is_int(v) or isinstance(v, (float, np.floating))
+        scale_range = self.scale_range
+        for key, ok, kind in (
+            ("base", isinstance(self.base, str), "a string"),
+            ("n_tasks", _is_int(self.n_tasks), "an integer"),
+            ("seed", _is_int(self.seed), "an integer"),
+            ("dim", _is_int(self.dim), "an integer"),
+            ("translation_range", is_number(self.translation_range), "a number"),
+            ("noise_scale", is_number(self.noise_scale), "a number"),
+            ("scale_range", isinstance(scale_range, (list, tuple)) and len(scale_range) == 2
+             and all(map(is_number, scale_range)), "two numbers"),
+        ):
+            if not ok:
+                raise ValidationError(f"family key {key!r} must be {kind}; got {getattr(self, key)!r}")
         if self.base not in BASE_FUNCTIONS:
             raise ValidationError(f"unknown base function {self.base!r}")
         if self.n_tasks < 1:
@@ -421,7 +440,7 @@ def _fit_source(x: np.ndarray, ys: np.ndarray, seed: int) -> gp.GpSurrogate:
 
 
 def _check_target(index, n_tasks: int) -> None:
-    if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or not 0 <= index < n_tasks:
+    if not _is_int(index) or not 0 <= index < n_tasks:
         raise ValidationError(f"target {index!r} is not a task index in [0, {n_tasks})")
 
 
@@ -439,14 +458,6 @@ def build_static_sources(
         fit_seed = derived_seed(base_seed, _TAG_SOURCE_FIT, j)
         models.append(_fit_source(x, -ys if flip_source_outputs else ys, fit_seed))
     return SourceEnsemble(models=tuple(models))
-
-
-def _task_objective(task, noise_seed: int):
-    """(objective, candidate_grid) pair for running one task; a tabular
-    task's grid is its shared table."""
-    if isinstance(task, TabularTask):
-        return (lambda config: task.y[task.table.index(config)]), task.table
-    return task.make_objective(np.random.default_rng(noise_seed)), None
 
 
 def _augment_true_values(run_result: RunResult, task) -> RunResult:
@@ -474,10 +485,9 @@ def _experiment(protocol, tasks, methods, budget, seeds, n_s, n_cv, base_seed) -
     """The empty result of one experiment on ``tasks`` (the targets), after
     the checks both protocols share; ``seeds`` is a count or a list."""
     methods = list(methods)
-    is_int = lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-    if not (is_int(seeds) or isinstance(seeds, (list, tuple)) and all(map(is_int, seeds))):
+    if not (_is_int(seeds) or isinstance(seeds, (list, tuple)) and all(map(_is_int, seeds))):
         raise ValidationError(f"seeds must be an integer or a list of integers; got {seeds!r}")
-    seeds = list(range(seeds)) if is_int(seeds) else [int(s) for s in seeds]
+    seeds = list(range(seeds)) if _is_int(seeds) else [int(s) for s in seeds]
     if not tasks:
         raise ValidationError("an experiment needs at least one target task")
     if budget < bo.N_INIT:
@@ -516,24 +526,22 @@ def _map_jobs(fn, args_list, workers: int) -> list:
         return [future.result() for future in futures]
 
 
-def _run_job(task, sources, method, run_seed, noise_seed, budget, n_cv, n_candidates):
-    """One run of ``method`` on ``task``, with the noiseless incumbents added;
-    module-level so worker pools can call it."""
-    objective, grid = _task_objective(task, noise_seed)
-    return _augment_true_values(
-        bo.run(
-            task.space,
-            objective,
-            sources=sources,
-            policy=method,
-            budget=budget,
-            seed=run_seed,
-            n_cv=n_cv,
-            n_candidates=n_candidates,
-            candidate_grid=grid,
-        ),
-        task,
+def _run_job(task, ti, seed, sources, method, budget, n_cv, n_candidates, base_seed):
+    """One run of ``method`` on task ``ti`` under BO seed ``seed``, with the
+    noiseless incumbents added; module-level so worker pools can call it. Its
+    run and noise seeds depend on (``base_seed``, ``ti``, ``seed``) only, so
+    every method shares them; a tabular task's grid is its shared table."""
+    if isinstance(task, TabularTask):
+        objective, grid = (lambda config: task.y[task.table.index(config)]), task.table
+    else:
+        noise = np.random.default_rng(derived_seed(base_seed, _TAG_NOISE, ti, seed))
+        objective, grid = task.make_objective(noise), None
+    run_seed = derived_seed(base_seed, _TAG_RUN, ti, seed)
+    result = bo.run(
+        task.space, objective, sources=sources, policy=method, budget=budget, seed=run_seed,
+        n_cv=n_cv, n_candidates=n_candidates, candidate_grid=grid,
     )
+    return _augment_true_values(result, task)
 
 
 def run_static(
@@ -574,11 +582,9 @@ def run_static(
             tasks, ti, n_s, base_seed=base_seed, flip_source_outputs=flip_source_outputs
         )
         for seed in result.seeds:
-            run_seed = derived_seed(base_seed, _TAG_RUN, ti, seed)
-            noise_seed = derived_seed(base_seed, _TAG_NOISE, ti, seed)
             for method in result.methods:
                 keys.append((task.name, method, seed))
-                jobs.append((task, sources, method, run_seed, noise_seed, budget, n_cv, n_candidates))
+                jobs.append((task, ti, seed, sources, method, budget, n_cv, n_candidates, base_seed))
     result.runs.update(zip(keys, _map_jobs(_run_job, jobs, workers)))
     return result
 
@@ -590,9 +596,7 @@ def _dynamic_chain(tasks, method, seed, budget, n_s, n_cv, n_candidates, base_se
     models: list[gp.GpSurrogate] = []
     for ti, task in enumerate(tasks):
         sources = SourceEnsemble(models=tuple(models))
-        run_seed = derived_seed(base_seed, _TAG_RUN, ti, seed)
-        noise_seed = derived_seed(base_seed, _TAG_NOISE, ti, seed)
-        run_result = _run_job(task, sources, method, run_seed, noise_seed, budget, n_cv, n_candidates)
+        run_result = _run_job(task, ti, seed, sources, method, budget, n_cv, n_candidates, base_seed)
         out.append((task.name, run_result))
         head = run_result.records[:n_s]
         x = space_mod.encode_batch(task.space, [Configuration(r["config"]) for r in head])

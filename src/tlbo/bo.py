@@ -89,17 +89,19 @@ class OptimizerState:
     ``target_gp`` and ``prev_p_target``, which ``observe`` and ``suggest`` set.
     ``grid``, a ``ConfigTable`` of ``space`` that the state shares and never
     changes, limits suggestions to its rows still marked in ``unused``;
-    ``observe`` clears a row's mark when it records that row.
+    ``observe`` clears a row's mark when it records that row. The settings are
+    checked when the state is built: ``None`` sources become the empty
+    ensemble, and ``force_p``, for ``transbo`` only, a ``SimplexWeights``.
     """
 
     space: ConfigSpace
-    sources: SourceEnsemble
+    sources: SourceEnsemble | None
     policy: str
     seed: int
     n_cv: int = transfer.N_CV_DEFAULT
     n_candidates: int = N_CANDIDATES
     grid: ConfigTable | None = None
-    force_p: SimplexWeights | None = None
+    force_p: SimplexWeights | tuple[float, float] | None = None
     prev_p_target: float = field(init=False, default=0.0)
     target_gp: gp.GpSurrogate | None = field(init=False, default=None)
     x: np.ndarray = field(init=False)
@@ -108,6 +110,25 @@ class OptimizerState:
     unused: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
+        if self.policy not in POLICIES:
+            raise ValidationError(f"unknown policy {self.policy!r}; expected one of {POLICIES}")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
+        if self.n_cv < 2:
+            raise ValidationError("cross-validation needs at least 2 folds")
+        if self.n_candidates < 1:
+            raise ValidationError("the EI candidate pool needs at least one candidate")
+        if self.sources is None:
+            self.sources = SourceEnsemble(models=())
+        if self.force_p is not None:
+            if self.policy != "transbo":
+                raise ValidationError(f"force_p applies to the transbo policy only, not {self.policy!r}")
+            if not isinstance(self.force_p, SimplexWeights):
+                self.force_p = SimplexWeights(self.force_p)
+            if self.force_p.dim != 2:
+                raise ValidationError("force_p must hold two weights, (p_source, p_target)")
+            if self.force_p.values[0] > 0 and not self.sources.models:
+                raise ValidationError("force_p gives weight to the sources, but there are none")
         if self.grid is not None and not (isinstance(self.grid, ConfigTable) and self.grid.space == self.space):
             raise ValidationError("the candidate grid must be a ConfigTable of the run's space")
         self.x = np.empty((0, self.space.encoded_dim))
@@ -196,13 +217,10 @@ def suggest(
         return _random_suggestion(state, iteration), None, None
 
     w = p = None
-    if state.policy == "igp":
-        model_predict = state.target_gp.predict
-    elif state.policy == "transbo":
+    model_predict = state.target_gp.predict
+    if state.policy == "transbo":
         w, p = _refresh_transfer_weights(state)
         model_predict = lambda q: transfer.tl_predict(state.sources, q, state.target_gp, w, p)
-    else:
-        raise ValidationError(f"unknown policy {state.policy!r}")
 
     enc, config_at = _candidate_pool(state, iteration)
     y_best = float(state.target_gp.train_targets.min())
@@ -331,36 +349,9 @@ def run(
     (p_source, p_target) in every suggestion; p_source > 0 needs sources.
     Every argument is checked before the first objective call.
     """
-    if policy not in POLICIES:
-        raise ValidationError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if budget < N_INIT:
         raise ValidationError(f"budget must be at least N_INIT={N_INIT}")
-    if seed < 0:
-        raise ValidationError("seed must be non-negative")
-    if n_cv < 2:
-        raise ValidationError("cross-validation needs at least 2 folds")
-    if n_candidates < 1:
-        raise ValidationError("the EI candidate pool needs at least one candidate")
-    if sources is None:
-        sources = SourceEnsemble(models=())
-    if force_p is not None:
-        if policy != "transbo":
-            raise ValidationError(f"force_p applies to the transbo policy only, not {policy!r}")
-        force_p = SimplexWeights(force_p)
-        if force_p.dim != 2:
-            raise ValidationError("force_p must hold two weights, (p_source, p_target)")
-        if force_p.values[0] > 0 and not sources.models:
-            raise ValidationError("force_p gives weight to the sources, but there are none")
-    state = OptimizerState(
-        space=space,
-        sources=sources,
-        policy=policy,
-        seed=seed,
-        n_cv=n_cv,
-        n_candidates=n_candidates,
-        grid=candidate_grid,
-        force_p=force_p,
-    )
+    state = OptimizerState(space, sources, policy, seed, n_cv, n_candidates, candidate_grid, force_p)
     if state.grid is not None and len(state.grid) < budget:
         raise ValidationError("budget exceeds the number of rows in the candidate grid")
     init_configs = _initial_design(state)

@@ -36,7 +36,7 @@ def _build_tasks(tasks_cfg):
         raise ParseError("config 'tasks' must be an object with a 'kind'")
     kind = tasks_cfg["kind"]
     if kind == "tabular":
-        paths = tasks_cfg.get("paths", [])
+        paths = _pop_typed(tasks_cfg, "paths", [], list, str)
         if not paths:
             raise ParseError("tabular tasks need a non-empty 'paths' list")
         return [bench.load_tabular(p) for p in paths]
@@ -48,10 +48,16 @@ def _build_tasks(tasks_cfg):
     raise ParseError(f"unknown task kind {kind!r}")
 
 
-def _pop_typed(cfg: dict, key: str, default, kind: type):
-    """``cfg.pop(key, default)``, which must be of ``kind``, int or bool (a JSON bool is no int)."""
-    if type(value := cfg.pop(key, default)) is not kind:
-        raise ValidationError(f"config key {key!r} must be of JSON type {kind.__name__}; got {value!r}")
+def _pop_typed(cfg: dict, key: str, default, kind: type, item: type | None = None):
+    """``cfg.pop(key, default)``, which must be of ``kind`` (a JSON bool is no
+    int), with every entry of ``item`` for a list, or ``None`` where that is
+    the default."""
+    value = cfg.pop(key, default)
+    if value is None and default is None:
+        return value
+    if type(value) is not kind or item is not None and any(type(v) is not item for v in value):
+        name = kind.__name__ + (f" of {item.__name__}" if item else "")
+        raise ValidationError(f"config key {key!r} must be of JSON type {name}; got {value!r}")
     return value
 
 
@@ -65,7 +71,7 @@ def _cmd_run(args, protocol: str) -> int:
     out_dir = cfg.pop("out_dir", None)
     tasks_cfg = cfg.pop("tasks", None)
     kwargs = dict(
-        methods=cfg.pop("methods", ["transbo"]),
+        methods=_pop_typed(cfg, "methods", ["transbo"], list, str),
         budget=_pop_typed(cfg, "budget", 30, int),
         seeds=cfg.pop("seeds", 1),
         n_s=_pop_typed(cfg, "N_S", 50, int),
@@ -76,7 +82,7 @@ def _cmd_run(args, protocol: str) -> int:
     )
     if protocol == "static":
         kwargs.update(
-            targets=cfg.pop("targets", None),
+            targets=_pop_typed(cfg, "targets", None, list, int),
             flip_source_outputs=_pop_typed(cfg, "flip_sources", False, bool),
         )
     if cfg:

@@ -153,31 +153,6 @@ def apply_nondecreasing_prior(p_now: SimplexWeights, p_prev_target: float) -> Si
     return SimplexWeights([1.0 - p_target, p_target])
 
 
-def combined_predict(models, weights: SimplexWeights, x):
-    """Linear combination of GP posteriors at the (m, d) query rows ``x``:
-    mean = sum w_b mu_b, variance = sum w_b^2 sigma_b^2, as (m,) arrays.
-
-    A weight of exactly one short-circuits to that member's prediction, so
-    vertex weights reproduce the member model bitwise.
-    """
-    models = list(models)
-    if len(models) == 0:
-        raise ValidationError("combined prediction needs at least one model")
-    if weights.dim != len(models):
-        raise ValidationError("weight dimension must match the number of models")
-    wv = weights.values
-    active = np.nonzero(wv > 0.0)[0]
-    if active.size == 1 and wv[active[0]] == 1.0:
-        return models[active[0]].predict(x)
-    # A SimplexWeights always has a positive entry, so the sums are arrays.
-    mean = var = 0.0
-    for i in active:
-        m_i, v_i = models[i].predict(x)
-        mean = mean + wv[i] * m_i
-        var = var + wv[i] ** 2 * v_i
-    return mean, var
-
-
 def tl_predict(
     sources: SourceEnsemble,
     x,
@@ -190,10 +165,22 @@ def tl_predict(
     with weights [p_source * w_1, ..., p_source * w_K, p_target]
     ([p_target] when K = 0).
 
-    Vertex values of p pass the corresponding component through bitwise (see
-    ``combined_predict``). Inconsistent inputs, such as ``p_source > 0``
-    without sources, give weights off the simplex and are rejected.
+    mean = sum b_i mu_i, variance = sum b_i^2 sigma_i^2 over the members of
+    positive weight b_i, as (m,) arrays. A weight of one passes its member
+    through bitwise, since 0.0 + 1.0 * mu and 0.0 + 1.0**2 * sigma^2 are exact.
+    Inconsistent inputs, such as ``p_source > 0`` without sources, give
+    weights off the simplex and are rejected.
     """
     source_w = np.zeros(0) if w is None else float(p.values[0]) * w.values
-    weights = SimplexWeights(np.append(source_w, float(p.values[1])))
-    return combined_predict((*sources.models, target), weights, x)
+    weights = SimplexWeights(np.append(source_w, float(p.values[1]))).values
+    members = (*sources.models, target)
+    if weights.size != len(members):
+        raise ValidationError("weight dimension must match the number of models")
+    # A SimplexWeights always has a positive entry, so the sums are arrays.
+    mean = var = 0.0
+    for weight, member in zip(weights, members):
+        if weight > 0.0:
+            m, v = member.predict(x)
+            mean = mean + weight * m
+            var = var + weight**2 * v
+    return mean, var

@@ -439,6 +439,25 @@ class TestSyntheticFamily:
         with pytest.raises(ValidationError):
             SyntheticFamilySpec(base="rastrigin")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("base", 1),
+            ("n_tasks", "3"),
+            ("n_tasks", True),
+            ("seed", 1.0),
+            ("dim", None),
+            ("translation_range", "2"),
+            ("noise_scale", False),
+            ("scale_range", 1.0),
+            ("scale_range", (0.8, 1.0, 1.25)),
+            ("scale_range", ("0.8", 1.25)),
+        ],
+    )
+    def test_field_of_the_wrong_type_rejected(self, key, value):
+        with pytest.raises(ValidationError, match=f"family key '{key}'"):
+            SyntheticFamilySpec(**{key: value})
+
 
 class TestAdtm:
     def test_reaching_the_minimum_gives_zero(self):
@@ -705,9 +724,9 @@ class TestRunDynamic:
         seen = []
         real_run_job = bench._run_job
 
-        def recording(task, sources, *args):
+        def recording(task, ti, seed, sources, *args):
             seen.append(sources)
-            return real_run_job(task, sources, *args)
+            return real_run_job(task, ti, seed, sources, *args)
 
         monkeypatch.setattr(bench, "_run_job", recording)
         result = run_dynamic(tasks, ["igp"], budget=8, seeds=1, n_s=5)

@@ -24,6 +24,7 @@ from tlbo.bo import (
 )
 from tlbo.errors import FitError, ValidationError
 from tlbo.oracles import ei_by_quadrature, reference_neg_lml_and_grad
+from tlbo.ranking import SimplexWeights
 from tlbo.space import ConfigSpace, ConfigTable, Configuration, ParamSpec, sample_uniform
 from tlbo.transfer import SourceEnsemble, apply_nondecreasing_prior
 
@@ -222,6 +223,43 @@ class TestRun:
 
         with pytest.raises(ValidationError):
             run(one_d_space(), objective, policy="igp", budget=5, seed=0, n_candidates=0)
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"policy": "tranbo"}, "unknown policy 'tranbo'"),
+            ({"seed": -1}, "seed must be non-negative"),
+            ({"n_cv": 1}, "at least 2 folds"),
+            ({"n_candidates": 0}, "at least one candidate"),
+            ({"policy": "igp", "force_p": (0.0, 1.0)}, "transbo policy only"),
+            ({"force_p": (0.2, 0.3, 0.5)}, "two weights"),
+            ({"force_p": (0.5, 0.5)}, "there are none"),
+        ],
+    )
+    def test_state_rejects_bad_setting_before_any_trial(self, setting, message):
+        calls = []
+
+        def objective(config):
+            calls.append(config)
+            return quadratic(config)
+
+        settings = {"sources": None, "policy": "transbo", "seed": 0, **setting}
+        with pytest.raises(ValidationError, match=message):
+            OptimizerState(space=one_d_space(), **settings)
+        with pytest.raises(ValidationError, match=message):
+            run(one_d_space(), objective, budget=6, **settings)
+        assert calls == []
+
+    def test_state_converts_force_p_and_absent_sources(self):
+        x = np.linspace(0.0, 1.0, 5)[:, None]
+        source = gp.fit(x, gp.standardize((x[:, 0] - 0.3) ** 2), seed=0)
+        for sources, force_p in ((None, (0.0, 1.0)), (SourceEnsemble(models=(source,)), (0.5, 0.5))):
+            state = OptimizerState(one_d_space(), sources, "transbo", seed=0, n_candidates=64, force_p=force_p)
+            assert isinstance(state.sources, SourceEnsemble) and isinstance(state.force_p, SimplexWeights)
+            for v in (0.1, 0.5, 0.9):
+                observe(state, Configuration({"x": v}), quadratic(Configuration({"x": v})))
+            _, _, p = suggest(state)
+            assert p.values.tolist() == list(force_p)
 
     @pytest.mark.parametrize(
         "policy, force_p",

@@ -190,6 +190,35 @@ class TestRunStaticCli:
         assert repr(key) in record["message"] or record["message"].startswith(f"{key} ")
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize(
+        "path, value, key",
+        [
+            (("methods",), "igp", "methods"),
+            (("methods",), 3, "methods"),
+            (("targets",), 0, "targets"),
+            (("tasks",), {"kind": "tabular", "paths": "abc"}, "paths"),
+            (("tasks", "family", "n_tasks"), "3", "n_tasks"),
+        ],
+    )
+    def test_list_or_family_value_of_the_wrong_type_rejected(self, tmp_path, capsys, monkeypatch, path, value, key):
+        def refuse(*args, **kwargs):
+            raise RuntimeError(f"a task was built with {key}={value!r}")
+
+        monkeypatch.setattr(bench, "make_synthetic_family", refuse)
+        monkeypatch.setattr(bench, "load_tabular", refuse)
+        cfg = family_cfg(out_dir=tmp_path / "res")
+        node = cfg
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run-static", str(cfg_path)]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert repr(key) in record["message"]
+        assert not (tmp_path / "res").exists()
+
     def test_single_fold_fails_with_error_record(self, tmp_path, capsys):
         cfg = family_cfg(out_dir=tmp_path / "res", methods=("transbo",), budget=4, seeds=1)
         cfg["n_cv"] = 1

@@ -302,7 +302,17 @@ class TestLikelihoodMatchesDense:
         if duplicated:
             lows[-1] = math.log(1e-30)
         theta = np.array([data.draw(st.floats(lo, hi)) for lo, hi in zip(lows, highs)])
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        self._assert_matches(theta, n, dim, duplicated, data.draw(st.integers(0, 2**32 - 1)))
+
+    def test_kernel_singular_to_working_precision(self):
+        # Drawn by the test above: the packed factorization fails and the dense
+        # one succeeds, at 8 n eps cond_2(K) ~ 380, where rounding decides.
+        theta = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 6.25, -30.0])
+        self._assert_matches(theta, n=8, dim=8, duplicated=True, seed=0)
+
+    @staticmethod
+    def _assert_matches(theta, n, dim, duplicated, seed):
+        rng = np.random.default_rng(seed)
         x = rng.uniform(size=(n, dim))
         if duplicated:
             x[n // 2 :] = x[: n - n // 2]

@@ -15,7 +15,6 @@ from tlbo.transfer import (
     SourceEnsemble,
     apply_nondecreasing_prior,
     assemble_phase2_matrix,
-    combined_predict,
     learn_phase2_weights,
     learn_source_weights,
     source_means,
@@ -263,7 +262,7 @@ class TestCvAssembly:
         matrix = assemble_phase2_matrix(source_means(ens, x), x, y, params, 5)
         assert not any(np.isin(w.values, (0.0, 1.0)).all() for w in fold_weights)  # interior
         for w_fold, (_, held) in zip(fold_weights, transfer._cv_folds(len(y), 5), strict=True):
-            reference = combined_predict(ens.models, w_fold, x[held])[0]
+            reference = sum(wi * m.predict(x[held])[0] for wi, m in zip(w_fold.values, ens.models))
             np.testing.assert_allclose(matrix[held, 0], reference, rtol=0.0, atol=1e-12)
 
 
@@ -285,36 +284,50 @@ class TestNondecreasingPrior:
             apply_nondecreasing_prior(SimplexWeights([0.5, 0.5]), 1.5)
 
 
-class TestCombinedPredict:
+class TestTlPredictCombination:
+    """The combination's arithmetic: hand values on stub members with constant
+    predictions, vertices and a weight vector of the wrong length."""
+
     def test_vertex_weights_reproduce_member_bitwise(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(size=(10, 1))
         m1 = gp.fit(x, gp.standardize(rng.normal(size=10)), seed=0)
         m2 = gp.fit(x, gp.standardize(rng.normal(size=10)), seed=1)
         q = rng.uniform(size=(6, 1))
-        mean, var = combined_predict([m1, m2], SimplexWeights([1.0, 0.0]), q)
+        vertex = SimplexWeights([1.0, 0.0])
+        mean, var = tl_predict(SourceEnsemble(models=(m1, m2)), q, m2, vertex, vertex)
         ref_mean, ref_var = m1.predict(q)
         np.testing.assert_array_equal(mean, ref_mean)
         np.testing.assert_array_equal(var, ref_var)
 
     def test_hand_computed_combination(self):
-        mean, var = combined_predict(
-            [StubModel(0.0, offset=1.0, variance=4.0), StubModel(0.0, offset=3.0, variance=4.0)],
-            SimplexWeights([0.5, 0.5]),
-            np.zeros((1, 1)),
+        source = StubModel(0.0, offset=1.0, variance=4.0)
+        target = StubModel(0.0, offset=3.0, variance=4.0)
+        mean, var = tl_predict(
+            SourceEnsemble(models=(source,)), np.zeros((1, 1)), target,
+            SimplexWeights([1.0]), SimplexWeights([0.5, 0.5]),
         )
         assert mean.tolist() == [2.0] and var.tolist() == [2.0]
 
     def test_identical_members_shrink_variance(self):
+        # k - 1 sources under uniform w and p = (1 - 1/k, 1/k): every member weighs 1/k
         k = 4
-        members = [StubModel(0.0, offset=1.5, variance=2.0)] * k
-        mean, var = combined_predict(members, SimplexWeights.uniform(k), np.zeros((1, 1)))
+        member = StubModel(0.0, offset=1.5, variance=2.0)
+        mean, var = tl_predict(
+            SourceEnsemble(models=(member,) * (k - 1)), np.zeros((1, 1)), member,
+            SimplexWeights.uniform(k - 1), SimplexWeights([1.0 - 1.0 / k, 1.0 / k]),
+        )
         assert mean[0] == pytest.approx(1.5)
         assert var[0] == pytest.approx(2.0 / k)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            combined_predict([StubModel(1.0)], SimplexWeights([0.5, 0.5]), np.zeros((1, 1)))
+        # two source weights for one source
+        member = StubModel(1.0)
+        with pytest.raises(ValidationError, match="weight dimension"):
+            tl_predict(
+                SourceEnsemble(models=(member,)), np.zeros((1, 1)), member,
+                SimplexWeights([0.5, 0.5]), SimplexWeights([0.5, 0.5]),
+            )
 
 
 @functools.lru_cache(maxsize=None)
@@ -387,9 +400,8 @@ class TestTlPredict:
         np.testing.assert_array_equal(mean, m_t)
         np.testing.assert_array_equal(var, v_t)
         mean, var = tl_predict(sources, q, target, w, SimplexWeights([1.0, 0.0]))
-        ref_mean, ref_var = combined_predict(sources.models, w, q)
-        np.testing.assert_array_equal(mean, ref_mean)
-        np.testing.assert_array_equal(var, ref_var)
+        np.testing.assert_array_equal(mean, m_s)
+        np.testing.assert_array_equal(var, v_s)
 
     def test_invariant_validation(self):
         _, target = self._pair()
