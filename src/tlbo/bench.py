@@ -21,7 +21,7 @@ import numpy as np
 from . import bo, gp, space as space_mod
 from .bo import RunResult, derived_seed
 from .errors import ParseError, ValidationError
-from .space import ConfigSpace, ConfigTable, Configuration, ParamSpec
+from .space import ConfigSpace, ConfigTable, Configuration, ParamSpec, is_finite_number, is_int
 from .transfer import SourceEnsemble
 
 BRANIN_BOUNDS = ((-5.0, 10.0), (0.0, 15.0))
@@ -61,19 +61,6 @@ def quadratic_bowl(x: np.ndarray) -> np.ndarray:
     return (x**2).sum(axis=-1)
 
 
-def _is_int(v) -> bool:
-    """Whether ``v`` is an integer, a bool not counted."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _is_outcome(y) -> bool:
-    """Whether ``y`` can be a table's outcome: a number, not a bool, whose float is finite."""
-    try:
-        return isinstance(y, (int, float, np.integer, np.floating)) and not isinstance(y, bool) and math.isfinite(y)
-    except OverflowError:  # an int beyond float range
-        return False
-
-
 @dataclass(frozen=True, eq=False)
 class TabularTask:
     """A finite pre-evaluated benchmark: distinct configurations with stored
@@ -94,7 +81,7 @@ class TabularTask:
         rows = list(rows)
         label = f"tabular task {name!r}"
         table = ConfigTable.from_configs(space, [config for config, _ in rows], label)
-        bad = next((i for i, (_, y) in enumerate(rows, start=1) if not _is_outcome(y)), None)
+        bad = next((i for i, (_, y) in enumerate(rows, start=1) if not is_finite_number(y)), None)
         if bad is not None:
             raise ValidationError(f"{label}: row {bad}: y must be a finite number")
         y = np.array([y for _, y in rows], dtype=float)
@@ -134,7 +121,7 @@ def load_tabular(path) -> TabularTask:
     for i, entry in enumerate(rows_data, start=1):
         if not isinstance(entry, dict) or not isinstance(entry.get("config"), dict) or "y" not in entry:
             raise ParseError(f"{path}: row {i}: expected an object with 'config' and 'y'")
-        if not _is_outcome(entry["y"]):
+        if not is_finite_number(entry["y"]):
             raise ParseError(f"{path}: row {i}: 'y' must be a finite number")
         rows.append((Configuration(entry["config"]), float(entry["y"])))
     try:
@@ -172,17 +159,16 @@ class SyntheticFamilySpec:
     dim: int = 2
 
     def __post_init__(self):
-        is_number = lambda v: _is_int(v) or isinstance(v, (float, np.floating))
         scale_range = self.scale_range
         for key, ok, kind in (
             ("base", isinstance(self.base, str), "a string"),
-            ("n_tasks", _is_int(self.n_tasks), "an integer"),
-            ("seed", _is_int(self.seed), "an integer"),
-            ("dim", _is_int(self.dim), "an integer"),
-            ("translation_range", is_number(self.translation_range), "a number"),
-            ("noise_scale", is_number(self.noise_scale), "a number"),
+            ("n_tasks", is_int(self.n_tasks), "an integer"),
+            ("seed", is_int(self.seed), "an integer"),
+            ("dim", is_int(self.dim), "an integer"),
+            ("translation_range", is_finite_number(self.translation_range), "a finite number"),
+            ("noise_scale", is_finite_number(self.noise_scale), "a finite number"),
             ("scale_range", isinstance(scale_range, (list, tuple)) and len(scale_range) == 2
-             and all(map(is_number, scale_range)), "two numbers"),
+             and all(map(is_finite_number, scale_range)), "two finite numbers"),
         ):
             if not ok:
                 raise ValidationError(f"family key {key!r} must be {kind}; got {getattr(self, key)!r}")
@@ -419,19 +405,19 @@ class ExperimentResult:
         return result
 
 
-def _source_rows(task, n: int, seed: int):
-    """Encoded inputs and outcomes used to fit one source surrogate.
-
-    Tabular tasks slice the first n rows of a seeded shuffle out of their
-    arrays; synthetic tasks evaluate n seeded uniform draws with observation
-    noise.
-    """
+def _static_source(task, j: int, n_s: int, base_seed: int, flip: bool) -> gp.GpSurrogate:
+    """Task ``j``'s offline source, the same for every target: a GP on n_s of
+    its outputs (negated when ``flip``), the first n_s rows of a seeded shuffle
+    of a tabular task's arrays, or n_s seeded noisy uniform draws otherwise."""
+    seed = derived_seed(base_seed, _TAG_SOURCE_ROWS, j)
     if isinstance(task, TabularTask):
-        order = np.random.default_rng(seed).permutation(len(task.y))[:n]
-        return task.table.encoded[order], task.y[order]
-    configs = space_mod.sample_uniform(task.space, n, seed)
-    objective = task.make_objective(np.random.default_rng(derived_seed(seed, 1)))
-    return space_mod.encode_batch(task.space, configs), np.array([objective(c) for c in configs])
+        order = np.random.default_rng(seed).permutation(len(task.y))[:n_s]
+        x, ys = task.table.encoded[order], task.y[order]
+    else:
+        configs = space_mod.sample_uniform(task.space, n_s, seed)
+        objective = task.make_objective(np.random.default_rng(derived_seed(seed, 1)))
+        x, ys = space_mod.encode_batch(task.space, configs), np.array([objective(c) for c in configs])
+    return _fit_source(x, -ys if flip else ys, derived_seed(base_seed, _TAG_SOURCE_FIT, j))
 
 
 def _fit_source(x: np.ndarray, ys: np.ndarray, seed: int) -> gp.GpSurrogate:
@@ -440,7 +426,7 @@ def _fit_source(x: np.ndarray, ys: np.ndarray, seed: int) -> gp.GpSurrogate:
 
 
 def _check_target(index, n_tasks: int) -> None:
-    if not _is_int(index) or not 0 <= index < n_tasks:
+    if not is_int(index) or not 0 <= index < n_tasks:
         raise ValidationError(f"target {index!r} is not a task index in [0, {n_tasks})")
 
 
@@ -450,14 +436,10 @@ def build_static_sources(
     """Offline source ensemble for one target: every other task contributes a
     GP fitted on n_s of its observations. The target's own rows never enter."""
     _check_target(target_index, len(tasks))
-    models = []
-    for j, task in enumerate(tasks):
-        if j == target_index:
-            continue
-        x, ys = _source_rows(task, n_s, derived_seed(base_seed, _TAG_SOURCE_ROWS, j))
-        fit_seed = derived_seed(base_seed, _TAG_SOURCE_FIT, j)
-        models.append(_fit_source(x, -ys if flip_source_outputs else ys, fit_seed))
-    return SourceEnsemble(models=tuple(models))
+    return SourceEnsemble(models=tuple(
+        _static_source(task, j, n_s, base_seed, flip_source_outputs)
+        for j, task in enumerate(tasks) if j != target_index
+    ))
 
 
 def _augment_true_values(run_result: RunResult, task) -> RunResult:
@@ -481,13 +463,13 @@ def _augment_true_values(run_result: RunResult, task) -> RunResult:
     return run_result
 
 
-def _experiment(protocol, tasks, methods, budget, seeds, n_s, n_cv, base_seed) -> ExperimentResult:
+def _experiment(protocol, tasks, methods, budget, seeds, n_s, n_cv, n_candidates, base_seed) -> ExperimentResult:
     """The empty result of one experiment on ``tasks`` (the targets), after
     the checks both protocols share; ``seeds`` is a count or a list."""
     methods = list(methods)
-    if not (_is_int(seeds) or isinstance(seeds, (list, tuple)) and all(map(_is_int, seeds))):
+    if not (is_int(seeds) or isinstance(seeds, (list, tuple)) and all(map(is_int, seeds))):
         raise ValidationError(f"seeds must be an integer or a list of integers; got {seeds!r}")
-    seeds = list(range(seeds)) if _is_int(seeds) else [int(s) for s in seeds]
+    seeds = list(range(seeds)) if is_int(seeds) else [int(s) for s in seeds]
     if not tasks:
         raise ValidationError("an experiment needs at least one target task")
     if budget < bo.N_INIT:
@@ -496,6 +478,7 @@ def _experiment(protocol, tasks, methods, budget, seeds, n_s, n_cv, base_seed) -
         raise ValidationError("a source needs at least one observation (N_S >= 1)")
     if not methods or not set(methods) <= set(bo.POLICIES) or len(set(methods)) < len(methods):
         raise ValidationError(f"methods must be distinct names from {bo.POLICIES}; got {methods}")
+    bo.OptimizerState(tasks[0].space, None, methods[0], 0, n_cv, n_candidates)  # checks n_cv, n_candidates
     if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
         raise ValidationError("seeds must be a positive count or distinct non-negative integers")
     if base_seed < 0:
@@ -572,19 +555,20 @@ def run_static(
         _check_target(ti, len(tasks))
     if len(set(target_indices)) < len(target_indices):
         raise ValidationError(f"targets list a task more than once: {target_indices}")
-    result = _experiment(
-        "static", [tasks[i] for i in target_indices], methods, budget, seeds, n_s, n_cv, base_seed
-    )
+    result = _experiment("static", [tasks[i] for i in target_indices], methods, budget, seeds, n_s, n_cv,
+                         n_candidates, base_seed)
+    # One source per task, fitted once; the first target's own only for a second target.
+    first = target_indices[0]
+    models = list(build_static_sources(tasks, first, n_s, base_seed, flip_source_outputs).models)
+    models.insert(first, _static_source(tasks[first], first, n_s, base_seed, flip_source_outputs)
+                  if len(target_indices) > 1 else None)
     keys, jobs = [], []
     for ti in target_indices:
-        task = tasks[ti]
-        sources = build_static_sources(
-            tasks, ti, n_s, base_seed=base_seed, flip_source_outputs=flip_source_outputs
-        )
+        sources = SourceEnsemble(models=tuple(models[:ti] + models[ti + 1:]))
         for seed in result.seeds:
             for method in result.methods:
-                keys.append((task.name, method, seed))
-                jobs.append((task, ti, seed, sources, method, budget, n_cv, n_candidates, base_seed))
+                keys.append((tasks[ti].name, method, seed))
+                jobs.append((tasks[ti], ti, seed, sources, method, budget, n_cv, n_candidates, base_seed))
     result.runs.update(zip(keys, _map_jobs(_run_job, jobs, workers)))
     return result
 
@@ -624,7 +608,7 @@ def run_dynamic(
     ``workers`` > 1 the independent chains run in parallel.
     """
     tasks = list(tasks)
-    result = _experiment("dynamic", tasks, methods, budget, seeds, n_s, n_cv, base_seed)
+    result = _experiment("dynamic", tasks, methods, budget, seeds, n_s, n_cv, n_candidates, base_seed)
     chains = [(method, seed) for method in result.methods for seed in result.seeds]
     jobs = [(tasks, m, s, budget, n_s, n_cv, n_candidates, base_seed) for m, s in chains]
     for (method, seed), chain in zip(chains, _map_jobs(_dynamic_chain, jobs, workers)):

@@ -112,12 +112,15 @@ class OptimizerState:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ValidationError(f"unknown policy {self.policy!r}; expected one of {POLICIES}")
-        if self.seed < 0:
-            raise ValidationError("seed must be non-negative")
-        if self.n_cv < 2:
-            raise ValidationError("cross-validation needs at least 2 folds")
-        if self.n_candidates < 1:
-            raise ValidationError("the EI candidate pool needs at least one candidate")
+        for key, low, why in (
+            ("seed", 0, "seed must be non-negative"),
+            ("n_cv", 2, "cross-validation needs at least 2 folds"),
+            ("n_candidates", 1, "the EI candidate pool needs at least one candidate"),
+        ):
+            if not space_mod.is_int(getattr(self, key)):
+                raise ValidationError(f"{key} must be an integer; got {getattr(self, key)!r}")
+            if getattr(self, key) < low:
+                raise ValidationError(why)
         if self.sources is None:
             self.sources = SourceEnsemble(models=())
         if self.force_p is not None:
@@ -241,10 +244,8 @@ def observe(state: OptimizerState, config: Configuration, y: float | None) -> Op
     next suggestion falls back to random.
     """
     failed = y is None
-    if not failed and not (
-        isinstance(y, (int, float, np.integer, np.floating)) and math.isfinite(float(y))
-    ):
-        raise ValidationError("observed performance must be finite")
+    if not failed and not space_mod.is_finite_number(y):
+        raise ValidationError(f"observed performance must be a finite number; got {y!r}")
     fit_seed = derived_seed(state.seed, _STREAM_GPFIT, state.y.size)
     no_success_yet = state.failed.all()
     if failed:

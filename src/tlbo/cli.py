@@ -9,6 +9,7 @@ if any fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -18,6 +19,8 @@ import numpy as np
 
 from . import bench, bo, space as space_mod
 from .errors import ParseError, ValidationError
+
+_FAMILY = [f.name for f in dataclasses.fields(bench.SyntheticFamilySpec)]  # a family object's keys
 
 
 def _load_json(path) -> dict:
@@ -34,18 +37,27 @@ def _load_json(path) -> dict:
 def _build_tasks(tasks_cfg):
     if not isinstance(tasks_cfg, dict) or "kind" not in tasks_cfg:
         raise ParseError("config 'tasks' must be an object with a 'kind'")
-    kind = tasks_cfg["kind"]
+    kind = tasks_cfg.pop("kind")
     if kind == "tabular":
-        paths = _pop_typed(tasks_cfg, "paths", [], list, str)
+        paths = _pop_typed(_pop_only(tasks_cfg, ("paths",), "config 'tasks'"), "paths", [], list, str)
         if not paths:
             raise ParseError("tabular tasks need a non-empty 'paths' list")
         return [bench.load_tabular(p) for p in paths]
     if kind == "synthetic":
-        family = tasks_cfg.get("family")
+        family = _pop_only(tasks_cfg, ("family",), "config 'tasks'").get("family")
         if not isinstance(family, dict):
             raise ParseError("synthetic tasks need a 'family' object")
-        return bench.make_synthetic_family(bench.SyntheticFamilySpec(**family))
+        spec = bench.SyntheticFamilySpec(**_pop_only(family, _FAMILY, "config 'family'"))
+        return bench.make_synthetic_family(spec)
     raise ParseError(f"unknown task kind {kind!r}")
+
+
+def _pop_only(cfg: dict, keys, where: str) -> dict:
+    """The entries of ``keys`` popped from ``cfg``, which must hold no others."""
+    read = {key: cfg.pop(key) for key in keys if key in cfg}
+    if cfg:
+        raise ValidationError(f"{where} has the unread key(s) {sorted(cfg)}")
+    return read
 
 
 def _pop_typed(cfg: dict, key: str, default, kind: type, item: type | None = None):
@@ -62,8 +74,7 @@ def _pop_typed(cfg: dict, key: str, default, kind: type, item: type | None = Non
 
 
 def _cmd_run(args, protocol: str) -> int:
-    """Run one protocol from a config; every key is read once, by ``pop``, so
-    the keys left over are the ones this verb does not read."""
+    """Run one protocol from a config; every key is read once, by ``pop``."""
     cfg = _load_json(args.config)
     config_protocol = cfg.pop("protocol", protocol)
     if config_protocol != protocol:
@@ -85,8 +96,7 @@ def _cmd_run(args, protocol: str) -> int:
             targets=_pop_typed(cfg, "targets", None, list, int),
             flip_source_outputs=_pop_typed(cfg, "flip_sources", False, bool),
         )
-    if cfg:
-        raise ValidationError(f"run-{protocol} does not read the config key(s) {sorted(cfg)}")
+    _pop_only(cfg, (), f"run-{protocol} config")
     out = args.out or out_dir
     if not out:
         raise ValidationError("an output directory is required (--out or config 'out_dir')")
@@ -100,7 +110,7 @@ def _cmd_run(args, protocol: str) -> int:
 def _cmd_bench_synthetic(args) -> int:
     spec_data = _load_json(args.spec)
     grid_size = _pop_typed(spec_data, "grid_size", 2000, int)
-    spec = bench.SyntheticFamilySpec(**spec_data)
+    spec = bench.SyntheticFamilySpec(**_pop_only(spec_data, _FAMILY, "bench-synthetic spec"))
     tasks = bench.make_synthetic_family(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -21,6 +21,18 @@ from .errors import ValidationError
 KINDS = ("continuous", "continuous-log", "integer", "categorical")
 
 
+def is_int(v) -> bool:
+    """Whether ``v`` is an integer, a bool not counted."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def is_finite_number(v) -> bool:
+    """Whether ``v`` is a number, not a bool, whose float is finite."""
+    with contextlib.suppress(OverflowError):  # an int beyond float range
+        return (is_int(v) or isinstance(v, (float, np.floating))) and math.isfinite(v)
+    return False
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     """One hyperparameter: numeric (plain, log-scaled, integer) or categorical."""

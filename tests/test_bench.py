@@ -606,6 +606,36 @@ class TestRunStatic:
                 ys = [table[key] for key in keys]
                 assert model.train_targets.tobytes() == gp.standardize(ys).tobytes()
 
+    @pytest.mark.parametrize("targets, flip, fits", [(None, False, 4), ([3], False, 3), ([2, 0], True, 4)])
+    def test_each_source_fitted_once_for_every_target(self, monkeypatch, targets, flip, fits):
+        # A source depends on its own task only: one target needs the T - 1
+        # others, two or more need all T, each fitted once and handed to every
+        # target but its own, bit for bit the ensemble build_static_sources gives.
+        tasks = [tiny_tabular(n, seed=i, shift=0.1 * i) for i, n in enumerate("abcd")]
+        fit_source, run_job = bench._fit_source, bench._run_job
+        fitted, handed = [], {}
+
+        def counting_fit(*args):
+            fitted.append(args)
+            return fit_source(*args)
+
+        def recording_run(task, ti, seed, sources, *rest):
+            handed[ti] = sources
+            return run_job(task, ti, seed, sources, *rest)
+
+        monkeypatch.setattr(bench, "_fit_source", counting_fit)
+        monkeypatch.setattr(bench, "_run_job", recording_run)
+        run_static(tasks, ["random"], budget=3, seeds=1, n_s=10, targets=targets, flip_source_outputs=flip)
+        assert len(fitted) == fits
+        monkeypatch.undo()
+        assert sorted(handed) == sorted(range(len(tasks)) if targets is None else targets)
+        bits = lambda m: (m.train_inputs.tobytes(), m.train_targets.tobytes(), m.params.lengthscales.tobytes(),
+                          m.params.signal_variance, m.params.noise_variance)
+        for ti, sources in handed.items():
+            expected = build_static_sources(tasks, ti, n_s=10, flip_source_outputs=flip)
+            assert [bits(m) for m in sources.models] == [bits(m) for m in expected.models]
+            assert len(expected.models) == len(tasks) - 1
+
     def test_single_task_rejected(self):
         with pytest.raises(ValidationError):
             run_static([tiny_tabular("a")], ["random"], budget=5, seeds=1)
@@ -691,6 +721,10 @@ class TestSharedArgumentChecks:
             dict(methods=["random"], budget=4, seeds=[-1]),
             dict(methods=["random"], budget=4, seeds=1, n_s=0),
             dict(methods=["random"], budget=4, seeds=1, base_seed=-1),
+            dict(methods=["random"], budget=4, seeds=1, n_cv=1),
+            dict(methods=["random"], budget=4, seeds=1, n_cv=2.5),
+            dict(methods=["random"], budget=4, seeds=1, n_candidates=0),
+            dict(methods=["random"], budget=4, seeds=1, n_candidates=50.0),
         ],
     )
     def test_rejected(self, monkeypatch, protocol, bad):

@@ -133,6 +133,13 @@ class TestObserve:
         with pytest.raises(ValidationError):
             observe(state, Configuration({"x": 0.5}), float("nan"))
 
+    @pytest.mark.parametrize("y", [True, 10**400], ids=["bool", "int-beyond-float"])
+    def test_outcome_that_is_no_finite_number_rejected_before_it_is_recorded(self, y):
+        state = self._state()
+        with pytest.raises(ValidationError, match="finite number"):
+            observe(state, Configuration({"x": 0.5}), y)
+        assert state.y.size == 0
+
     @given(mask=st.lists(st.booleans(), min_size=1, max_size=8))
     @settings(max_examples=30, deadline=None)
     def test_gp_minimum_is_never_an_imputed_value(self, mask):
@@ -234,6 +241,10 @@ class TestRun:
             ({"policy": "igp", "force_p": (0.0, 1.0)}, "transbo policy only"),
             ({"force_p": (0.2, 0.3, 0.5)}, "two weights"),
             ({"force_p": (0.5, 0.5)}, "there are none"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"n_cv": 2.5}, "n_cv must be an integer"),
+            ({"n_candidates": 50.0}, "n_candidates must be an integer"),
         ],
     )
     def test_state_rejects_bad_setting_before_any_trial(self, setting, message):

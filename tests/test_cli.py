@@ -249,6 +249,32 @@ class TestRunStaticCli:
         assert record["error"] == "ParseError"
 
 
+class TestUnreadKeyInsideAnObject:
+    """Keys inside ``tasks``, a family and a ``bench-synthetic`` spec are read
+    like top-level ones: a key left unread is a ValidationError naming it."""
+
+    @pytest.mark.parametrize("where", ["family", "tasks", "bench-synthetic"])
+    def test_rejected_before_any_task_is_built(self, tmp_path, capsys, monkeypatch, where):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a task was built from an object with an unread key")
+
+        monkeypatch.setattr(bench, "make_synthetic_family", refuse)
+        cfg = family_cfg(out_dir=tmp_path / "res")
+        key = "extra" if where == "tasks" else "n_taks"
+        if where == "bench-synthetic":
+            cfg = {**cfg["tasks"]["family"], key: 3}
+            argv = ["bench-synthetic", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "res")]
+        else:
+            (cfg["tasks"] if where == "tasks" else cfg["tasks"]["family"])[key] = 1
+            argv = ["run-static", str(tmp_path / "cfg.json")]
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert repr(key) in record["message"]
+        assert not (tmp_path / "res").exists()
+
+
 class TestRunDynamicCli:
     def test_writes_result_dir(self, tmp_path):
         cfg = family_cfg(out_dir=tmp_path / "res", methods=("igp", "random"), budget=4, seeds=1)

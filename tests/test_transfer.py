@@ -413,17 +413,16 @@ class TestTlPredict:
 
 class TestPhase1KnownAnswer:
     def test_planted_copy_of_the_target_carries_most_of_w(self):
-        # Branin family 3, target 0. Source 0 is a GP fitted on 50 noisy rows
-        # of the target itself (the rows and fit seeds build_static_sources
-        # would give task 0); the other five tasks follow as flipped sources.
+        # Branin family 3, target 0. Source 0 is task 0's own static source, a
+        # GP fitted on 50 noisy rows of the target itself (the one run_static
+        # hands a second target); the other five tasks follow as flipped sources.
         # Phase 1 must give the copy most of w, more than half, from trial 6
         # on. Calibrated once on these five runs: from trial 6 on the copy's
         # weight never fell below 0.811, while trials 3-5 went as low as 0.291.
         tasks = bench.make_synthetic_family(bench.SyntheticFamilySpec(base="branin", n_tasks=6, seed=3))
         target = tasks[0]
         flipped = bench.build_static_sources(tasks, 0, 50, flip_source_outputs=True)
-        x, ys = bench._source_rows(target, 50, bo.derived_seed(0, bench._TAG_SOURCE_ROWS, 0))
-        planted = bench._fit_source(x, ys, bo.derived_seed(0, bench._TAG_SOURCE_FIT, 0))
+        planted = bench._static_source(target, 0, 50, 0, False)
         sources = SourceEnsemble(models=(planted, *flipped.models))
         for seed in range(5):
             noise = np.random.default_rng(bo.derived_seed(0, bench._TAG_NOISE, 0, seed))
