@@ -425,6 +425,15 @@ def _fit_source(x: np.ndarray, ys: np.ndarray, seed: int) -> gp.GpSurrogate:
     return gp.fit(x, gp.standardize(ys), seed=seed)
 
 
+def _tasks_of_one_space(tasks) -> list:
+    """A protocol's tasks as a list, checked to share the first task's space."""
+    tasks = list(tasks)
+    for task in tasks:
+        if task.space != tasks[0].space:
+            raise ValidationError(f"task {task.name!r} has another space than the first task {tasks[0].name!r}")
+    return tasks
+
+
 def _check_target(index, n_tasks: int) -> None:
     if not is_int(index) or not 0 <= index < n_tasks:
         raise ValidationError(f"target {index!r} is not a task index in [0, {n_tasks})")
@@ -472,10 +481,10 @@ def _experiment(protocol, tasks, methods, budget, seeds, n_s, n_cv, n_candidates
     seeds = list(range(seeds)) if is_int(seeds) else [int(s) for s in seeds]
     if not tasks:
         raise ValidationError("an experiment needs at least one target task")
-    if budget < bo.N_INIT:
-        raise ValidationError(f"budget must be at least N_INIT={bo.N_INIT}")
-    if n_s < 1:
-        raise ValidationError("a source needs at least one observation (N_S >= 1)")
+    if not is_int(budget) or budget < bo.N_INIT:
+        raise ValidationError(f"budget must be an integer of at least N_INIT={bo.N_INIT}; got {budget!r}")
+    if not is_int(n_s) or n_s < 1:
+        raise ValidationError(f"a source needs an integer number of observations N_S >= 1; got {n_s!r}")
     if not methods or not set(methods) <= set(bo.POLICIES) or len(set(methods)) < len(methods):
         raise ValidationError(f"methods must be distinct names from {bo.POLICIES}; got {methods}")
     bo.OptimizerState(tasks[0].space, None, methods[0], 0, n_cv, n_candidates)  # checks n_cv, n_candidates
@@ -547,7 +556,7 @@ def run_static(
     noise streams are shared across methods as well. Independent runs may
     execute in parallel (``workers`` > 1) without changing any result.
     """
-    tasks = list(tasks)
+    tasks = _tasks_of_one_space(tasks)
     if len(tasks) < 2:
         raise ValidationError("the static protocol needs at least two tasks")
     target_indices = list(range(len(tasks))) if targets is None else list(targets)
@@ -557,11 +566,12 @@ def run_static(
         raise ValidationError(f"targets list a task more than once: {target_indices}")
     result = _experiment("static", [tasks[i] for i in target_indices], methods, budget, seeds, n_s, n_cv,
                          n_candidates, base_seed)
-    # One source per task, fitted once; the first target's own only for a second target.
-    first = target_indices[0]
-    models = list(build_static_sources(tasks, first, n_s, base_seed, flip_source_outputs).models)
-    models.insert(first, _static_source(tasks[first], first, n_s, base_seed, flip_source_outputs)
-                  if len(target_indices) > 1 else None)
+    # One source per task, fitted once and only for transbo; the first target's own only for a second.
+    models, first = [], target_indices[0]
+    if "transbo" in result.methods:
+        models = list(build_static_sources(tasks, first, n_s, base_seed, flip_source_outputs).models)
+        models.insert(first, _static_source(tasks[first], first, n_s, base_seed, flip_source_outputs)
+                      if len(target_indices) > 1 else None)
     keys, jobs = [], []
     for ti in target_indices:
         sources = SourceEnsemble(models=tuple(models[:ti] + models[ti + 1:]))
@@ -574,18 +584,19 @@ def run_static(
 
 
 def _dynamic_chain(tasks, method, seed, budget, n_s, n_cv, n_candidates, base_seed):
-    """One method's sequential pass over the arriving tasks; the first n_s
-    records of each finished task fit its source surrogate."""
+    """One method's sequential pass over the arriving tasks; under transbo the
+    first n_s records of each finished task but the last fit its source."""
     out = []
     models: list[gp.GpSurrogate] = []
     for ti, task in enumerate(tasks):
         sources = SourceEnsemble(models=tuple(models))
         run_result = _run_job(task, ti, seed, sources, method, budget, n_cv, n_candidates, base_seed)
         out.append((task.name, run_result))
-        head = run_result.records[:n_s]
-        x = space_mod.encode_batch(task.space, [Configuration(r["config"]) for r in head])
-        fit_seed = derived_seed(base_seed, _TAG_SOURCE_FIT, ti, seed)
-        models.append(_fit_source(x, np.array([r["y"] for r in head]), fit_seed))
+        if method == "transbo" and ti + 1 < len(tasks):
+            head = run_result.records[:n_s]
+            x = space_mod.encode_batch(task.space, [Configuration(r["config"]) for r in head])
+            fit_seed = derived_seed(base_seed, _TAG_SOURCE_FIT, ti, seed)
+            models.append(_fit_source(x, np.array([r["y"] for r in head]), fit_seed))
     return out
 
 
@@ -607,7 +618,7 @@ def run_dynamic(
     Tasks within one (method, seed) chain are inherently sequential; with
     ``workers`` > 1 the independent chains run in parallel.
     """
-    tasks = list(tasks)
+    tasks = _tasks_of_one_space(tasks)
     result = _experiment("dynamic", tasks, methods, budget, seeds, n_s, n_cv, n_candidates, base_seed)
     chains = [(method, seed) for method in result.methods for seed in result.seeds]
     jobs = [(tasks, m, s, budget, n_s, n_cv, n_candidates, base_seed) for m, s in chains]

@@ -123,6 +123,8 @@ class OptimizerState:
                 raise ValidationError(why)
         if self.sources is None:
             self.sources = SourceEnsemble(models=())
+        if any(m.input_dim != self.space.encoded_dim for m in self.sources.models):
+            raise ValidationError(f"sources must take the space's {self.space.encoded_dim}-D encoded inputs")
         if self.force_p is not None:
             if self.policy != "transbo":
                 raise ValidationError(f"force_p applies to the transbo policy only, not {self.policy!r}")
@@ -209,14 +211,14 @@ def suggest(
 
     Requires the initial design to be complete. EI's incumbent is the least
     standardized target of the target GP; ties break toward the lowest
-    candidate index. On a missing target surrogate (fit failure),
-    falls back to a random suggestion; ``run`` flags that trial's record.
+    candidate index. Without a target surrogate (always under ``random``) the
+    suggestion is random; ``run`` flags it if a failed fit or no success forced it.
     Under ``transbo`` the weights come from ``_refresh_transfer_weights``.
     """
     iteration = state.y.size
     if iteration < N_INIT:
         raise ValidationError("suggest called during the initialization phase")
-    if state.policy == "random" or state.target_gp is None:
+    if state.target_gp is None:
         return _random_suggestion(state, iteration), None, None
 
     w = p = None
@@ -233,7 +235,7 @@ def suggest(
 
 
 def observe(state: OptimizerState, config: Configuration, y: float | None) -> OptimizerState:
-    """Append an observation and refit the target surrogate; returns ``state``.
+    """Append an observation and refit the target GP, except under ``random``; returns ``state``.
 
     Only ``config`` is encoded, as the new row of ``state.x``. ``y=None``
     records a failed evaluation, imputed as the worst value so far plus one
@@ -258,7 +260,7 @@ def observe(state: OptimizerState, config: Configuration, y: float | None) -> Op
     if state.grid is not None:
         with contextlib.suppress(KeyError):
             state.unused[state.grid.index(config)] = False
-    if state.failed.all():
+    if state.policy == "random" or state.failed.all():
         state.target_gp = None
         return state
     try:
@@ -343,15 +345,15 @@ def run(
     random suggestion forced by a missing target surrogate: a failed fit, or
     no success yet. ``fit_nfev``, ``fit_start`` and ``fit_jitter`` are those
     fields of the ``GpSurrogate`` that refit in that trial's ``observe`` (0,
-    ``None`` and ``None`` when no refit ran or it failed).
+    ``None`` and ``None`` when no refit ran, as under ``random``, or it failed).
     ``candidate_grid``, a ``ConfigTable`` of ``space`` (build one with
     ``space.ConfigTable.from_configs(space, configs)``), limits suggestions to
     its unevaluated rows. ``force_p``, for ``transbo`` only, fixes ``p`` =
     (p_source, p_target) in every suggestion; p_source > 0 needs sources.
     Every argument is checked before the first objective call.
     """
-    if budget < N_INIT:
-        raise ValidationError(f"budget must be at least N_INIT={N_INIT}")
+    if not space_mod.is_int(budget) or budget < N_INIT:
+        raise ValidationError(f"budget must be an integer of at least N_INIT={N_INIT}; got {budget!r}")
     state = OptimizerState(space, sources, policy, seed, n_cv, n_candidates, candidate_grid, force_p)
     if state.grid is not None and len(state.grid) < budget:
         raise ValidationError("budget exceeds the number of rows in the candidate grid")
@@ -360,11 +362,10 @@ def run(
     incumbent = None
     for i in range(budget):
         t0 = time.perf_counter()
-        fallback = False
+        fallback = i >= N_INIT and policy != "random" and state.target_gp is None
         if i < N_INIT:
             config, w, p = init_configs[i], None, None
         else:
-            fallback = policy != "random" and state.target_gp is None
             config, w, p = suggest(state)
         wallclock_ms = (time.perf_counter() - t0) * 1000.0
         error = None

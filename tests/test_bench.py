@@ -1,5 +1,6 @@
 """Tests for benchmark tasks, metrics, protocols, and reporting."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -625,7 +626,7 @@ class TestRunStatic:
 
         monkeypatch.setattr(bench, "_fit_source", counting_fit)
         monkeypatch.setattr(bench, "_run_job", recording_run)
-        run_static(tasks, ["random"], budget=3, seeds=1, n_s=10, targets=targets, flip_source_outputs=flip)
+        run_static(tasks, ["transbo"], budget=3, seeds=1, n_s=10, targets=targets, flip_source_outputs=flip)
         assert len(fitted) == fits
         monkeypatch.undo()
         assert sorted(handed) == sorted(range(len(tasks)) if targets is None else targets)
@@ -635,6 +636,37 @@ class TestRunStatic:
             expected = build_static_sources(tasks, ti, n_s=10, flip_source_outputs=flip)
             assert [bits(m) for m in sources.models] == [bits(m) for m in expected.models]
             assert len(expected.models) == len(tasks) - 1
+
+    @pytest.mark.parametrize("methods", [["igp"], ["random"], ["random", "igp"]])
+    def test_no_source_fitted_without_transbo(self, monkeypatch, methods):
+        # Only transbo reads sources: without it every target gets the empty ensemble.
+        tasks = [tiny_tabular(n, seed=i, shift=0.1 * i) for i, n in enumerate("abc")]
+        fit_source, run_job = bench._fit_source, bench._run_job
+        fitted, handed = [], []
+
+        def counting_fit(*args):
+            fitted.append(args)
+            return fit_source(*args)
+
+        def recording_run(task, ti, seed, sources, *rest):
+            handed.append(len(sources.models))
+            return run_job(task, ti, seed, sources, *rest)
+
+        monkeypatch.setattr(bench, "_fit_source", counting_fit)
+        monkeypatch.setattr(bench, "_run_job", recording_run)
+        run_static(tasks, methods, budget=4, seeds=1, n_s=10)
+        assert fitted == [] and handed == [0] * len(tasks) * len(methods)
+
+    @pytest.mark.parametrize("targets", [None, [0]])
+    def test_task_of_another_space_rejected_before_any_fit(self, monkeypatch, targets):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a source was fitted or a run started on tasks of two spaces")
+
+        monkeypatch.setattr(bench, "_fit_source", refuse)
+        monkeypatch.setattr(bench, "_run_job", refuse)
+        tasks = _bowls_of_two_spaces()
+        with pytest.raises(ValidationError, match="task 'bowl-3d-a' has another space than the first task 'bowl-2d'"):
+            run_static(tasks, ["transbo", "igp"], budget=4, seeds=1, n_s=5, targets=targets)
 
     def test_single_task_rejected(self):
         with pytest.raises(ValidationError):
@@ -704,6 +736,14 @@ class TestRunStatic:
         assert means["transbo"] <= means["igp"] + eps
 
 
+def _bowls_of_two_spaces() -> list:
+    """A 2-D bowl task, then two 3-D ones: three tasks of two spaces."""
+    specs = [SyntheticFamilySpec(base="quadratic-bowl", n_tasks=k, dim=d, seed=0) for k, d in ((1, 2), (2, 3))]
+    two_d, three_d = (make_synthetic_family(spec) for spec in specs)
+    names = ("bowl-2d", "bowl-3d-a", "bowl-3d-b")
+    return [dataclasses.replace(t, name=n) for t, n in zip(two_d + three_d, names)]
+
+
 class TestSharedArgumentChecks:
     """Both protocols reject the same bad arguments, before any run."""
 
@@ -725,6 +765,12 @@ class TestSharedArgumentChecks:
             dict(methods=["random"], budget=4, seeds=1, n_cv=2.5),
             dict(methods=["random"], budget=4, seeds=1, n_candidates=0),
             dict(methods=["random"], budget=4, seeds=1, n_candidates=50.0),
+            dict(methods=["random"], budget=7.5, seeds=1),
+            dict(methods=["transbo"], budget=True, seeds=1),
+            dict(methods=["transbo"], budget=7.5, seeds=1),
+            dict(methods=["random"], budget=4, seeds=1, n_s=2.5),
+            dict(methods=["transbo"], budget=4, seeds=1, n_s=True),
+            dict(methods=["transbo"], budget=4, seeds=1, n_s=5.0),
         ],
     )
     def test_rejected(self, monkeypatch, protocol, bad):
@@ -736,6 +782,15 @@ class TestSharedArgumentChecks:
         tasks = [tiny_tabular("a", seed=0), tiny_tabular("b", seed=1)]
         with pytest.raises(ValidationError):
             protocol(tasks, **{"n_s": 5, **bad})
+
+    def test_dynamic_task_of_another_space_rejected_before_any_run(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run started on tasks of two spaces")
+
+        monkeypatch.setattr(bench, "_run_job", refuse)
+        monkeypatch.setattr(bench, "_fit_source", refuse)
+        with pytest.raises(ValidationError, match="task 'bowl-3d-a' has another space"):
+            run_dynamic(_bowls_of_two_spaces(), ["transbo"], budget=4, seeds=1, n_s=5)
 
     def test_dynamic_needs_a_task(self):
         with pytest.raises(ValidationError):
@@ -763,9 +818,9 @@ class TestRunDynamic:
             return real_run_job(task, ti, seed, sources, *args)
 
         monkeypatch.setattr(bench, "_run_job", recording)
-        result = run_dynamic(tasks, ["igp"], budget=8, seeds=1, n_s=5)
+        result = run_dynamic(tasks, ["transbo"], budget=3, seeds=1, n_s=2)
         assert [len(s.models) for s in seen] == [0, 1]
-        head = result.runs[("a", "igp", 0)].records[:5]
+        head = result.runs[("a", "transbo", 0)].records[:2]
         encoded = bench.space_mod.encode_batch(
             tasks[0].space, [Configuration(r["config"]) for r in head]
         )
@@ -774,6 +829,21 @@ class TestRunDynamic:
         np.testing.assert_array_equal(
             source.train_targets, bench.gp.standardize([r["y"] for r in head])
         )
+
+    @pytest.mark.parametrize("method, fits", [("transbo", 2), ("igp", 0), ("random", 0)])
+    def test_only_a_transbo_chain_fits_sources_and_not_for_its_last_task(self, monkeypatch, method, fits):
+        # Only transbo reads sources, and no task follows the last one.
+        tasks = [tiny_tabular(n, seed=i, shift=0.1 * i) for i, n in enumerate("abc")]
+        fit_source = bench._fit_source
+        fitted = []
+
+        def counting_fit(*args):
+            fitted.append(args)
+            return fit_source(*args)
+
+        monkeypatch.setattr(bench, "_fit_source", counting_fit)
+        run_dynamic(tasks, [method], budget=4, seeds=1, n_s=3)
+        assert len(fitted) == fits
 
     def test_single_task_top_counts(self):
         result = run_dynamic([tiny_tabular("a", seed=0)], ["random"], budget=4, seeds=1, n_s=5)

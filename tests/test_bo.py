@@ -223,6 +223,12 @@ class TestSuggest:
         assert trials(a) == trials(b)
 
 
+def _two_d_sources() -> SourceEnsemble:
+    """One source GP on 2-D inputs, for a space that encodes to another dimension."""
+    x = np.random.default_rng(0).uniform(size=(6, 2))
+    return SourceEnsemble(models=(gp.fit(x, gp.standardize(x.sum(axis=1)), seed=0),))
+
+
 class TestRun:
     def test_empty_candidate_pool_rejected_before_any_trial(self):
         def objective(config):
@@ -245,9 +251,14 @@ class TestRun:
             ({"seed": True}, "seed must be an integer"),
             ({"n_cv": 2.5}, "n_cv must be an integer"),
             ({"n_candidates": 50.0}, "n_candidates must be an integer"),
+            ({"budget": 7.5}, "budget must be an integer"),
+            ({"budget": True}, "budget must be an integer"),
+            ({"sources": _two_d_sources()}, "space's 1-D encoded inputs"),
         ],
     )
     def test_state_rejects_bad_setting_before_any_trial(self, setting, message):
+        # A budget is run's own setting; the others are the state's. A source
+        # of another dimension once failed at the first transbo suggestion.
         calls = []
 
         def objective(config):
@@ -255,10 +266,11 @@ class TestRun:
             return quadratic(config)
 
         settings = {"sources": None, "policy": "transbo", "seed": 0, **setting}
+        if "budget" not in setting:
+            with pytest.raises(ValidationError, match=message):
+                OptimizerState(space=one_d_space(), **settings)
         with pytest.raises(ValidationError, match=message):
-            OptimizerState(space=one_d_space(), **settings)
-        with pytest.raises(ValidationError, match=message):
-            run(one_d_space(), objective, budget=6, **settings)
+            run(one_d_space(), objective, **{"budget": 6, **settings})
         assert calls == []
 
     def test_state_converts_force_p_and_absent_sources(self):
@@ -707,6 +719,26 @@ class TestRunRecords:
         assert starts == replayed
         assert any(s is not None for s in starts)
 
+    def test_random_run_fits_no_gp(self, monkeypatch):
+        # No random suggestion reads a surrogate, so no observe fits one; the
+        # records are those of a run with gp.fit untouched, fit fields empty.
+        reference = run(one_d_space(), quadratic, policy="random", budget=8, seed=5)
+        calls = []
+        real_fit = gp.fit
+
+        def counting_fit(*args, **kwargs):
+            calls.append(args)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "fit", counting_fit)
+        result = run(one_d_space(), quadratic, policy="random", budget=8, seed=5)
+        assert calls == []
+        drop = lambda r: {k: v for k, v in r.items() if k != "suggest_wallclock_ms"}
+        assert [drop(r) for r in result.records] == [drop(r) for r in reference.records]
+        for record in result.records:
+            assert (record["fit_nfev"], record["fit_start"], record["fit_jitter"]) == (0, None, None)
+            assert record["fallback"] is False
+
     def test_fit_jitter_is_the_level_the_cholesky_settled_on(self, monkeypatch):
         result = run(one_d_space(), quadratic, policy="igp", budget=5, seed=0)
         assert [r["fit_jitter"] for r in result.records] == [0.0] * 5
@@ -904,7 +936,9 @@ class _OptimizerStateMachine(RuleBasedStateMachine):
         successes = [y for _, y in self.trials if y is not None]
         assert state.y[~state.failed].tolist() == successes
         assert (state.y[state.failed] == 0.0).all() if not successes else (state.y[state.failed] > min(successes)).all()
-        assert (state.target_gp is None) == (state.failed.all() or self.driver.last_fit_failed)
+        assert (state.target_gp is None) == (
+            self.policy == "random" or state.failed.all() or self.driver.last_fit_failed
+        )
         if state.target_gp is not None:
             z = state.target_gp.train_targets
             assert z.min() == z[~state.failed].min() and (z[state.failed] > z.min()).all()
