@@ -125,12 +125,12 @@ def load_tabular(path) -> TabularTask:
             raise ParseError(f"{path}: row {i}: 'y' must be a finite number")
         rows.append((Configuration(entry["config"]), float(entry["y"])))
     try:
-        space_mod._columns(space, [config for config, _ in rows], str(path))
+        cols = space_mod._columns(space, [config for config, _ in rows], str(path))
     except ValidationError as exc:
         raise ParseError(str(exc)) from exc
-    first: dict = {}
-    for config, y in rows:
-        first.setdefault(bo._config_key(config), (config, y))
+    first: dict = {}  # keyed by the raw values, as the task's ConfigTable compares rows
+    for key, row in zip(zip(*cols.values()), rows):
+        first.setdefault(key, row)
     return TabularTask.from_rows(name=data.get("name", path.stem), space=space, rows=list(first.values()))
 
 
@@ -472,7 +472,8 @@ def _augment_true_values(run_result: RunResult, task) -> RunResult:
     return run_result
 
 
-def _experiment(protocol, tasks, methods, budget, seeds, n_s, n_cv, n_candidates, base_seed) -> ExperimentResult:
+def _experiment(protocol, tasks, methods, budget, seeds, n_s, n_cv, n_candidates, base_seed,
+                workers) -> ExperimentResult:
     """The empty result of one experiment on ``tasks`` (the targets), after
     the checks both protocols share; ``seeds`` is a count or a list."""
     methods = list(methods)
@@ -490,8 +491,10 @@ def _experiment(protocol, tasks, methods, budget, seeds, n_s, n_cv, n_candidates
     bo.OptimizerState(tasks[0].space, None, methods[0], 0, n_cv, n_candidates)  # checks n_cv, n_candidates
     if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
         raise ValidationError("seeds must be a positive count or distinct non-negative integers")
-    if base_seed < 0:
-        raise ValidationError(f"base_seed must be a non-negative integer; got {base_seed}")
+    if not is_int(base_seed) or base_seed < 0:
+        raise ValidationError(f"base_seed must be a non-negative integer; got {base_seed!r}")
+    if not is_int(workers):
+        raise ValidationError(f"workers must be an integer; got {workers!r}")
     return ExperimentResult(
         protocol=protocol,
         budget=budget,
@@ -565,7 +568,7 @@ def run_static(
     if len(set(target_indices)) < len(target_indices):
         raise ValidationError(f"targets list a task more than once: {target_indices}")
     result = _experiment("static", [tasks[i] for i in target_indices], methods, budget, seeds, n_s, n_cv,
-                         n_candidates, base_seed)
+                         n_candidates, base_seed, workers)
     # One source per task, fitted once and only for transbo; the first target's own only for a second.
     models, first = [], target_indices[0]
     if "transbo" in result.methods:
@@ -619,7 +622,7 @@ def run_dynamic(
     ``workers`` > 1 the independent chains run in parallel.
     """
     tasks = _tasks_of_one_space(tasks)
-    result = _experiment("dynamic", tasks, methods, budget, seeds, n_s, n_cv, n_candidates, base_seed)
+    result = _experiment("dynamic", tasks, methods, budget, seeds, n_s, n_cv, n_candidates, base_seed, workers)
     chains = [(method, seed) for method in result.methods for seed in result.seeds]
     jobs = [(tasks, m, s, budget, n_s, n_cv, n_candidates, base_seed) for m, s in chains]
     for (method, seed), chain in zip(chains, _map_jobs(_dynamic_chain, jobs, workers)):

@@ -5,9 +5,11 @@ target GP, no source knowledge), and ``random``. Every run starts with three
 seeded uniform evaluations shared across policies, then alternates suggest /
 observe. Performance is minimized throughout (y is, e.g., validation error).
 The optimizer state holds the observations once, as the arrays ``x`` and
-``y`` the target GP trains on. ``suggest`` returns the weights ``w`` and
-``p`` it used along with the configuration, and ``run`` writes them into
-that trial's record, the one per-trial copy of the weights.
+``y`` the target GP trains on. ``suggest`` returns, with the configuration,
+the record fields it decided (the weights ``w``, ``p_source``, ``p_target``
+and ``fallback``), and ``run`` merges them into that trial's record, the one
+per-trial copy of the weights. Phase 2's target weight never decreases: the
+state keeps the largest one learned, and phase 2 stops once it reaches 1.
 
 All randomness is drawn from streams keyed by (run seed, purpose,
 iteration), so candidate pools, initial designs, and GP restarts are
@@ -35,6 +37,9 @@ _special_ufuncs = gp._scipy_extension("special", "_special_ufuncs")
 POLICIES = ("transbo", "igp", "random")
 N_INIT = 3
 N_CANDIDATES = 5000
+
+# The fields a suggestion decides, as the initial design's records hold them.
+_UNDECIDED = {"w": None, "p_source": None, "p_target": None, "fallback": False}
 
 # Stream ids for derived RNGs.
 _STREAM_INIT = 0
@@ -180,9 +185,8 @@ def _refresh_transfer_weights(state: OptimizerState):
     (n, K) matrix that phase 1 and every cross-validation fold of phase 2
     slice. Phase 1 always re-learns ``w``, which the records carry, by one
     solve from the uniform point; nothing is carried over between
-    suggestions. Phase 2 is not re-learned once the non-decreasing prior has
-    pinned ``p_target`` at exactly 1: the prior would map any learned ``p``
-    to ``[0, 1]``, so the cross-validated solve could not change the result.
+    suggestions. Phase 2's target weight is the largest one learned so far
+    (the non-decreasing prior), so it is not re-learned once that reaches 1.
     """
     x, y = state.x, state.y
     a = transfer.source_means(state.sources, x)
@@ -190,48 +194,48 @@ def _refresh_transfer_weights(state: OptimizerState):
     if state.sources.models:
         w = transfer.learn_source_weights(a, y)
     if state.force_p is not None:
-        p = state.force_p
-    elif state.prev_p_target == 1.0:
-        p = SimplexWeights([0.0, 1.0])
-    else:
-        p_raw = transfer.learn_phase2_weights(a, x, y, state.target_gp.params, n_cv=state.n_cv)
-        p = transfer.apply_nondecreasing_prior(p_raw, state.prev_p_target)
-        state.prev_p_target = float(p.values[1])
-    return w, p
+        return w, state.force_p
+    if state.prev_p_target < 1.0:
+        learned = transfer.learn_phase2_weights(a, x, y, state.target_gp.params, n_cv=state.n_cv)
+        state.prev_p_target = max(float(learned.values[1]), state.prev_p_target)
+    t = state.prev_p_target
+    return w, SimplexWeights([1.0 - t, t])
 
 
-def suggest(
-    state: OptimizerState,
-) -> tuple[Configuration, SimplexWeights | None, SimplexWeights | None]:
+def suggest(state: OptimizerState) -> tuple[Configuration, dict[str, Any]]:
     """Pick the next configuration under the state's policy.
 
-    Returns ``(config, w, p)``: the source weights and the source/target
-    balance behind the suggestion. Both are ``None`` for ``igp``, ``random``
-    and the fit-failure fallback; ``w`` is also ``None`` without sources.
+    Returns ``(config, decided)``: ``decided`` holds the record fields the
+    suggestion decided, the source weights ``w`` and the source/target
+    balance ``p_source``, ``p_target`` behind it (``None`` for ``igp``,
+    ``random`` and the fallback; ``w`` also without sources), and
+    ``fallback``, true when a missing target surrogate (a failed fit, or no
+    success yet) forced a random suggestion on a policy other than ``random``.
 
     Requires the initial design to be complete. EI's incumbent is the least
     standardized target of the target GP; ties break toward the lowest
-    candidate index. Without a target surrogate (always under ``random``) the
-    suggestion is random; ``run`` flags it if a failed fit or no success forced it.
-    Under ``transbo`` the weights come from ``_refresh_transfer_weights``.
+    candidate index. Under ``transbo`` the weights come from
+    ``_refresh_transfer_weights``.
     """
     iteration = state.y.size
     if iteration < N_INIT:
         raise ValidationError("suggest called during the initialization phase")
     if state.target_gp is None:
-        return _random_suggestion(state, iteration), None, None
+        return _random_suggestion(state, iteration), {**_UNDECIDED, "fallback": state.policy != "random"}
 
-    w = p = None
+    decided = dict(_UNDECIDED)
     model_predict = state.target_gp.predict
     if state.policy == "transbo":
         w, p = _refresh_transfer_weights(state)
+        decided.update(w=w.values.tolist() if w is not None else None,
+                       p_source=float(p.values[0]), p_target=float(p.values[1]))
         model_predict = lambda q: transfer.tl_predict(state.sources, q, state.target_gp, w, p)
 
     enc, config_at = _candidate_pool(state, iteration)
     y_best = float(state.target_gp.train_targets.min())
     mean, var = model_predict(enc)
     ei = expected_improvement(mean, var, y_best)
-    return config_at(int(np.argmax(ei))), w, p
+    return config_at(int(np.argmax(ei))), decided
 
 
 def observe(state: OptimizerState, config: Configuration, y: float | None) -> OptimizerState:
@@ -337,13 +341,14 @@ def run(
     """Run one sequential optimization with the given policy.
 
     The first ``N_INIT`` evaluations are seeded uniform draws (shared across
-    policies for a fixed seed); the rest follow suggest/observe. A failing
-    objective call is imputed by ``observe`` and the run continues; its
+    policies for a fixed seed); the rest follow suggest/observe. An objective
+    call that raises, or returns no finite number (a bool or a string is
+    none), is imputed by ``observe`` and the run continues; its
     record carries ``failed``, ``error`` and the imputed ``y`` (0.0 if no
     trial ever succeeds), and ``incumbent_y`` is the best value of the trials
-    that did not fail (``None`` until one succeeds). ``fallback`` marks a
-    random suggestion forced by a missing target surrogate: a failed fit, or
-    no success yet. ``fit_nfev``, ``fit_start`` and ``fit_jitter`` are those
+    that did not fail (``None`` until one succeeds). ``w``, ``p_source``,
+    ``p_target`` and ``fallback`` are what ``suggest`` decided (``None`` and
+    false in the initial design). ``fit_nfev``, ``fit_start`` and ``fit_jitter`` are those
     fields of the ``GpSurrogate`` that refit in that trial's ``observe`` (0,
     ``None`` and ``None`` when no refit ran, as under ``random``, or it failed).
     ``candidate_grid``, a ``ConfigTable`` of ``space`` (build one with
@@ -362,17 +367,14 @@ def run(
     incumbent = None
     for i in range(budget):
         t0 = time.perf_counter()
-        fallback = i >= N_INIT and policy != "random" and state.target_gp is None
-        if i < N_INIT:
-            config, w, p = init_configs[i], None, None
-        else:
-            config, w, p = suggest(state)
+        config, decided = (init_configs[i], _UNDECIDED) if i < N_INIT else suggest(state)
         wallclock_ms = (time.perf_counter() - t0) * 1000.0
         error = None
         try:
-            y = float(objective(config))
-            if not math.isfinite(y):
-                raise ValueError("objective returned a non-finite value")
+            y = objective(config)
+            if not space_mod.is_finite_number(y):
+                raise ValueError(f"objective returned {y!r}, not a finite number")
+            y = float(y)
         except Exception as exc:
             y = None
             error = f"{type(exc).__name__}: {exc}"
@@ -388,12 +390,9 @@ def run(
                 },
                 "y": y,
                 "incumbent_y": incumbent,
-                "p_source": float(p.values[0]) if p is not None else None,
-                "p_target": float(p.values[1]) if p is not None else None,
-                "w": w.values.tolist() if w is not None else None,
+                **decided,
                 "failed": error is not None,
                 "error": error,
-                "fallback": fallback,
                 "suggest_wallclock_ms": wallclock_ms,
                 "fit_nfev": state.target_gp.fit_nfev if state.target_gp is not None else 0,
                 "fit_start": state.target_gp.fit_start if state.target_gp is not None else None,

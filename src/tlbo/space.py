@@ -233,8 +233,8 @@ class ConfigTable:
     @classmethod
     def from_configs(cls, space: ConfigSpace, configs, label: str = "configuration table") -> "ConfigTable":
         """Accept what ``space.validate`` accepts, with no two rows of equal raw
-        values (as ``bo._config_key`` compares them; two distinct values may
-        share an encoding). Errors name ``label`` and the row, from 1."""
+        columns (see ``_columns``; two distinct values may share an encoding).
+        Errors name ``label`` and the row, from 1."""
         configs = list(configs)
         if not configs:
             raise ValidationError(f"{label} needs at least one row")
@@ -253,8 +253,7 @@ class ConfigTable:
         return _config_from_arrays(self.space, self.columns, i)
 
     def index(self, config: Configuration) -> int:
-        """The row whose raw values equal ``config``'s, as ``bo._config_key``
-        compares them; ``KeyError`` if none."""
+        """The row whose raw values equal ``config``'s; ``KeyError`` if none."""
         values, row = config.values, lambda i: tuple(col[i] for col in self.columns.values())
         with contextlib.suppress(TypeError, ValueError):  # an unknown category or a non-number
             if values.keys() == self.columns.keys():

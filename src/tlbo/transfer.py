@@ -5,8 +5,8 @@ Phase 1 learns simplex weights w over the source surrogates by minimizing
 the pairwise ranking loss of their combined mean on the target history.
 Phase 2 balances the combined source surrogate against the target surrogate
 with a two-dimensional weight p = [p_source, p_target], learned on held-out
-ranking loss via deterministic round-robin cross-validation, and clamped so
-the target weight never decreases across iterations. Both phases see the
+ranking loss via deterministic round-robin cross-validation (``bo`` keeps
+the target weight from decreasing across iterations). Both phases see the
 sources only through their (n, K) matrix of predictive means at the target
 inputs (``source_means``): the sources are fixed, so the matrix is built once
 per history, and each cross-validation fold takes row masks of it. The
@@ -141,16 +141,6 @@ def learn_phase2_weights(
     if ranking_loss(pm, target_vertex) <= ranking_loss(pm, p) + 1e-12:
         return target_vertex
     return p
-
-
-def apply_nondecreasing_prior(p_now: SimplexWeights, p_prev_target: float) -> SimplexWeights:
-    """Clamp the target weight from below by its previous value."""
-    if p_now.dim != 2:
-        raise ValidationError("p must live on the 2-simplex")
-    if not 0.0 <= p_prev_target <= 1.0:
-        raise ValidationError("previous target weight must lie in [0, 1]")
-    p_target = max(float(p_now.values[1]), float(p_prev_target))
-    return SimplexWeights([1.0 - p_target, p_target])
 
 
 def tl_predict(

@@ -152,6 +152,16 @@ class TestLoadTabular:
         task = load_tabular(path)
         assert len(task.rows) == 1 and task.rows[0][1] == 0.2
 
+    def test_duplicates_by_the_tables_own_row_equality_keep_first(self, tmp_path):
+        # 2**53 and 2**53 + 1 differ as Python ints but share one float64 raw
+        # value, so the table would reject the pair as a repeat.
+        path = tmp_path / "big.json"
+        space = {"params": [{"name": "n", "kind": "integer", "low": 0, "high": 1e17}]}
+        rows = [{"config": {"n": 2**53}, "y": 0.2}, {"config": {"n": 2**53 + 1}, "y": 0.9}]
+        path.write_text(json.dumps({"space": space, "rows": rows}))
+        task = load_tabular(path)
+        assert task.rows == ((Configuration({"n": 2**53}), 0.2),)
+
     def test_nonfinite_y_rejected(self, tmp_path):
         path = write_task_file(tmp_path, [{"config": {"x": 0.5}, "y": "oops"}])
         with pytest.raises(ParseError, match="row 1"):
@@ -771,6 +781,11 @@ class TestSharedArgumentChecks:
             dict(methods=["random"], budget=4, seeds=1, n_s=2.5),
             dict(methods=["transbo"], budget=4, seeds=1, n_s=True),
             dict(methods=["transbo"], budget=4, seeds=1, n_s=5.0),
+            dict(methods=["random"], budget=4, seeds=1, base_seed=1.5),
+            dict(methods=["random"], budget=4, seeds=1, base_seed=True),
+            dict(methods=["random"], budget=4, seeds=1, base_seed=1.0),
+            dict(methods=["transbo"], budget=4, seeds=1, workers=1.5),
+            dict(methods=["transbo"], budget=4, seeds=1, workers="2"),
         ],
     )
     def test_rejected(self, monkeypatch, protocol, bad):

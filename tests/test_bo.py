@@ -26,7 +26,7 @@ from tlbo.errors import FitError, ValidationError
 from tlbo.oracles import ei_by_quadrature, reference_neg_lml_and_grad
 from tlbo.ranking import SimplexWeights
 from tlbo.space import ConfigSpace, ConfigTable, Configuration, ParamSpec, sample_uniform
-from tlbo.transfer import SourceEnsemble, apply_nondecreasing_prior
+from tlbo.transfer import SourceEnsemble
 
 
 def one_d_space(low=0.0, high=1.0) -> ConfigSpace:
@@ -281,8 +281,8 @@ class TestRun:
             assert isinstance(state.sources, SourceEnsemble) and isinstance(state.force_p, SimplexWeights)
             for v in (0.1, 0.5, 0.9):
                 observe(state, Configuration({"x": v}), quadratic(Configuration({"x": v})))
-            _, _, p = suggest(state)
-            assert p.values.tolist() == list(force_p)
+            _, decided = suggest(state)
+            assert [decided["p_source"], decided["p_target"]] == list(force_p)
 
     @pytest.mark.parametrize(
         "policy, force_p",
@@ -373,22 +373,31 @@ class TestRun:
             assert np.all(np.diff(result.incumbents()) <= 0)
 
     def test_failed_evaluations_imputed_and_flagged(self):
-        calls = {"n": 0}
+        # A raise, or a return that is no finite number (observe would reject
+        # it), fails the trial; float("1.5") and float(True) once passed as y.
+        def crash():
+            raise RuntimeError("evaluation crashed")
 
-        def flaky(config):
-            calls["n"] += 1
-            if calls["n"] == 5:
-                raise RuntimeError("evaluation crashed")
-            return quadratic(config)
+        for fifth, error in (
+            (crash, "RuntimeError: evaluation crashed"),
+            (lambda: "1.5", "ValueError: objective returned '1.5', not a finite number"),
+            (lambda: True, "ValueError: objective returned True, not a finite number"),
+            (lambda: math.nan, "ValueError: objective returned nan, not a finite number"),
+        ):
+            calls = {"n": 0}
 
-        result = run(one_d_space(), flaky, policy="igp", budget=8, seed=6)
-        assert len(result.records) == 8
-        failed = [r for r in result.records if r["failed"]]
-        assert len(failed) == 1
-        prior_ys = [r["y"] for r in result.records[:4]]
-        expected = max(prior_ys) + np.std(prior_ys)
-        assert failed[0]["y"] == pytest.approx(expected)
-        assert failed[0]["error"] == "RuntimeError: evaluation crashed"
+            def flaky(config):
+                calls["n"] += 1
+                return fifth() if calls["n"] == 5 else quadratic(config)
+
+            result = run(one_d_space(), flaky, policy="igp", budget=8, seed=6)
+            assert len(result.records) == 8
+            failed = [r for r in result.records if r["failed"]]
+            assert len(failed) == 1
+            prior_ys = [r["y"] for r in result.records[:4]]
+            expected = max(prior_ys) + np.std(prior_ys)
+            assert failed[0]["y"] == pytest.approx(expected)
+            assert failed[0]["error"] == error
 
     def test_failed_first_trial_never_becomes_the_incumbent(self):
         calls = {"n": 0}
@@ -495,6 +504,30 @@ class TestTransferRun:
         assert len(series) == 13  # budget minus the three seeded trials
         assert np.all(np.diff(series) >= 0)
 
+    def test_fit_failure_falls_back_once_and_keeps_the_prior(self, monkeypatch):
+        # The target fit in trial 7's observe fails: trial 8 is a random
+        # fallback without weights, and trial 9's p_target starts from the
+        # largest one learned before the failure (phase 2 alone learns ~0.32
+        # there, below trial 7's ~0.45).
+        sources = self._sources()
+        fits, real_fit = [], gp.fit
+
+        def failing_once(*args, **kwargs):
+            fits.append(1)
+            if len(fits) == 8:
+                raise FitError("engineered failure")
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "fit", failing_once)
+        wiggly = lambda config: quadratic(config) + 0.02 * math.sin(40.0 * config.values["x"])
+        records = run(one_d_space(), wiggly, sources=sources, policy="transbo", budget=12, seed=2).records
+        assert [r["fallback"] for r in records] == [False] * 8 + [True] + [False] * 3
+        assert (records[8]["w"], records[8]["p_source"], records[8]["p_target"]) == (None, None, None)
+        assert 0.0 < records[7]["p_target"] < 1.0
+        assert records[9]["p_target"] >= records[7]["p_target"]
+        learned = [r["p_target"] for r in records[3:] if r["p_target"] is not None]
+        assert len(learned) == 8 and np.all(np.diff(learned) >= 0)
+
     def test_weights_uniform_before_any_pairs(self):
         # constant objective: no strict pairs ever form
         result = run(
@@ -571,13 +604,13 @@ class TestTransferRun:
         return state
 
     def _count_calls(self, monkeypatch, name):
-        """Wrap ``transfer.<name>`` in a pass-through that records each call."""
+        """Wrap ``transfer.<name>`` in a pass-through that records each call's result."""
         calls = []
         real = getattr(transfer, name)
 
         def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+            calls.append(real(*args, **kwargs))
+            return calls[-1]
 
         monkeypatch.setattr(transfer, name, counting)
         return calls
@@ -593,24 +626,30 @@ class TestTransferRun:
         solves = self._count_calls(monkeypatch, "minimize_on_simplex")
         for _ in range(2):
             solves.clear()
-            config, w, p = suggest(state)
-            assert p.values.tolist() == [0.0, 1.0]
-            assert w is not None  # phase 1 still runs for the records
+            config, decided = suggest(state)
+            assert [decided["p_source"], decided["p_target"]] == [0.0, 1.0]
+            assert decided["w"] is not None  # phase 1 still runs for the records
             assert len(solves) == 1  # the full-history phase-1 solve only
             observe(state, config, quadratic(config))
         assert state.prev_p_target == 1.0
 
     @pytest.mark.parametrize("prev_p_target", [0.0, 0.999])
     def test_phase2_learned_below_pin(self, monkeypatch, prev_p_target):
-        state = self._observed_state()
+        state = self._observed_state(n=8, seed=6)  # phase 2 learns p_target ~0.42 here
         state.prev_p_target = prev_p_target
         phase2_calls = self._count_calls(monkeypatch, "learn_phase2_weights")
         solves = self._count_calls(monkeypatch, "minimize_on_simplex")
-        _, _, p = suggest(state)
+        _, decided = suggest(state)
         assert len(phase2_calls) == 1
         # full-history phase 1, one cold phase-1 solve per fold, then phase 2
         assert len(solves) == 1 + state.n_cv + 1
-        assert p.values[1] >= prev_p_target
+        # The non-decreasing prior keeps a larger learned target weight (prev
+        # 0.0) and lifts a smaller one to the previous value (prev 0.999).
+        learned = float(phase2_calls[0].values[1])
+        assert 0.0 < learned < 0.999
+        t = max(learned, prev_p_target)
+        assert (decided["p_source"], decided["p_target"]) == (1.0 - t, t)
+        assert state.prev_p_target == t
 
     def test_source_means_predicted_once_per_suggestion(self, monkeypatch):
         state = self._observed_state(n=12)
@@ -637,11 +676,12 @@ class TestTransferRun:
         state = self._observed_state(n=n, seed=seed)
         x, y = state.x, state.y
         a = transfer.source_means(state.sources, x)
-        p_raw = transfer.learn_phase2_weights(a, x, y, state.target_gp.params, n_cv=state.n_cv)
-        full = apply_nondecreasing_prior(p_raw, 1.0)
+        learned = transfer.learn_phase2_weights(a, x, y, state.target_gp.params, n_cv=state.n_cv)
+        t = max(float(learned.values[1]), 1.0)
         state.prev_p_target = 1.0
-        _, _, p = suggest(state)
-        assert p.values.tobytes() == full.values.tobytes()
+        _, decided = suggest(state)
+        full = np.array([1.0 - t, t])
+        assert np.array([decided["p_source"], decided["p_target"]]).tobytes() == full.tobytes()
 
 
 class TestRunRecords:
@@ -774,9 +814,19 @@ class TestRunRecords:
         np.testing.assert_array_equal(loaded.incumbents(), result.incumbents())
 
     def test_record_fields_present(self):
-        result = run(one_d_space(), quadratic, policy="igp", budget=4, seed=0)
-        assert [r["iteration"] for r in result.records] == [0, 1, 2, 3]
-        for record in result.records:
+        # Every policy's records, the merged suggestion fields included, hold
+        # exactly these keys; transbo with one source.
+        x = np.linspace(0.0, 1.0, 5)[:, None]
+        sources = SourceEnsemble(models=(gp.fit(x, gp.standardize((x[:, 0] - 0.3) ** 2), seed=0),))
+        records = [
+            record
+            for policy in bo.POLICIES
+            for record in run(one_d_space(), quadratic, sources=sources if policy == "transbo" else None,
+                              policy=policy, budget=4, seed=0).records
+        ]
+        assert [r["iteration"] for r in records] == [0, 1, 2, 3] * 3
+        assert records[3]["p_target"] is not None and records[3]["w"] == [1.0]
+        for record in records:
             assert set(record) == {
                 "iteration",
                 "config",
@@ -812,10 +862,6 @@ def _machine_sources() -> SourceEnsemble:
 _real_gp_fit = gp.fit
 
 
-def _listed(weights):
-    return None if weights is None else weights.values.tolist()
-
-
 class _Driver:
     """One ``OptimizerState`` and a switch that makes its next ``gp.fit``
     raise ``FitError``; ``step`` runs one logged step of the machine below."""
@@ -837,7 +883,7 @@ class _Driver:
 
     def step(self, step: tuple):
         """``("observe", config, y)``, ``("break",)`` or ``("suggest",)``; a
-        suggestion returns ``(config values, w, p)`` or its error message."""
+        suggestion returns ``(config values, decided fields)`` or its error message."""
         if step[0] == "observe":
             with mock.patch.object(gp, "fit", self._fit):
                 observe(self.state, step[1], step[2])
@@ -845,10 +891,10 @@ class _Driver:
             self.break_next_fit = True
         else:
             try:
-                config, w, p = suggest(self.state)
+                config, decided = suggest(self.state)
             except ValidationError as exc:
                 return str(exc)
-            return config.values, _listed(w), _listed(p)
+            return config.values, decided
 
 
 _OUTCOMES = st.one_of(st.none(), st.just(1.0), st.integers(-40, 40).map(lambda v: v / 4))
@@ -915,12 +961,14 @@ class _OptimizerStateMachine(RuleBasedStateMachine):
         if self.grid is not None and not state.unused.any():
             assert "no unevaluated rows remain" in out
         else:
-            values, w, p = out
+            values, decided = out
             if self.grid is not None:
                 assert state.unused[self.grid.index(Configuration(values))]
-            assert (p is not None) == (self.policy == "transbo" and state.target_gp is not None)
-            if p is not None:
-                assert len(p) == 2 and len(w) == 2
+            assert decided["fallback"] == (self.policy != "random" and state.target_gp is None)
+            p, w = [decided["p_source"], decided["p_target"]], decided["w"]
+            assert (p[1] is not None) == (self.policy == "transbo" and state.target_gp is not None)
+            if p[1] is not None:
+                assert len(w) == 2
                 for weights in (p, w):
                     assert min(weights) >= 0 and abs(sum(weights) - 1) <= 1e-8
                 assert p[1] >= self.p_target

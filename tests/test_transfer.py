@@ -13,7 +13,6 @@ from tlbo.oracles import simplex_grid_min
 from tlbo.ranking import PredictionMatrix, SimplexWeights, ranking_loss
 from tlbo.transfer import (
     SourceEnsemble,
-    apply_nondecreasing_prior,
     assemble_phase2_matrix,
     learn_phase2_weights,
     learn_source_weights,
@@ -264,24 +263,6 @@ class TestCvAssembly:
         for w_fold, (_, held) in zip(fold_weights, transfer._cv_folds(len(y), 5), strict=True):
             reference = sum(wi * m.predict(x[held])[0] for wi, m in zip(w_fold.values, ens.models))
             np.testing.assert_allclose(matrix[held, 0], reference, rtol=0.0, atol=1e-12)
-
-
-class TestNondecreasingPrior:
-    def test_prev_lifts_target_weight(self):
-        p = apply_nondecreasing_prior(SimplexWeights([0.7, 0.3]), 0.5)
-        np.testing.assert_allclose(p.values, [0.5, 0.5])
-
-    def test_larger_new_value_kept(self):
-        p = apply_nondecreasing_prior(SimplexWeights([0.2, 0.8]), 0.5)
-        np.testing.assert_allclose(p.values, [0.2, 0.8])
-
-    def test_identity_case(self):
-        p = apply_nondecreasing_prior(SimplexWeights([1.0, 0.0]), 0.0)
-        np.testing.assert_array_equal(p.values, [1.0, 0.0])
-
-    def test_bad_prev_rejected(self):
-        with pytest.raises(ValidationError):
-            apply_nondecreasing_prior(SimplexWeights([0.5, 0.5]), 1.5)
 
 
 class TestTlPredictCombination:
