@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bo, gp, space as space_mod
+from . import bo, gp, space as space_mod, transfer
 from .bo import RunResult, derived_seed
 from .errors import ParseError, ValidationError
 from .space import ConfigSpace, ConfigTable, Configuration, ParamSpec, is_finite_number, is_int
@@ -476,7 +476,6 @@ def _experiment(protocol, tasks, methods, budget, seeds, n_s, n_cv, n_candidates
                 workers) -> ExperimentResult:
     """The empty result of one experiment on ``tasks`` (the targets), after
     the checks both protocols share; ``seeds`` is a count or a list."""
-    methods = list(methods)
     if not (is_int(seeds) or isinstance(seeds, (list, tuple)) and all(map(is_int, seeds))):
         raise ValidationError(f"seeds must be an integer or a list of integers; got {seeds!r}")
     seeds = list(range(seeds)) if is_int(seeds) else [int(s) for s in seeds]
@@ -486,8 +485,9 @@ def _experiment(protocol, tasks, methods, budget, seeds, n_s, n_cv, n_candidates
         raise ValidationError(f"budget must be an integer of at least N_INIT={bo.N_INIT}; got {budget!r}")
     if not is_int(n_s) or n_s < 1:
         raise ValidationError(f"a source needs an integer number of observations N_S >= 1; got {n_s!r}")
-    if not methods or not set(methods) <= set(bo.POLICIES) or len(set(methods)) < len(methods):
-        raise ValidationError(f"methods must be distinct names from {bo.POLICIES}; got {methods}")
+    if not (isinstance(methods, (list, tuple)) and methods and all(m in bo.POLICIES for m in methods)
+            and len(set(methods)) == len(methods)):
+        raise ValidationError(f"methods must be a list of distinct names from {bo.POLICIES}; got {methods!r}")
     bo.OptimizerState(tasks[0].space, None, methods[0], 0, n_cv, n_candidates)  # checks n_cv, n_candidates
     if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
         raise ValidationError("seeds must be a positive count or distinct non-negative integers")
@@ -500,7 +500,7 @@ def _experiment(protocol, tasks, methods, budget, seeds, n_s, n_cv, n_candidates
         budget=budget,
         n_s=n_s,
         n_cv=n_cv,
-        methods=methods,
+        methods=list(methods),
         seeds=seeds,
         tasks=[TaskMeta(t.name, t.y_min, t.y_max) for t in tasks],
     )
@@ -545,7 +545,7 @@ def run_static(
     budget: int,
     seeds,
     n_s: int = 50,
-    n_cv: int = 5,
+    n_cv: int = transfer.N_CV_DEFAULT,
     n_candidates: int = bo.N_CANDIDATES,
     base_seed: int = 0,
     targets: list[int] | None = None,
@@ -562,6 +562,10 @@ def run_static(
     tasks = _tasks_of_one_space(tasks)
     if len(tasks) < 2:
         raise ValidationError("the static protocol needs at least two tasks")
+    if not (targets is None or isinstance(targets, (list, tuple))):
+        raise ValidationError(f"targets must be a list of task indices; got {targets!r}")
+    if not isinstance(flip_source_outputs, bool):
+        raise ValidationError(f"flip_source_outputs must be a bool; got {flip_source_outputs!r}")
     target_indices = list(range(len(tasks))) if targets is None else list(targets)
     for ti in target_indices:
         _check_target(ti, len(tasks))
@@ -609,7 +613,7 @@ def run_dynamic(
     budget: int,
     seeds,
     n_s: int = 50,
-    n_cv: int = 5,
+    n_cv: int = transfer.N_CV_DEFAULT,
     n_candidates: int = bo.N_CANDIDATES,
     base_seed: int = 0,
     workers: int = 1,

@@ -133,8 +133,10 @@ class OptimizerState:
         if self.force_p is not None:
             if self.policy != "transbo":
                 raise ValidationError(f"force_p applies to the transbo policy only, not {self.policy!r}")
-            if not isinstance(self.force_p, SimplexWeights):
+            if isinstance(self.force_p, (list, tuple)) and all(map(space_mod.is_finite_number, self.force_p)):
                 self.force_p = SimplexWeights(self.force_p)
+            elif not isinstance(self.force_p, SimplexWeights):
+                raise ValidationError(f"force_p must be a list or tuple of finite numbers; got {self.force_p!r}")
             if self.force_p.dim != 2:
                 raise ValidationError("force_p must hold two weights, (p_source, p_target)")
             if self.force_p.values[0] > 0 and not self.sources.models:

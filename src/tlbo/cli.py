@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench, bo, space as space_mod
+from . import bench, bo, space as space_mod, transfer
 from .errors import ParseError, ValidationError
 
 _FAMILY = [f.name for f in dataclasses.fields(bench.SyntheticFamilySpec)]  # a family object's keys
@@ -86,7 +86,7 @@ def _cmd_run(args, protocol: str) -> int:
         budget=_pop_typed(cfg, "budget", 30, int),
         seeds=cfg.pop("seeds", 1),
         n_s=_pop_typed(cfg, "N_S", 50, int),
-        n_cv=_pop_typed(cfg, "n_cv", 5, int),
+        n_cv=_pop_typed(cfg, "n_cv", transfer.N_CV_DEFAULT, int),
         n_candidates=_pop_typed(cfg, "n_candidates", bo.N_CANDIDATES, int),
         base_seed=_pop_typed(cfg, "base_seed", 0, int),
         workers=_pop_typed(cfg, "workers", 1, int),

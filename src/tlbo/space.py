@@ -28,57 +28,55 @@ def is_int(v) -> bool:
 
 def is_finite_number(v) -> bool:
     """Whether ``v`` is a number, not a bool, whose float is finite."""
-    with contextlib.suppress(OverflowError):  # an int beyond float range
-        return (is_int(v) or isinstance(v, (float, np.floating))) and math.isfinite(v)
-    return False
+    try:
+        return (isinstance(v, (float, np.floating)) or is_int(v)) and math.isfinite(v)
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One hyperparameter: numeric (plain, log-scaled, integer) or categorical."""
+    """One hyperparameter: numeric (plain, log-scaled, integer) or categorical.
+    Integer bounds lie within ±2**53, where float64 (so ``_columns``) is exact."""
 
     name: str
     kind: str
     low: float | None = None
     high: float | None = None
     categories: tuple[Any, ...] = ()
-    default: Any = None
 
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise ValidationError(f"parameter name {self.name!r} is not a non-empty string")
         if self.kind not in KINDS:
             raise ValidationError(f"unknown kind {self.kind!r} for parameter {self.name!r}")
+        if not isinstance(self.categories, (list, tuple)):
+            raise ValidationError(f"parameter {self.name!r}: categories must be a list or tuple")
+        object.__setattr__(self, "categories", tuple(self.categories))
         if self.kind == "categorical":
-            cats = tuple(self.categories)
-            if not cats:
+            if not self.categories:
                 raise ValidationError(f"parameter {self.name!r}: empty category list")
             try:
-                repeated = len(set(cats)) != len(cats)
+                repeated = len(set(self.categories)) != len(self.categories)
             except TypeError:
                 raise ValidationError(f"parameter {self.name!r}: categories must be hashable") from None
             if repeated:
                 raise ValidationError(f"parameter {self.name!r}: duplicate categories")
-            object.__setattr__(self, "categories", cats)
             object.__setattr__(self, "low", None)
             object.__setattr__(self, "high", None)
-        else:
-            try:  # also a missing bound, as float(None) raises TypeError
-                low, high = float(self.low), float(self.high)
-            except (TypeError, ValueError):
-                raise ValidationError(f"parameter {self.name!r}: low and high must be numbers") from None
-            if not (math.isfinite(low) and math.isfinite(high)):
-                raise ValidationError(f"parameter {self.name!r}: bounds must be finite")
-            if not low < high:
-                raise ValidationError(f"parameter {self.name!r}: low must be strictly below high")
-            if self.kind == "continuous-log" and low <= 0:
-                raise ValidationError(f"parameter {self.name!r}: log-scaled bounds must be positive")
-            if self.kind == "integer" and (int(low) != low or int(high) != high):
-                raise ValidationError(f"parameter {self.name!r}: integer bounds must be whole numbers")
-            object.__setattr__(self, "low", low)
-            object.__setattr__(self, "high", high)
-        if self.default is not None:
-            ConfigSpace([self]).validate(Configuration({self.name: self.default}))
+            return
+        bounds = (self.low, self.high)
+        if not all(map(is_finite_number, bounds)):
+            raise ValidationError(f"parameter {self.name!r}: low and high must be finite numbers")
+        if self.kind == "integer" and not all(int(v) == v and -(2**53) <= v <= 2**53 for v in bounds):
+            raise ValidationError(f"parameter {self.name!r}: integer bounds must be whole and within ±2**53")
+        low, high = float(self.low), float(self.high)
+        if not low < high:
+            raise ValidationError(f"parameter {self.name!r}: low must be strictly below high")
+        if self.kind == "continuous-log" and low <= 0:
+            raise ValidationError(f"parameter {self.name!r}: log-scaled bounds must be positive")
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "high", high)
 
     @property
     def width(self) -> int:
@@ -280,8 +278,6 @@ def space_to_dict(space: ConfigSpace) -> dict:
         else:
             d["low"] = p.low
             d["high"] = p.high
-        if p.default is not None:
-            d["default"] = p.default
         params.append(d)
     return {"params": params}
 
@@ -290,17 +286,13 @@ def space_from_dict(data: dict) -> ConfigSpace:
     params = data.get("params") if isinstance(data, dict) else None
     if not isinstance(params, list) or not all(isinstance(entry, dict) for entry in params):
         raise ValidationError("space definition must be an object with a 'params' list of objects")
-    for entry in params:
-        if not isinstance(entry.get("categories", ()), (list, tuple)):
-            raise ValidationError(f"parameter {entry.get('name')!r}: 'categories' must be a list")
     return ConfigSpace(
         ParamSpec(
             name=entry.get("name", ""),
             kind=entry.get("kind", ""),
             low=entry.get("low"),
             high=entry.get("high"),
-            categories=tuple(entry.get("categories", ())),
-            default=entry.get("default"),
+            categories=entry.get("categories", ()),
         )
         for entry in params
     )

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
@@ -63,6 +63,10 @@ MALFORMED_SPACES = {
     "number-categories": {"params": [{"name": "c", "kind": "categorical", "categories": 3}]},
     "text-categories": {"params": [{"name": "c", "kind": "categorical", "categories": "abc"}]},
     "number-name": {"params": [{"name": 5, "kind": "continuous", "low": 0.0, "high": 1.0}]},
+    "numeric-string-bound": {"params": [{"name": "x", "kind": "continuous", "low": "0", "high": 1.0}]},
+    "bool-bound": {"params": [{"name": "x", "kind": "continuous", "low": 0.0, "high": True}]},
+    "null-bound": {"params": [{"name": "x", "kind": "continuous", "low": None, "high": 1.0}]},
+    "integer-high-1e17": {"params": [{"name": "n", "kind": "integer", "low": 0, "high": 1e17}]},
 }
 
 
@@ -152,15 +156,43 @@ class TestLoadTabular:
         task = load_tabular(path)
         assert len(task.rows) == 1 and task.rows[0][1] == 0.2
 
-    def test_duplicates_by_the_tables_own_row_equality_keep_first(self, tmp_path):
-        # 2**53 and 2**53 + 1 differ as Python ints but share one float64 raw
-        # value, so the table would reject the pair as a repeat.
+    def test_integer_bound_beyond_2_53_rejected_naming_file_and_parameter(self, tmp_path):
+        # float64 holds 2**53 and 2**53 + 1 as one value, so a table of this
+        # space could not tell the two rows apart.
         path = tmp_path / "big.json"
         space = {"params": [{"name": "n", "kind": "integer", "low": 0, "high": 1e17}]}
         rows = [{"config": {"n": 2**53}, "y": 0.2}, {"config": {"n": 2**53 + 1}, "y": 0.9}]
         path.write_text(json.dumps({"space": space, "rows": rows}))
-        task = load_tabular(path)
-        assert task.rows == ((Configuration({"n": 2**53}), 0.2),)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: bad space definition (parameter 'n': integer bounds")):
+            load_tabular(path)
+
+    @given(
+        bound=st.integers(2**53 - 3, 2**53 + 3),
+        values=st.lists(
+            st.one_of(st.integers(2**53 - 3, 2**53 + 3), st.integers(-(2**53) - 3, -(2**53) + 3)),
+            min_size=1, max_size=6, unique=True,
+        ),
+    )
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_integers_near_2_53_are_exact_rows(self, tmp_path, bound, values):
+        # Either the space rejects the bound, or every value it admits
+        # round-trips exactly, is found by index and stays its own row.
+        space = {"params": [{"name": "n", "kind": "integer", "low": -bound, "high": bound}]}
+        if bound > 2**53:
+            with pytest.raises(ValidationError, match="parameter 'n'"):
+                bench.space_mod.space_from_dict(space)
+            return
+        configs = [Configuration({"n": v}) for v in values if -bound <= v <= bound]
+        assume(configs)
+        table = bench.space_mod.ConfigTable.from_configs(bench.space_mod.space_from_dict(space), configs)
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"space": space, "rows": [{"config": c.values, "y": 0.0} for c in configs]}))
+        loaded = load_tabular(path).table
+        for t in (table, loaded):
+            assert len(t) == len(configs)
+            assert [t.config(i) for i in range(len(t))] == configs
+            assert all(type(t.config(i).values["n"]) is int for i in range(len(t)))
+            assert [t.index(c) for c in configs] == list(range(len(configs)))
 
     def test_nonfinite_y_rejected(self, tmp_path):
         path = write_task_file(tmp_path, [{"config": {"x": 0.5}, "y": "oops"}])
@@ -786,6 +818,8 @@ class TestSharedArgumentChecks:
             dict(methods=["random"], budget=4, seeds=1, base_seed=1.0),
             dict(methods=["transbo"], budget=4, seeds=1, workers=1.5),
             dict(methods=["transbo"], budget=4, seeds=1, workers="2"),
+            dict(methods={"igp": 1}, budget=4, seeds=1),
+            dict(methods={"transbo"}, budget=4, seeds=1),
         ],
     )
     def test_rejected(self, monkeypatch, protocol, bad):
@@ -797,6 +831,25 @@ class TestSharedArgumentChecks:
         tasks = [tiny_tabular("a", seed=0), tiny_tabular("b", seed=1)]
         with pytest.raises(ValidationError):
             protocol(tasks, **{"n_s": 5, **bad})
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(flip_source_outputs="false"), "flip_source_outputs must be a bool"),
+            (dict(flip_source_outputs=1), "flip_source_outputs must be a bool"),
+            (dict(targets=range(2)), "targets must be a list"),
+            (dict(targets={0, 1}), "targets must be a list"),
+        ],
+    )
+    def test_static_arguments_rejected_before_any_fit(self, monkeypatch, bad, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fit or run started despite a bad argument")
+
+        monkeypatch.setattr(bench, "_run_job", refuse)
+        monkeypatch.setattr(bench, "_fit_source", refuse)
+        tasks = [tiny_tabular("a", seed=0), tiny_tabular("b", seed=1)]
+        with pytest.raises(ValidationError, match=message):
+            run_static(tasks, ["transbo"], budget=4, seeds=1, n_s=5, **bad)
 
     def test_dynamic_task_of_another_space_rejected_before_any_run(self, monkeypatch):
         def refuse(*args, **kwargs):

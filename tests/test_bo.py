@@ -293,6 +293,8 @@ class TestRun:
             ("igp", (0.0, 1.0)),
             ("random", (0.0, 1.0)),
             ("transbo", (0.5, 0.5)),  # no sources to weigh
+            ("transbo", ("0.0", "1.0")),
+            ("transbo", (False, True)),
         ],
     )
     def test_bad_force_p_rejected_before_any_trial(self, policy, force_p):

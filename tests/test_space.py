@@ -21,10 +21,10 @@ from tlbo.space import (
 def mixed_space() -> ConfigSpace:
     return ConfigSpace(
         [
-            ParamSpec(name="lr", kind="continuous-log", low=0.01, high=2.0, default=0.1),
-            ParamSpec(name="depth", kind="integer", low=2, high=8, default=3),
+            ParamSpec(name="lr", kind="continuous-log", low=0.01, high=2.0),
+            ParamSpec(name="depth", kind="integer", low=2, high=8),
             ParamSpec(name="ratio", kind="continuous", low=0.0, high=1.0),
-            ParamSpec(name="algo", kind="categorical", categories=("a", "b", "c"), default="a"),
+            ParamSpec(name="algo", kind="categorical", categories=("a", "b", "c")),
         ]
     )
 
@@ -50,13 +50,48 @@ class TestParamSpec:
         with pytest.raises(ValidationError):
             ParamSpec(name="x", kind="boolean", low=0, high=1)
 
-    def test_rejects_out_of_bounds_default(self):
-        with pytest.raises(ValidationError):
-            ParamSpec(name="x", kind="continuous", low=0.0, high=1.0, default=2.0)
-
     def test_rejects_fractional_integer_bounds(self):
         with pytest.raises(ValidationError):
             ParamSpec(name="x", kind="integer", low=1.5, high=8)
+
+    @pytest.mark.parametrize(
+        "kind, low, high",
+        [
+            ("continuous", "0", 1.0),
+            ("continuous", True, 2.0),
+            ("integer", 0, np.True_),
+            ("continuous", None, 1.0),
+            ("integer", 0, 1e17),
+            ("integer", 0, 2**53 + 2),
+            ("integer", 0, 2**53 + 1),  # its float is 2**53, so the bound would move
+            ("integer", -(2**53) - 2, 0),
+        ],
+    )
+    def test_rejects_a_bound_that_is_no_number_or_no_exact_integer(self, kind, low, high):
+        with pytest.raises(ValidationError, match="parameter 'x'"):
+            ParamSpec(name="x", kind=kind, low=low, high=high)
+
+    @pytest.mark.parametrize("kind", ["categorical", "continuous", "integer"])
+    @pytest.mark.parametrize("categories", [{"a", "b"}, "ab", 3], ids=["set", "string", "number"])
+    def test_rejects_categories_that_are_no_list_or_tuple(self, kind, categories):
+        with pytest.raises(ValidationError, match="parameter 'x'"):
+            ParamSpec(name="x", kind=kind, low=0, high=1, categories=categories)
+
+    @pytest.mark.parametrize(
+        "kind, low, high",
+        [
+            ("integer", -(2**53), 2**53),
+            ("integer", np.int64(-5), np.uint8(7)),
+            ("integer", 1.0, np.float32(8.0)),
+            ("continuous", np.float32(0.1), 0.2),
+            ("continuous", -(2**60), 2**70),
+            ("continuous-log", np.float16(0.5), 1e300),
+        ],
+    )
+    def test_accepts_finite_number_bounds_as_their_floats(self, kind, low, high):
+        p = ParamSpec(name="x", kind=kind, low=low, high=high)
+        assert (type(p.low), type(p.high)) == (float, float)
+        assert (p.low, p.high) == (float(low), float(high))
 
 
 class TestConfigSpace:
@@ -164,6 +199,11 @@ class TestSerialization:
         space = mixed_space()
         rebuilt = space_from_dict(space_to_dict(space))
         assert rebuilt == space
+
+    def test_unread_keys_of_a_parameter_entry_are_ignored(self):
+        entry = {"name": "x", "kind": "integer", "low": 0, "high": 4, "default": 99, "note": "unused"}
+        space = space_from_dict({"params": [entry]})
+        assert space_to_dict(space) == {"params": [{"name": "x", "kind": "integer", "low": 0.0, "high": 4.0}]}
 
     def test_bad_payload_rejected(self):
         with pytest.raises(ValidationError):
