@@ -266,20 +266,10 @@ def make_synthetic_family(spec: SyntheticFamilySpec) -> list[SyntheticTask]:
             y_min = 0.0
             y_max = float(scale * sum(max((-BOWL_BOUND - t) ** 2, (BOWL_BOUND - t) ** 2) for t in translation))
             optimum = translation.copy()
-        noise_sigma = spec.noise_scale * (y_max - y_min)
-        tasks.append(
-            SyntheticTask(
-                name=f"{spec.base}-{i:02d}",
-                space=space,
-                base=spec.base,
-                translation=translation,
-                scale=scale,
-                noise_sigma=noise_sigma,
-                y_min=float(y_min),
-                y_max=y_max,
-                optimum=optimum,
-            )
-        )
+        tasks.append(SyntheticTask(
+            name=f"{spec.base}-{i:02d}", space=space, base=spec.base, translation=translation, scale=scale,
+            noise_sigma=spec.noise_scale * (y_max - y_min), y_min=float(y_min), y_max=y_max, optimum=optimum,
+        ))
     return tasks
 
 
@@ -306,8 +296,7 @@ def adtm(incumbent_y_per_task, y_min_per_task, y_max_per_task) -> np.ndarray:
         curves.append(np.clip((inc - lo) / (hi - lo), 0.0, 1.0))
     if not curves:
         raise ValidationError("adtm: every task had a degenerate range")
-    lengths = {c.size for c in curves}
-    if len(lengths) > 1:
+    if len({c.size for c in curves}) > 1:
         raise ValidationError("adtm: incumbent vectors must share one length")
     return np.mean(np.stack(curves), axis=0)
 
@@ -434,17 +423,41 @@ def _tasks_of_one_space(tasks) -> list:
     return tasks
 
 
-def _check_target(index, n_tasks: int) -> None:
-    if not is_int(index) or not 0 <= index < n_tasks:
-        raise ValidationError(f"target {index!r} is not a task index in [0, {n_tasks})")
+def _check_source_settings(n_s, base_seed) -> None:
+    """Checks what both protocols' sources read: N_S and the base seed."""
+    if not is_int(n_s) or n_s < 1:
+        raise ValidationError(f"a source needs an integer number of observations N_S >= 1; got {n_s!r}")
+    if not is_int(base_seed) or base_seed < 0:
+        raise ValidationError(f"base_seed must be a non-negative integer; got {base_seed!r}")
+
+
+def _static_setting(tasks, targets, flip_source_outputs) -> tuple[list, list[int]]:
+    """The static protocol's tasks, at least two of one space, and its target
+    indices (every task for ``targets`` None), checked with the flip flag."""
+    tasks = _tasks_of_one_space(tasks)
+    if len(tasks) < 2:
+        raise ValidationError("the static protocol needs at least two tasks")
+    if not (targets is None or isinstance(targets, (list, tuple))):
+        raise ValidationError(f"targets must be a list of task indices; got {targets!r}")
+    if not isinstance(flip_source_outputs, bool):
+        raise ValidationError(f"flip_source_outputs must be a bool; got {flip_source_outputs!r}")
+    target_indices = list(range(len(tasks))) if targets is None else list(targets)
+    for ti in target_indices:
+        if not is_int(ti) or not 0 <= ti < len(tasks):
+            raise ValidationError(f"target {ti!r} is not a task index in [0, {len(tasks)})")
+    if len(set(target_indices)) < len(target_indices):
+        raise ValidationError(f"targets list a task more than once: {target_indices}")
+    return tasks, target_indices
 
 
 def build_static_sources(
     tasks, target_index: int, n_s: int, base_seed: int = 0, flip_source_outputs: bool = False
 ) -> SourceEnsemble:
     """Offline source ensemble for one target: every other task contributes a
-    GP fitted on n_s of its observations. The target's own rows never enter."""
-    _check_target(target_index, len(tasks))
+    GP fitted on n_s of its observations. The target's own rows never enter.
+    Every setting is checked, as ``run_static`` checks it, before any fit."""
+    tasks, _ = _static_setting(tasks, [target_index], flip_source_outputs)
+    _check_source_settings(n_s, base_seed)
     return SourceEnsemble(models=tuple(
         _static_source(task, j, n_s, base_seed, flip_source_outputs)
         for j, task in enumerate(tasks) if j != target_index
@@ -481,18 +494,14 @@ def _experiment(protocol, tasks, methods, budget, seeds, n_s, n_cv, n_candidates
     seeds = list(range(seeds)) if is_int(seeds) else [int(s) for s in seeds]
     if not tasks:
         raise ValidationError("an experiment needs at least one target task")
-    if not is_int(budget) or budget < bo.N_INIT:
-        raise ValidationError(f"budget must be an integer of at least N_INIT={bo.N_INIT}; got {budget!r}")
-    if not is_int(n_s) or n_s < 1:
-        raise ValidationError(f"a source needs an integer number of observations N_S >= 1; got {n_s!r}")
+    bo.check_budget(budget)
+    _check_source_settings(n_s, base_seed)
     if not (isinstance(methods, (list, tuple)) and methods and all(m in bo.POLICIES for m in methods)
             and len(set(methods)) == len(methods)):
         raise ValidationError(f"methods must be a list of distinct names from {bo.POLICIES}; got {methods!r}")
     bo.OptimizerState(tasks[0].space, None, methods[0], 0, n_cv, n_candidates)  # checks n_cv, n_candidates
     if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
         raise ValidationError("seeds must be a positive count or distinct non-negative integers")
-    if not is_int(base_seed) or base_seed < 0:
-        raise ValidationError(f"base_seed must be a non-negative integer; got {base_seed!r}")
     if not is_int(workers):
         raise ValidationError(f"workers must be an integer; got {workers!r}")
     return ExperimentResult(
@@ -559,18 +568,7 @@ def run_static(
     noise streams are shared across methods as well. Independent runs may
     execute in parallel (``workers`` > 1) without changing any result.
     """
-    tasks = _tasks_of_one_space(tasks)
-    if len(tasks) < 2:
-        raise ValidationError("the static protocol needs at least two tasks")
-    if not (targets is None or isinstance(targets, (list, tuple))):
-        raise ValidationError(f"targets must be a list of task indices; got {targets!r}")
-    if not isinstance(flip_source_outputs, bool):
-        raise ValidationError(f"flip_source_outputs must be a bool; got {flip_source_outputs!r}")
-    target_indices = list(range(len(tasks))) if targets is None else list(targets)
-    for ti in target_indices:
-        _check_target(ti, len(tasks))
-    if len(set(target_indices)) < len(target_indices):
-        raise ValidationError(f"targets list a task more than once: {target_indices}")
+    tasks, target_indices = _static_setting(tasks, targets, flip_source_outputs)
     result = _experiment("static", [tasks[i] for i in target_indices], methods, budget, seeds, n_s, n_cv,
                          n_candidates, base_seed, workers)
     # One source per task, fitted once and only for transbo; the first target's own only for a second.
@@ -698,16 +696,8 @@ def report(result: ExperimentResult, out_dir) -> list[str]:
     ranks = rank_sums / max(len(pairs), 1)
 
     # Mean cumulative suggestion overhead per trial.
-    overhead = {
-        m: np.mean(
-            [
-                np.cumsum([r["suggest_wallclock_ms"] for r in result.runs[(t.name, m, seed)].records])
-                for t, seed in pairs
-            ],
-            axis=0,
-        )
-        for m in methods
-    }
+    wallclock = lambda m, t, seed: [r["suggest_wallclock_ms"] for r in result.runs[(t.name, m, seed)].records]
+    overhead = {m: np.mean([np.cumsum(wallclock(m, t, seed)) for t, seed in pairs], axis=0) for m in methods}
 
     written = []
     for name, columns in (

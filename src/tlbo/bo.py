@@ -328,6 +328,12 @@ def _impute_failure(y: np.ndarray) -> float:
     return float(y.max()) + (spread if spread > 0 else 1.0)
 
 
+def check_budget(budget) -> None:
+    """Checks that ``budget``, a run's number of trials, is an integer of at least N_INIT."""
+    if not space_mod.is_int(budget) or budget < N_INIT:
+        raise ValidationError(f"budget must be an integer of at least N_INIT={N_INIT}; got {budget!r}")
+
+
 def run(
     space: ConfigSpace,
     objective: Callable[[Configuration], float],
@@ -359,8 +365,7 @@ def run(
     (p_source, p_target) in every suggestion; p_source > 0 needs sources.
     Every argument is checked before the first objective call.
     """
-    if not space_mod.is_int(budget) or budget < N_INIT:
-        raise ValidationError(f"budget must be an integer of at least N_INIT={N_INIT}; got {budget!r}")
+    check_budget(budget)
     state = OptimizerState(space, sources, policy, seed, n_cv, n_candidates, candidate_grid, force_p)
     if state.grid is not None and len(state.grid) < budget:
         raise ValidationError("budget exceeds the number of rows in the candidate grid")

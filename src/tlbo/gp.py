@@ -258,6 +258,19 @@ def _neg_lml_and_grad(theta: np.ndarray, sq_diffs: np.ndarray, z: np.ndarray, ro
     return -lml, grad
 
 
+def _training_data(x, z, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Training inputs as an (n, d) and targets as an (n,) float array, checked
+    to be aligned, non-empty and finite, with d = ``dim`` where it is given."""
+    x, z = np.atleast_2d(np.asarray(x, dtype=float)), np.asarray(z, dtype=float)
+    if x.shape[0] != z.shape[0] or z.ndim != 1 or x.shape[0] == 0:
+        raise ValidationError("training inputs and targets must align and be non-empty")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+        raise ValidationError("training data must be finite")
+    if dim is not None and x.shape[1] != dim:
+        raise ValidationError("kernel length-scales do not match the input dimension")
+    return x, z
+
+
 class GpSurrogate:
     """A fitted GP with cached Cholesky factorization for fast prediction.
 
@@ -279,14 +292,7 @@ class GpSurrogate:
         fit_nfev: int = 0,
         fit_start: int | None = None,
     ):
-        x = np.atleast_2d(np.asarray(train_inputs, dtype=float))
-        z = np.asarray(train_targets, dtype=float)
-        if x.shape[0] != z.shape[0] or z.ndim != 1 or x.shape[0] == 0:
-            raise ValidationError("training inputs and targets must align and be non-empty")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
-            raise ValidationError("training data must be finite")
-        if x.shape[1] != params.lengthscales.size:
-            raise ValidationError("kernel length-scales do not match the input dimension")
+        x, z = _training_data(train_inputs, train_targets, params.lengthscales.size)
         self.train_inputs = x
         self.train_targets = z
         self.params = params
@@ -366,13 +372,7 @@ def fit(x, z, seed: int = 0) -> GpSurrogate:
     With fewer than two observations the likelihood is uninformative and the
     default hyperparameters are kept. Deterministic for a fixed seed.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    z = np.asarray(z, dtype=float)
-    if x.shape[0] != z.shape[0] or x.shape[0] == 0:
-        raise ValidationError("fit expects aligned, non-empty inputs and targets")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
-        raise ValidationError("fit expects finite inputs and targets")
-
+    x, z = _training_data(x, z)
     dim = x.shape[1]
     defaults = KernelParams.defaults(dim)
     if x.shape[0] < MIN_FIT_POINTS:

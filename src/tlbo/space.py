@@ -65,6 +65,8 @@ class ParamSpec:
             object.__setattr__(self, "low", None)
             object.__setattr__(self, "high", None)
             return
+        if self.categories:
+            raise ValidationError(f"parameter {self.name!r}: a {self.kind} parameter takes no categories")
         bounds = (self.low, self.high)
         if not all(map(is_finite_number, bounds)):
             raise ValidationError(f"parameter {self.name!r}: low and high must be finite numbers")

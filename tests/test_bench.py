@@ -786,6 +786,12 @@ def _bowls_of_two_spaces() -> list:
     return [dataclasses.replace(t, name=n) for t, n in zip(two_d + three_d, names)]
 
 
+def _branin_and_bowl() -> list:
+    """A Branin task, then a 2-D bowl task: two spaces of one encoded width."""
+    specs = (SyntheticFamilySpec(base=base, n_tasks=1) for base in ("branin", "quadratic-bowl"))
+    return [make_synthetic_family(spec)[0] for spec in specs]
+
+
 class TestSharedArgumentChecks:
     """Both protocols reject the same bad arguments, before any run."""
 
@@ -839,17 +845,26 @@ class TestSharedArgumentChecks:
             (dict(flip_source_outputs=1), "flip_source_outputs must be a bool"),
             (dict(targets=range(2)), "targets must be a list"),
             (dict(targets={0, 1}), "targets must be a list"),
+            (dict(tasks=_branin_and_bowl()), "task 'quadratic-bowl-00' has another space than the first"),
+            (dict(n_s=2.5), "N_S >= 1"),
+            (dict(n_s=0), "N_S >= 1"),
+            (dict(base_seed=-1), "base_seed must be a non-negative integer"),
         ],
     )
     def test_static_arguments_rejected_before_any_fit(self, monkeypatch, bad, message):
+        # build_static_sources, which takes one target index, checks what it
+        # reads as run_static does; a target list that is no list is no index.
         def refuse(*args, **kwargs):
             raise AssertionError("a fit or run started despite a bad argument")
 
         monkeypatch.setattr(bench, "_run_job", refuse)
         monkeypatch.setattr(bench, "_fit_source", refuse)
-        tasks = [tiny_tabular("a", seed=0), tiny_tabular("b", seed=1)]
+        settings = {"tasks": [tiny_tabular("a", seed=0), tiny_tabular("b", seed=1)], "n_s": 5, **bad}
         with pytest.raises(ValidationError, match=message):
-            run_static(tasks, ["transbo"], budget=4, seeds=1, n_s=5, **bad)
+            run_static(methods=["transbo"], budget=4, seeds=1, **settings)
+        target = settings.pop("targets", 0)
+        with pytest.raises(ValidationError, match=message if target == 0 else "is not a task index"):
+            build_static_sources(target_index=target, **settings)
 
     def test_dynamic_task_of_another_space_rejected_before_any_run(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -137,6 +137,34 @@ class TestFit:
         with pytest.raises(ValidationError):
             fit(np.array([[0.0]]), np.array([np.inf]))
 
+    @pytest.mark.parametrize(
+        "x, z",
+        [
+            (np.zeros((5, 2)), np.zeros((5, 1))),  # a column of targets, not 1-D
+            (np.zeros((5, 2)), np.zeros(4)),
+            (np.zeros((0, 2)), np.zeros(0)),
+            (np.zeros((5, 2)), np.array([0.0, 1.0, np.nan, 2.0, 3.0])),
+        ],
+        ids=["column-targets", "misaligned", "empty", "nan-target"],
+    )
+    def test_bad_training_data_rejected_before_any_likelihood_evaluation(self, x, z, monkeypatch):
+        # fit and GpSurrogate share one check of the data, which runs before the search.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _neg_lml_and_grad(*args)
+
+        monkeypatch.setattr(gp, "_neg_lml_and_grad", counting)
+        for build in (lambda: fit(x, z), lambda: condition(x, z, KernelParams.defaults(2))):
+            with pytest.raises(ValidationError, match="training"):
+                build()
+        assert calls == []
+
+    def test_kernel_of_another_dimension_rejected(self):
+        with pytest.raises(ValidationError, match="do not match the input dimension"):
+            condition(np.zeros((3, 2)), np.zeros(3), KernelParams.defaults(3))
+
 
 class TestPredict:
     def test_near_interpolation_with_tiny_noise(self):

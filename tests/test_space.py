@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tlbo.errors import ValidationError
 from tlbo.space import (
@@ -76,6 +78,13 @@ class TestParamSpec:
     def test_rejects_categories_that_are_no_list_or_tuple(self, kind, categories):
         with pytest.raises(ValidationError, match="parameter 'x'"):
             ParamSpec(name="x", kind=kind, low=0, high=1, categories=categories)
+
+    @pytest.mark.parametrize("kind", ["continuous", "continuous-log", "integer"])
+    @pytest.mark.parametrize("categories", [["a", "b"], (0,)], ids=["list", "tuple"])
+    def test_rejects_categories_on_a_numeric_kind(self, kind, categories):
+        # A numeric spec would keep categories that space_to_dict drops.
+        with pytest.raises(ValidationError, match="parameter 'x': a .* parameter takes no categories"):
+            ParamSpec(name="x", kind=kind, low=1, high=2, categories=categories)
 
     @pytest.mark.parametrize(
         "kind, low, high",
@@ -194,11 +203,29 @@ class TestEncode:
             np.testing.assert_array_equal(batch[i], encode_batch(space, [config])[0])
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+PARAM_SPECS = st.one_of(
+    st.tuples(_FINITE, _FINITE).filter(lambda b: b[0] < b[1]).map(lambda b: ("continuous", *b, ())),
+    st.tuples(_FINITE, _FINITE).filter(lambda b: 0 < b[0] < b[1]).map(lambda b: ("continuous-log", *b, ())),
+    st.tuples(st.integers(-(2**53), 2**53), st.integers(-(2**53), 2**53))
+    .filter(lambda b: b[0] < b[1])
+    .map(lambda b: ("integer", *b, ())),
+    st.lists(st.one_of(st.text(max_size=3), st.integers()), min_size=1, max_size=4, unique=True).map(
+        lambda c: ("categorical", None, None, tuple(c))
+    ),
+)
+
+
 class TestSerialization:
     def test_dict_round_trip(self):
         space = mixed_space()
         rebuilt = space_from_dict(space_to_dict(space))
         assert rebuilt == space
+
+    @given(st.lists(PARAM_SPECS, min_size=1, max_size=5))
+    def test_dict_round_trip_of_every_kind(self, specs):
+        space = ConfigSpace(ParamSpec(f"p{i}", *spec) for i, spec in enumerate(specs))
+        assert space_from_dict(space_to_dict(space)) == space
 
     def test_unread_keys_of_a_parameter_entry_are_ignored(self):
         entry = {"name": "x", "kind": "integer", "low": 0, "high": 4, "default": 99, "note": "unused"}
